@@ -1,152 +1,12 @@
 #include "anafault/ac_campaign.h"
 
-#include "anafault/campaign.h"
 #include "anafault/comparator.h"
-#include "batch/collapse.h"
-#include "batch/scheduler.h"
+#include "anafault/driver.h"
 #include "netlist/writer.h"
-#include "obs/obs.h"
-
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cmath>
-#include <filesystem>
-#include <map>
-#include <memory>
 
 namespace catlift::anafault {
 
 using netlist::Circuit;
-
-namespace {
-
-double seconds_since(const std::chrono::steady_clock::time_point& t0) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-}
-
-const char* ac_verdict(const AcFaultResult& r) {
-    if (r.detected) return "detected";
-    if (r.simulated) return "undetected";
-    return r.quarantined ? "quarantined" : "failed";
-}
-
-/// AC counterpart of the transient runner's publish_fault_obs: span args
-/// mirror the registry increments exactly.
-void publish_ac_fault_obs(obs::Span& sp, const AcFaultResult& r,
-                          const std::string& signature) {
-    const unsigned mask = obs::enabled_mask();
-    const bool ev = obs::events_enabled();
-    if (mask == 0 && !ev) {
-        sp.end();
-        return;
-    }
-    const auto i64 = [](auto v) { return static_cast<std::int64_t>(v); };
-    if (mask & obs::kTracingBit) {
-        sp.arg("fault_id", i64(r.fault_id));
-        sp.arg("signature", signature);
-        sp.arg("verdict", std::string(ac_verdict(r)));
-        if (r.detect_freq) sp.arg("detect_freq_hz", *r.detect_freq);
-        sp.arg("max_deviation_db", r.max_deviation_db);
-        sp.arg("freq_points_saved", i64(r.points_saved));
-        sp.arg("nr_iterations", i64(r.nr_iterations));
-        sp.arg("symbolic_cache_hits", i64(r.symbolic_cache_hits));
-        sp.arg("sim_seconds", r.sim_seconds);
-        sp.arg("attempts", i64(r.attempts));
-    }
-    sp.end();
-    if (mask & obs::kMetricsBit) {
-        obs::Registry& reg = obs::Registry::global();
-        reg.counter("campaign.retired").add(1);
-        if (r.detected) reg.counter("campaign.detected").add(1);
-        reg.counter("campaign.nr_iterations").add(r.nr_iterations);
-        reg.counter("campaign.freq_points_saved").add(r.points_saved);
-        reg.counter("campaign.symbolic_cache_hits")
-            .add(r.symbolic_cache_hits);
-    }
-    if (ev)
-        obs::emit_event(
-            "fault_retired",
-            {obs::arg("fault_id", i64(r.fault_id)),
-             obs::arg("verdict", std::string(ac_verdict(r))),
-             obs::arg("sim_seconds", r.sim_seconds)});
-}
-
-/// AC twin of the transient runner's simulate_with_retries: run one
-/// faulty sweep through the retry/degradation ladder (anafault/retry.h)
-/// until an attempt simulates or the ladder is exhausted (-> quarantined).
-/// `base_sim` is the campaign's effective fault SimOptions (it carries the
-/// shared symbolic cache, which the dense rung then drops).
-AcFaultResult sweep_with_retries(const Circuit& faulty,
-                                 const spice::AcResult& nominal,
-                                 const spice::SimOptions& base_sim,
-                                 const AcCampaignOptions& opt, int fault_id,
-                                 std::atomic<std::size_t>& retries) {
-    const int attempts_allowed = 1 + std::max(0, opt.max_retries);
-    AcFaultResult r;
-    std::string retry_log;
-    for (int attempt = 0; attempt < attempts_allowed; ++attempt) {
-        const spice::SimOptions asim =
-            attempt == 0 ? base_sim : degrade_sim(base_sim, attempt);
-        if (attempt > 0) {
-            retries.fetch_add(1, std::memory_order_relaxed);
-            if (obs::metrics_enabled())
-                obs::Registry::global().counter("campaign.retries").add(1);
-            if (obs::events_enabled())
-                obs::emit_event(
-                    "fault_retry",
-                    {obs::arg("fault_id",
-                              static_cast<std::int64_t>(fault_id)),
-                     obs::arg("attempt",
-                              static_cast<std::int64_t>(attempt)),
-                     obs::arg("config", attempt_label(attempt)),
-                     obs::arg("error", r.error)});
-        }
-        r.simulated = false;
-        r.error.clear();
-        try {
-            AcStreamingDetector detector(nominal, opt.observed, opt.db_tol);
-            spice::Simulator sim(faulty, asim);
-            const spice::AcPointObserver observer =
-                [&](double, const spice::AcResult& partial) {
-                    return !(detector.feed(partial) && opt.early_abort);
-                };
-            sim.ac(opt.sweep, observer);
-            r.simulated = true;
-            r.detected = detector.detected();
-            r.detect_freq = detector.detect_freq();
-            r.max_deviation_db = detector.max_deviation_db();
-            r.points_saved = sim.stats().ac_points_saved;
-            r.nr_iterations = sim.stats().nr_iterations;
-            r.symbolic_cache_hits = sim.stats().symbolic_cache_hits;
-            r.ordering_seconds = sim.stats().ordering_seconds;
-            r.numeric_seconds = sim.stats().numeric_seconds;
-        } catch (const std::exception& e) {
-            r.error = e.what();
-        }
-        r.attempts = static_cast<std::uint32_t>(attempt + 1);
-        if (r.simulated) break;
-        log_attempt(retry_log, attempt, r.error);
-    }
-    r.retry_log = std::move(retry_log);
-    if (!r.simulated && opt.max_retries > 0) {
-        r.quarantined = true;
-        if (obs::metrics_enabled())
-            obs::Registry::global().counter("campaign.quarantined").add(1);
-        if (obs::events_enabled())
-            obs::emit_event(
-                "fault_quarantined",
-                {obs::arg("fault_id", static_cast<std::int64_t>(fault_id)),
-                 obs::arg("attempts",
-                          static_cast<std::int64_t>(r.attempts)),
-                 obs::arg("error", r.error)});
-    }
-    return r;
-}
-
-} // namespace
 
 std::size_t AcCampaignResult::detected() const {
     return static_cast<std::size_t>(
@@ -246,17 +106,9 @@ AcFaultResult ac_from_record(const batch::FaultSimResult& rec) {
     return r;
 }
 
-AcCampaignResult run_ac_campaign(const Circuit& ckt,
-                                 const lift::FaultList& faults,
-                                 const AcCampaignOptions& opt) {
-    AcCampaignResult res;
-    if (obs::events_enabled())
-        obs::emit_event(
-            "campaign_start",
-            {obs::arg("analysis", std::string("ac")),
-             obs::arg("faults", static_cast<std::int64_t>(faults.size())),
-             obs::arg("threads", static_cast<std::int64_t>(
-                                     std::max(1u, opt.threads)))});
+namespace detail {
+
+spice::SimOptions AcPolicy::nominal(AcCampaignResult& res) {
     spice::SimOptions fault_sim = opt.sim;
     {
         obs::Span nsp(obs::Phase::Nominal);
@@ -264,212 +116,59 @@ AcCampaignResult run_ac_campaign(const Circuit& ckt,
         res.nominal = sim.ac(opt.sweep);
         res.batch.ordering_seconds = sim.stats().ordering_seconds;
         res.batch.numeric_seconds = sim.stats().numeric_seconds;
-        // The nominal sweep's kernel carries the campaign-shared symbolic
-        // analysis (null on the dense path).
         if (opt.share_symbolic) fault_sim.symbolic_cache = sim.symbolic_cache();
     }
     for (const std::string& node : opt.observed)
         require(res.nominal.has(node),
                 "ac campaign: observed node missing: " + node);
+    nominal_ac = &res.nominal;
+    return fault_sim;
+}
 
-    const std::size_t n_faults = faults.size();
-    res.results.resize(n_faults);
-    res.batch.threads = std::max(1u, opt.threads);
-    std::vector<char> done(n_faults, 0);
+/// One faulty sweep, streamed through the detector so it can stop at the
+/// first dB violation.
+Attempt AcPolicy::attempt(const Circuit& faulty,
+                          const spice::SimOptions& sim_opt,
+                          AcFaultResult& r) const {
+    AcStreamingDetector detector(*nominal_ac, opt.observed, opt.db_tol);
+    spice::Simulator sim(faulty, sim_opt);
+    const spice::AcPointObserver observer =
+        [&](double, const spice::AcResult& partial) {
+            return !(detector.feed(partial) && opt.early_abort);
+        };
+    sim.ac(opt.sweep, observer);
+    r.simulated = true;
+    r.detected = detector.detected();
+    r.detect_freq = detector.detect_freq();
+    r.max_deviation_db = detector.max_deviation_db();
+    r.points_saved = sim.stats().ac_points_saved;
+    r.nr_iterations = sim.stats().nr_iterations;
+    r.symbolic_cache_hits = sim.stats().symbolic_cache_hits;
+    r.ordering_seconds = sim.stats().ordering_seconds;
+    r.numeric_seconds = sim.stats().numeric_seconds;
+    return {true, true};
+}
 
-    // Result store: records of a previous run of this exact campaign.
-    std::unique_ptr<batch::ResultStore> store;
-    if (!opt.result_store.empty()) {
-        const std::uint64_t manifest =
-            opt.manifest_override ? *opt.manifest_override
-                                  : ac_campaign_manifest(ckt, faults, opt);
-        if (!opt.resume) {
-            std::error_code ec;
-            std::filesystem::remove(opt.result_store, ec);
-        }
-        store = std::make_unique<batch::ResultStore>(
-            opt.result_store, manifest, opt.store_durability);
-        std::map<int, std::size_t> by_id;
-        for (std::size_t i = 0; i < n_faults; ++i)
-            by_id[faults.faults[i].id] = i;
-        for (const batch::FaultSimResult& rec : store->loaded()) {
-            const auto it = by_id.find(rec.fault_id);
-            if (it == by_id.end() || done[it->second]) continue;
-            res.results[it->second] = ac_from_record(rec);
-            done[it->second] = 1;
-            // Same provenance split as the transient runner: carried
-            // records are not prior-run work of this campaign.
-            if (rec.carried)
-                ++res.batch.carried_from_store;
-            else
-                ++res.batch.resumed;
-            if (obs::events_enabled())
-                obs::emit_event(
-                    "fault_resumed",
-                    {obs::arg("fault_id",
-                              static_cast<std::int64_t>(rec.fault_id)),
-                     obs::arg("carried",
-                              static_cast<std::int64_t>(rec.carried))});
-        }
+void AcPolicy::publish(const AcFaultResult& r, const FaultObs& o) {
+    if (r.detect_freq) o.detect("detect_freq_hz", *r.detect_freq);
+    o.arg("max_deviation_db", r.max_deviation_db);
+    o.count("freq_points_saved", i64(r.points_saved));
+}
+
+void AcPolicy::fold(AcCampaignResult& res, const AcFaultResult& r) {
+    if (r.points_saved > 0) {
+        ++res.batch.early_aborts;
+        res.batch.freq_points_saved += r.points_saved;
     }
-    const std::vector<char> resumed_here = done;
+}
 
-    const std::vector<batch::CollapsedClass> classes =
-        opt.collapse ? batch::collapse(faults.faults)
-                     : batch::singleton_classes(n_faults);
-    res.batch.classes = classes.size();
-    std::vector<batch::Job> jobs = batch::class_jobs(
-        classes,
-        [&](std::size_t m) { return faults.faults[m].probability; });
-    std::erase_if(jobs, [&](const batch::Job& j) {
-        const auto& members = classes[j.index].members;
-        return std::all_of(members.begin(), members.end(),
-                           [&](std::size_t m) { return done[m] != 0; });
-    });
+} // namespace detail
 
-    std::atomic<std::size_t> kernel_runs{0};
-    std::atomic<std::size_t> retries{0};
-    std::atomic<std::size_t> store_errors{0};
-    // Contained store append: an I/O failure must not fail the fault --
-    // its verdict is already computed and stays in memory; a later resume
-    // re-simulates it.  Counted and published, never rethrown.
-    auto safe_append = [&](const AcFaultResult& r) {
-        if (!store) return;
-        try {
-            store->append(ac_to_record(r));
-        } catch (const std::exception& e) {
-            store_errors.fetch_add(1, std::memory_order_relaxed);
-            if (obs::metrics_enabled())
-                obs::Registry::global()
-                    .counter("store.append_errors")
-                    .add(1);
-            if (obs::events_enabled())
-                obs::emit_event(
-                    "store_error",
-                    {obs::arg("fault_id",
-                              static_cast<std::int64_t>(r.fault_id)),
-                     obs::arg("error", std::string(e.what()))});
-        }
-    };
-    auto run_class = [&](std::size_t c) {
-        const std::vector<std::size_t>& members = classes[c].members;
-        const AcFaultResult* verdict = nullptr;
-        for (std::size_t m : members)
-            if (done[m]) {
-                verdict = &res.results[m];
-                break;
-            }
-        if (!verdict) {
-            const std::size_t rep =
-                *std::find_if(members.begin(), members.end(),
-                              [&](std::size_t m) { return !done[m]; });
-            const lift::Fault& f = faults.faults[rep];
-            if (obs::events_enabled())
-                obs::emit_event(
-                    "fault_started",
-                    {obs::arg("fault_id",
-                              static_cast<std::int64_t>(f.id))});
-            obs::Span sp(obs::Phase::FaultSim);
-            AcFaultResult r;
-            const auto t0 = std::chrono::steady_clock::now();
-            try {
-                const Circuit faulty = inject(ckt, f, opt.injection);
-                kernel_runs.fetch_add(1, std::memory_order_relaxed);
-                r = sweep_with_retries(faulty, res.nominal, fault_sim, opt,
-                                       f.id, retries);
-            } catch (const std::exception& e) {
-                // Injection failure (or any exception the ladder did not
-                // already contain): injection is deterministic, so the
-                // retry ladder has nothing to offer -- retire `failed`.
-                r.simulated = false;
-                r.error = e.what();
-            }
-            r.fault_id = f.id;
-            r.description = f.describe();
-            r.probability = f.probability;
-            r.sim_seconds = seconds_since(t0);
-            res.results[rep] = std::move(r);
-            done[rep] = 1;
-            safe_append(res.results[rep]);
-            publish_ac_fault_obs(sp, res.results[rep],
-                                 batch::effect_signature(f));
-            verdict = &res.results[rep];
-        }
-        for (std::size_t m : members) {
-            if (done[m]) continue;
-            AcFaultResult copy = *verdict;
-            copy.fault_id = faults.faults[m].id;
-            copy.description = faults.faults[m].describe();
-            copy.probability = faults.faults[m].probability;
-            // Kernel savings -- and retry cost -- stay attributed to the
-            // class representative; the verdict (quarantined included)
-            // fans out.
-            copy.points_saved = 0;
-            copy.sim_seconds = 0.0;
-            copy.nr_iterations = 0;
-            copy.symbolic_cache_hits = 0;
-            copy.ordering_seconds = 0.0;
-            copy.numeric_seconds = 0.0;
-            copy.attempts = 1;
-            copy.retry_log.clear();
-            res.results[m] = std::move(copy);
-            done[m] = 1;
-            safe_append(res.results[m]);
-            if (obs::metrics_enabled())
-                obs::Registry::global()
-                    .counter("campaign.fanned_out")
-                    .add(1);
-            if (obs::events_enabled())
-                obs::emit_event(
-                    "fault_retired",
-                    {obs::arg("fault_id",
-                              static_cast<std::int64_t>(
-                                  faults.faults[m].id)),
-                     obs::arg("verdict",
-                              std::string(ac_verdict(res.results[m]))),
-                     obs::arg("via", std::string("collapse"))});
-        }
-    };
-
-    const batch::Scheduler scheduler(opt.threads);
-    // RecordAndContinue: the per-fault handling above already retires
-    // every failure; an exception still reaching the scheduler is recorded
-    // and the remaining faults keep their verdicts.
-    const batch::SchedulerStats sstats =
-        scheduler.run(jobs, run_class, batch::ErrorPolicy::RecordAndContinue);
-    res.batch.collapsed = n_faults - classes.size();
-    res.batch.scheduled = kernel_runs.load();
-    res.batch.steals = sstats.steals;
-    res.batch.job_errors = sstats.failed_jobs;
-    res.batch.retries = retries.load();
-    res.batch.store_errors = store_errors.load();
-
-    for (std::size_t i = 0; i < n_faults; ++i) {
-        if (resumed_here[i]) continue;
-        const AcFaultResult& r = res.results[i];
-        if (r.points_saved > 0) {
-            ++res.batch.early_aborts;
-            res.batch.freq_points_saved += r.points_saved;
-        }
-        res.batch.symbolic_cache_hits += r.symbolic_cache_hits;
-        res.batch.ordering_seconds += r.ordering_seconds;
-        res.batch.numeric_seconds += r.numeric_seconds;
-        if (r.quarantined) ++res.batch.quarantined;
-    }
-    if (obs::events_enabled())
-        obs::emit_event(
-            "campaign_end",
-            {obs::arg("faults", static_cast<std::int64_t>(n_faults)),
-             obs::arg("detected",
-                      static_cast<std::int64_t>(res.detected())),
-             obs::arg("scheduled",
-                      static_cast<std::int64_t>(res.batch.scheduled)),
-             obs::arg("resumed",
-                      static_cast<std::int64_t>(res.batch.resumed)),
-             obs::arg("carried_from_store",
-                      static_cast<std::int64_t>(
-                          res.batch.carried_from_store))});
-    return res;
+AcCampaignResult run_ac_campaign(const Circuit& ckt,
+                                 const lift::FaultList& faults,
+                                 const AcCampaignOptions& opt) {
+    detail::AcPolicy p{ckt, opt};
+    return detail::drive(p, faults);
 }
 
 } // namespace catlift::anafault

@@ -10,19 +10,17 @@
 // The sweep is streamed through an AcStreamingDetector wired into the
 // kernel's per-frequency-point observer: with early abort on (default) a
 // faulty sweep stops at its first dB violation instead of computing the
-// rest of the axis -- the frequency-domain twin of the transient
-// campaign's ERASER-style abort.  Verdict and first-violation frequency
-// are identical either way; only max_deviation_db is then reported up to
-// the abort point.
+// rest of the axis, as the transient campaign does in the time domain.
+// Verdict and first-violation frequency are identical either way; only
+// max_deviation_db is then reported up to the abort point.
 //
-// Like the transient campaign, the runner persists per-fault records into
-// a crash-resumable result store (batch/result_store.h) bound to
-// ac_campaign_manifest(), and shares the nominal kernel's symbolic
-// analysis with every faulty variant; that makes it a drop-in backend for
-// the incremental cross-revision engine (anafault/incremental.h).  In a
-// store record detect_time carries the detection *frequency* [Hz] and
-// metric the worst dB deviation; the solve strategy of a resumed record
-// is not persisted.
+// The AC campaign is a policy of the one campaign driver
+// (anafault/driver.h): the nominal sweep, one faulty sweep per attempt and
+// the record round trip below are all it adds.  Store, resume, collapsing,
+// the retry ladder, events and the incremental engine come from the
+// driver.  The store binds to ac_campaign_manifest(); in a record
+// detect_time carries the detection *frequency* [Hz] and metric the worst
+// dB deviation.
 
 #pragma once
 

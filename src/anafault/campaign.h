@@ -6,10 +6,13 @@
 // of the original input file, the call of the kernel simulator and a
 // post-processing phase that compares results and generates statistics."
 //
-// The runner executes that cycle for every fault in a lift::FaultList,
-// serially or on a thread pool (the paper's follow-up work [21] ran
-// AnaFAULT in parallel on a workstation cluster; a shared-memory pool is
-// the laptop equivalent).
+// That cycle is written once, in the campaign driver (anafault/driver.h),
+// and runs for every fault in a lift::FaultList, serially or on a thread
+// pool (the paper's follow-up work [21] ran AnaFAULT in parallel on a
+// workstation cluster; a shared-memory pool is the laptop equivalent).
+// The transient campaign below is one of its three policies; the AC sweep
+// (ac_campaign.h) and the DC screen (dc_campaign.h) are the other two and
+// share its store, resume, collapsing, retry ladder and events.
 
 #pragma once
 

@@ -1,178 +1,13 @@
 #include "anafault/dc_campaign.h"
 
-#include "anafault/campaign.h"
-#include "batch/collapse.h"
-#include "batch/scheduler.h"
+#include "anafault/driver.h"
 #include "netlist/writer.h"
-#include "obs/obs.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <filesystem>
-#include <map>
-#include <memory>
 
 namespace catlift::anafault {
 
 using netlist::Circuit;
-
-namespace {
-
-const char* dc_verdict(const DcFaultResult& r) {
-    if (r.detected) return "detected";
-    if (r.converged) return "undetected";
-    return r.quarantined ? "quarantined" : "failed";
-}
-
-/// DC counterpart of the transient runner's publish_fault_obs: span args
-/// mirror the registry increments exactly.
-void publish_dc_fault_obs(obs::Span& sp, const DcFaultResult& r,
-                          const std::string& signature) {
-    const unsigned mask = obs::enabled_mask();
-    const bool ev = obs::events_enabled();
-    if (mask == 0 && !ev) {
-        sp.end();
-        return;
-    }
-    const auto i64 = [](auto v) { return static_cast<std::int64_t>(v); };
-    if (mask & obs::kTracingBit) {
-        sp.arg("fault_id", i64(r.fault_id));
-        sp.arg("signature", signature);
-        sp.arg("verdict", std::string(dc_verdict(r)));
-        sp.arg("max_deviation_v", r.max_deviation);
-        sp.arg("strategy", r.strategy);
-        sp.arg("nr_iterations", i64(std::max(0, r.nr_iterations)));
-        sp.arg("symbolic_cache_hits", i64(r.symbolic_cache_hits));
-        sp.arg("attempts", i64(r.attempts));
-    }
-    sp.end();
-    if (mask & obs::kMetricsBit) {
-        obs::Registry& reg = obs::Registry::global();
-        reg.counter("campaign.retired").add(1);
-        if (r.detected) reg.counter("campaign.detected").add(1);
-        reg.counter("campaign.nr_iterations")
-            .add(static_cast<std::uint64_t>(std::max(0, r.nr_iterations)));
-        reg.counter("campaign.symbolic_cache_hits")
-            .add(r.symbolic_cache_hits);
-    }
-    if (ev)
-        obs::emit_event(
-            "fault_retired",
-            {obs::arg("fault_id", i64(r.fault_id)),
-             obs::arg("verdict", std::string(dc_verdict(r)))});
-}
-
-/// DC twin of the transient runner's simulate_with_retries: run one
-/// faulty operating point through the retry/degradation ladder
-/// (anafault/retry.h) until an attempt converges or the ladder is
-/// exhausted (-> quarantined).
-///
-/// The deviation measurement validates the faulty operating point's node
-/// set up front instead of indexing it blind: injection can legitimately
-/// leave an observed node out of the faulty circuit (an open that
-/// isolates it, a short that merges it away), and the historical
-/// `op.voltages.at(n)` threw std::out_of_range -- which the old
-/// `catch (const Error&)` did not catch, so one such fault killed the
-/// whole campaign.  A missing node is a deterministic measurement gap,
-/// not a solver failure: the fault retires `failed` without burning
-/// ladder attempts.
-DcFaultResult solve_with_retries(const Circuit& faulty,
-                                 const DcScreenOptions& opt,
-                                 const spice::SimOptions& base_sim,
-                                 const std::map<std::string, double>& nom_op,
-                                 int nominal_iterations, int fault_id,
-                                 std::atomic<std::size_t>& retries,
-                                 std::atomic<std::size_t>& warm_hits,
-                                 std::atomic<std::size_t>& nr_saved) {
-    const int attempts_allowed = 1 + std::max(0, opt.max_retries);
-    DcFaultResult r;
-    std::string retry_log;
-    bool retryable = true;
-    for (int attempt = 0; attempt < attempts_allowed; ++attempt) {
-        const spice::SimOptions asim =
-            attempt == 0 ? base_sim : degrade_sim(base_sim, attempt);
-        if (attempt > 0) {
-            retries.fetch_add(1, std::memory_order_relaxed);
-            if (obs::metrics_enabled())
-                obs::Registry::global().counter("campaign.retries").add(1);
-            if (obs::events_enabled())
-                obs::emit_event(
-                    "fault_retry",
-                    {obs::arg("fault_id",
-                              static_cast<std::int64_t>(fault_id)),
-                     obs::arg("attempt",
-                              static_cast<std::int64_t>(attempt)),
-                     obs::arg("config", attempt_label(attempt)),
-                     obs::arg("error", r.error)});
-        }
-        r.converged = false;
-        r.detected = false;
-        r.max_deviation = 0.0;
-        r.error.clear();
-        try {
-            spice::Simulator sim(faulty, asim);
-            const spice::DcResult op =
-                opt.warm_start ? sim.dc_op(nom_op) : sim.dc_op();
-            r.converged = op.converged;
-            r.nr_iterations = op.iterations;
-            r.strategy = op.strategy;
-            r.symbolic_cache_hits = sim.stats().symbolic_cache_hits;
-            r.ordering_seconds = sim.stats().ordering_seconds;
-            r.numeric_seconds = sim.stats().numeric_seconds;
-            if (op.converged) {
-                if (op.strategy == "warm") {
-                    warm_hits.fetch_add(1, std::memory_order_relaxed);
-                    // Saved vs the nominal circuit's own cold cost -- the
-                    // best available baseline for a one-shot faulty solve.
-                    if (nominal_iterations > op.iterations)
-                        nr_saved.fetch_add(
-                            static_cast<std::size_t>(nominal_iterations -
-                                                     op.iterations),
-                            std::memory_order_relaxed);
-                }
-                for (const std::string& n : opt.observed)
-                    if (op.voltages.find(n) == op.voltages.end()) {
-                        r.converged = false;
-                        r.error = "observed node missing from faulty "
-                                  "operating point: " + n;
-                        retryable = false;
-                    }
-                if (r.converged) {
-                    for (const std::string& n : opt.observed) {
-                        const double dv = std::fabs(op.voltages.at(n) -
-                                                    nom_op.at(n));
-                        r.max_deviation = std::max(r.max_deviation, dv);
-                    }
-                    r.detected = r.max_deviation > opt.v_tol;
-                }
-            } else {
-                r.error = "operating point did not converge";
-            }
-        } catch (const std::exception& e) {
-            r.error = e.what();
-        }
-        r.attempts = static_cast<std::uint32_t>(attempt + 1);
-        if (r.converged || !retryable) break;
-        log_attempt(retry_log, attempt, r.error);
-    }
-    r.retry_log = std::move(retry_log);
-    if (!r.converged && retryable && opt.max_retries > 0) {
-        r.quarantined = true;
-        if (obs::metrics_enabled())
-            obs::Registry::global().counter("campaign.quarantined").add(1);
-        if (obs::events_enabled())
-            obs::emit_event(
-                "fault_quarantined",
-                {obs::arg("fault_id", static_cast<std::int64_t>(fault_id)),
-                 obs::arg("attempts",
-                          static_cast<std::int64_t>(r.attempts)),
-                 obs::arg("error", r.error)});
-    }
-    return r;
-}
-
-} // namespace
 
 std::size_t DcScreenResult::detected() const {
     return static_cast<std::size_t>(
@@ -239,6 +74,7 @@ batch::FaultSimResult dc_to_record(const DcFaultResult& r) {
     rec.simulated = r.converged;
     if (r.detected) rec.detect_time = 0.0;
     rec.metric = r.max_deviation;
+    rec.sim_seconds = r.sim_seconds;
     rec.nr_iterations = static_cast<std::size_t>(
         std::max(0, r.nr_iterations));
     rec.symbolic_cache_hits = r.symbolic_cache_hits;
@@ -260,6 +96,7 @@ DcFaultResult dc_from_record(const batch::FaultSimResult& rec) {
     r.converged = rec.simulated;
     r.detected = rec.detect_time.has_value();
     r.max_deviation = rec.metric;
+    r.sim_seconds = rec.sim_seconds;
     r.nr_iterations = static_cast<int>(rec.nr_iterations);
     r.strategy = rec.simulated ? "stored" : "";
     r.symbolic_cache_hits = rec.symbolic_cache_hits;
@@ -273,231 +110,94 @@ DcFaultResult dc_from_record(const batch::FaultSimResult& rec) {
     return r;
 }
 
-DcScreenResult run_dc_screen(const Circuit& ckt,
-                             const lift::FaultList& faults,
-                             const DcScreenOptions& opt) {
-    DcScreenResult res;
-    if (obs::events_enabled())
-        obs::emit_event(
-            "campaign_start",
-            {obs::arg("analysis", std::string("dc")),
-             obs::arg("faults", static_cast<std::int64_t>(faults.size())),
-             obs::arg("threads", static_cast<std::int64_t>(
-                                     std::max(1u, opt.threads)))});
+namespace detail {
 
+spice::SimOptions DcPolicy::nominal(DcScreenResult& res) {
     spice::SimOptions fault_sim = opt.sim;
-    obs::Span nsp(obs::Phase::Nominal);
-    spice::Simulator nominal(ckt, opt.sim);
-    const spice::DcResult nom_op = nominal.dc_op();
-    require(nom_op.converged, "dc screen: nominal operating point failed");
-    res.nominal_op = nom_op.voltages;
-    res.nominal_iterations = nom_op.iterations;
-    res.batch.ordering_seconds = nominal.stats().ordering_seconds;
-    res.batch.numeric_seconds = nominal.stats().numeric_seconds;
-    // The nominal solve's kernel carries the campaign-shared symbolic
-    // analysis (null on the dense path).
-    if (opt.share_symbolic)
-        fault_sim.symbolic_cache = nominal.symbolic_cache();
-    nsp.end();
+    {
+        obs::Span nsp(obs::Phase::Nominal);
+        spice::Simulator nominal(ckt, opt.sim);
+        const spice::DcResult nom_op = nominal.dc_op();
+        require(nom_op.converged, "dc screen: nominal operating point failed");
+        res.nominal_op = nom_op.voltages;
+        res.nominal_iterations = nom_op.iterations;
+        res.batch.ordering_seconds = nominal.stats().ordering_seconds;
+        res.batch.numeric_seconds = nominal.stats().numeric_seconds;
+        if (opt.share_symbolic)
+            fault_sim.symbolic_cache = nominal.symbolic_cache();
+    }
     for (const std::string& n : opt.observed)
         require(res.nominal_op.count(n) > 0,
                 "dc screen: observed node missing: " + n);
+    nominal_res = &res;
+    return fault_sim;
+}
 
-    const std::size_t n_faults = faults.size();
-    res.results.resize(n_faults);
-    res.batch.threads = std::max(1u, opt.threads);
-    std::vector<char> done(n_faults, 0);
-
-    // Result store: records of a previous run of this exact screen.
-    std::unique_ptr<batch::ResultStore> store;
-    if (!opt.result_store.empty()) {
-        const std::uint64_t manifest =
-            opt.manifest_override ? *opt.manifest_override
-                                  : dc_screen_manifest(ckt, faults, opt);
-        if (!opt.resume) {
-            std::error_code ec;
-            std::filesystem::remove(opt.result_store, ec);
-        }
-        store = std::make_unique<batch::ResultStore>(
-            opt.result_store, manifest, opt.store_durability);
-        std::map<int, std::size_t> by_id;
-        for (std::size_t i = 0; i < n_faults; ++i)
-            by_id[faults.faults[i].id] = i;
-        for (const batch::FaultSimResult& rec : store->loaded()) {
-            const auto it = by_id.find(rec.fault_id);
-            if (it == by_id.end() || done[it->second]) continue;
-            res.results[it->second] = dc_from_record(rec);
-            done[it->second] = 1;
-            // Same provenance split as the transient runner: carried
-            // records are not prior-run work of this screen.
-            if (rec.carried)
-                ++res.batch.carried_from_store;
-            else
-                ++res.batch.resumed;
-            if (obs::events_enabled())
-                obs::emit_event(
-                    "fault_resumed",
-                    {obs::arg("fault_id",
-                              static_cast<std::int64_t>(rec.fault_id)),
-                     obs::arg("carried",
-                              static_cast<std::int64_t>(rec.carried))});
-        }
+/// One faulty operating point.  The deviation measurement validates the
+/// faulty operating point's node set up front instead of indexing it
+/// blind: injection can legitimately leave an observed node out of the
+/// faulty circuit (an open that isolates it, a short that merges it
+/// away), and the historical `op.voltages.at(n)` threw std::out_of_range
+/// -- which the old `catch (const Error&)` did not catch, so one such
+/// fault killed the whole campaign.  A missing node is a deterministic
+/// measurement gap, not a solver failure: the fault retires `failed`
+/// without burning ladder attempts.
+Attempt DcPolicy::attempt(const Circuit& faulty,
+                          const spice::SimOptions& sim_opt,
+                          DcFaultResult& r) {
+    spice::Simulator sim(faulty, sim_opt);
+    const spice::DcResult op =
+        opt.warm_start ? sim.dc_op(nominal_res->nominal_op) : sim.dc_op();
+    r.converged = op.converged;
+    r.nr_iterations = op.iterations;
+    r.strategy = op.strategy;
+    r.symbolic_cache_hits = sim.stats().symbolic_cache_hits;
+    r.ordering_seconds = sim.stats().ordering_seconds;
+    r.numeric_seconds = sim.stats().numeric_seconds;
+    if (!op.converged) {
+        r.error = "operating point did not converge";
+        return {false, true};
     }
-    const std::vector<char> resumed_here = done;
-
-    // One solve per electrical-effect class, verdict fanned out.
-    const std::vector<batch::CollapsedClass> classes =
-        opt.collapse ? batch::collapse(faults.faults)
-                     : batch::singleton_classes(n_faults);
-    res.batch.classes = classes.size();
-    std::vector<batch::Job> jobs = batch::class_jobs(
-        classes,
-        [&](std::size_t m) { return faults.faults[m].probability; });
-    std::erase_if(jobs, [&](const batch::Job& j) {
-        const auto& members = classes[j.index].members;
-        return std::all_of(members.begin(), members.end(),
-                           [&](std::size_t m) { return done[m] != 0; });
-    });
-
-    std::atomic<std::size_t> kernel_runs{0};
-    std::atomic<std::size_t> warm_hits{0}, nr_saved{0};
-    std::atomic<std::size_t> retries{0};
-    std::atomic<std::size_t> store_errors{0};
-    // Contained store append: an I/O failure must not fail the fault --
-    // its verdict is already computed and stays in memory; a later resume
-    // re-simulates it.  Counted and published, never rethrown.
-    auto safe_append = [&](const DcFaultResult& r) {
-        if (!store) return;
-        try {
-            store->append(dc_to_record(r));
-        } catch (const std::exception& e) {
-            store_errors.fetch_add(1, std::memory_order_relaxed);
-            if (obs::metrics_enabled())
-                obs::Registry::global()
-                    .counter("store.append_errors")
-                    .add(1);
-            if (obs::events_enabled())
-                obs::emit_event(
-                    "store_error",
-                    {obs::arg("fault_id",
-                              static_cast<std::int64_t>(r.fault_id)),
-                     obs::arg("error", std::string(e.what()))});
-        }
-    };
-    auto run_class = [&](std::size_t c) {
-        const std::vector<std::size_t>& members = classes[c].members;
-        const DcFaultResult* verdict = nullptr;
-        for (std::size_t m : members)
-            if (done[m]) {
-                verdict = &res.results[m];
-                break;
-            }
-        if (!verdict) {
-            const std::size_t rep =
-                *std::find_if(members.begin(), members.end(),
-                              [&](std::size_t m) { return !done[m]; });
-            const lift::Fault& f = faults.faults[rep];
-            if (obs::events_enabled())
-                obs::emit_event(
-                    "fault_started",
-                    {obs::arg("fault_id",
-                              static_cast<std::int64_t>(f.id))});
-            obs::Span sp(obs::Phase::FaultSim);
-            DcFaultResult r;
-            try {
-                const Circuit faulty = inject(ckt, f, opt.injection);
-                kernel_runs.fetch_add(1, std::memory_order_relaxed);
-                r = solve_with_retries(faulty, opt, fault_sim,
-                                       res.nominal_op,
-                                       res.nominal_iterations, f.id,
-                                       retries, warm_hits, nr_saved);
-            } catch (const std::exception& e) {
-                // Injection failure (or any exception the ladder did not
-                // already contain): injection is deterministic, so the
-                // retry ladder has nothing to offer -- retire `failed`.
-                r.converged = false;
-                r.error = e.what();
-            }
-            r.fault_id = f.id;
-            r.description = f.describe();
-            r.probability = f.probability;
-            res.results[rep] = std::move(r);
-            done[rep] = 1;
-            safe_append(res.results[rep]);
-            publish_dc_fault_obs(sp, res.results[rep],
-                                 batch::effect_signature(f));
-            verdict = &res.results[rep];
-        }
-        for (std::size_t m : members) {
-            if (done[m]) continue;
-            DcFaultResult copy = *verdict;
-            copy.fault_id = faults.faults[m].id;
-            copy.description = faults.faults[m].describe();
-            copy.probability = faults.faults[m].probability;
-            // Kernel cost -- and retry cost -- stays attributed to the
-            // class representative; the verdict (quarantined included)
-            // fans out.
-            copy.nr_iterations = 0;
-            copy.symbolic_cache_hits = 0;
-            copy.ordering_seconds = 0.0;
-            copy.numeric_seconds = 0.0;
-            copy.attempts = 1;
-            copy.retry_log.clear();
-            res.results[m] = std::move(copy);
-            done[m] = 1;
-            safe_append(res.results[m]);
-            if (obs::metrics_enabled())
-                obs::Registry::global()
-                    .counter("campaign.fanned_out")
-                    .add(1);
-            if (obs::events_enabled())
-                obs::emit_event(
-                    "fault_retired",
-                    {obs::arg("fault_id",
-                              static_cast<std::int64_t>(
-                                  faults.faults[m].id)),
-                     obs::arg("verdict",
-                              std::string(dc_verdict(res.results[m]))),
-                     obs::arg("via", std::string("collapse"))});
-        }
-    };
-
-    const batch::Scheduler scheduler(opt.threads);
-    // RecordAndContinue: the per-fault handling above already retires
-    // every failure; an exception still reaching the scheduler is recorded
-    // and the remaining faults keep their verdicts.
-    const batch::SchedulerStats sstats =
-        scheduler.run(jobs, run_class, batch::ErrorPolicy::RecordAndContinue);
-    res.batch.collapsed = n_faults - classes.size();
-    res.batch.scheduled = kernel_runs.load();
-    res.batch.steals = sstats.steals;
-    res.batch.warm_start_solves = warm_hits.load();
-    res.batch.nr_saved_warm = nr_saved.load();
-    res.batch.job_errors = sstats.failed_jobs;
-    res.batch.retries = retries.load();
-    res.batch.store_errors = store_errors.load();
-
-    for (std::size_t i = 0; i < n_faults; ++i) {
-        if (resumed_here[i]) continue;
-        const DcFaultResult& r = res.results[i];
-        res.batch.symbolic_cache_hits += r.symbolic_cache_hits;
-        res.batch.ordering_seconds += r.ordering_seconds;
-        res.batch.numeric_seconds += r.numeric_seconds;
-        if (r.quarantined) ++res.batch.quarantined;
+    if (op.strategy == "warm") {
+        warm_hits.fetch_add(1, std::memory_order_relaxed);
+        // Saved vs the nominal circuit's own cold cost -- the best
+        // available baseline for a one-shot faulty solve.
+        if (nominal_res->nominal_iterations > op.iterations)
+            nr_saved.fetch_add(static_cast<std::size_t>(
+                                   nominal_res->nominal_iterations -
+                                   op.iterations),
+                               std::memory_order_relaxed);
     }
-    if (obs::events_enabled())
-        obs::emit_event(
-            "campaign_end",
-            {obs::arg("faults", static_cast<std::int64_t>(n_faults)),
-             obs::arg("detected",
-                      static_cast<std::int64_t>(res.detected())),
-             obs::arg("scheduled",
-                      static_cast<std::int64_t>(res.batch.scheduled)),
-             obs::arg("resumed",
-                      static_cast<std::int64_t>(res.batch.resumed)),
-             obs::arg("carried_from_store",
-                      static_cast<std::int64_t>(
-                          res.batch.carried_from_store))});
+    for (const std::string& n : opt.observed)
+        if (op.voltages.find(n) == op.voltages.end())
+            r.error =
+                "observed node missing from faulty operating point: " + n;
+    if (!r.error.empty()) {
+        r.converged = false;
+        return {false, false};
+    }
+    for (const std::string& n : opt.observed)
+        r.max_deviation = std::max(
+            r.max_deviation,
+            std::fabs(op.voltages.at(n) - nominal_res->nominal_op.at(n)));
+    r.detected = r.max_deviation > opt.v_tol;
+    return {true, true};
+}
+
+void DcPolicy::publish(const DcFaultResult& r, const FaultObs& o) {
+    o.arg("max_deviation_v", r.max_deviation);
+    o.arg("strategy", r.strategy);
+}
+
+} // namespace detail
+
+DcScreenResult run_dc_screen(const Circuit& ckt,
+                             const lift::FaultList& faults,
+                             const DcScreenOptions& opt) {
+    detail::DcPolicy p{ckt, opt};
+    DcScreenResult res = detail::drive(p, faults);
+    res.batch.warm_start_solves = p.warm_hits.load();
+    res.batch.nr_saved_warm = p.nr_saved.load();
     return res;
 }
 

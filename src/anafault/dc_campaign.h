@@ -9,14 +9,14 @@
 // campaign -- which is precisely the paper's motivation for transient
 // fault simulation on the VCO.
 //
-// Like the transient campaign, the screen persists per-fault records into
-// a crash-resumable result store bound to dc_screen_manifest(), and
-// shares the nominal kernel's symbolic analysis with every faulty solve;
-// that makes it a drop-in backend for the incremental cross-revision
-// engine (anafault/incremental.h).  In a store record detect_time is 0
-// when the fault was detected (a DC screen has no sweep coordinate) and
-// metric carries the worst |dV|; the solve strategy of a resumed record
-// is not persisted (it reports as "stored").
+// The screen is a policy of the one campaign driver (anafault/driver.h):
+// the nominal operating point, one faulty solve per attempt (warm-started
+// from the nominal one) and the record round trip below are all it adds.
+// Store, resume, collapsing, the retry ladder, events and the incremental
+// engine come from the driver.  The store binds to dc_screen_manifest();
+// in a record detect_time is 0 when the fault was detected (a DC screen
+// has no sweep coordinate) and metric carries the worst |dV|; the solve
+// strategy of a resumed record is not persisted (it reports as "stored").
 
 #pragma once
 
@@ -89,6 +89,7 @@ struct DcFaultResult {
     bool converged = false;      ///< operating point found
     bool detected = false;       ///< deviation beyond tolerance
     double max_deviation = 0.0;  ///< largest |dV| over observed nodes [V]
+    double sim_seconds = 0.0;    ///< kernel wall time of the solve
     int nr_iterations = 0;       ///< NR cost of the solve
     std::string strategy;        ///< "warm", "nr", "gmin", "source";
                                  ///< "stored" on a store-resumed or

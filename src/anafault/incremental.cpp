@@ -1,7 +1,6 @@
 #include "anafault/incremental.h"
 
-#include "batch/result_store.h"
-#include "obs/obs.h"
+#include "anafault/driver.h"
 
 #include <filesystem>
 #include <map>
@@ -116,11 +115,7 @@ CarrySplit split_for_carry(const lift::FaultList& baseline,
             obs::emit_event(
                 "fault_carried",
                 {obs::arg("fault_id", static_cast<std::int64_t>(id)),
-                 obs::arg("verdict",
-                          std::string(r.detect_time    ? "detected"
-                                      : r.simulated   ? "undetected"
-                                      : r.quarantined ? "quarantined"
-                                                      : "failed"))});
+                 obs::arg("verdict", std::string(detail::verdict_of(r)))});
         obs::emit_event(
             "incremental_carry",
             {obs::arg("carried",
@@ -158,25 +153,29 @@ void seed_merged_store(const std::string& path, std::uint64_t manifest,
         if (!present.count(id)) store.append(r);
 }
 
-} // namespace
-
-IncrementalResult run_incremental_campaign(const Circuit& ckt,
-                                           const lift::FaultList& baseline,
-                                           const lift::FaultList& revision,
-                                           const IncrementalOptions& opt) {
-    IncrementalResult res;
+/// The incremental engine over one analysis policy: carry what the
+/// baseline store proves, run the remainder as a subset campaign into the
+/// merged store, and merge in revision order.  Nominal run, kernel-cost
+/// aggregates and batch counters describe the work this run performed.
+template <class P, class IncResult, class IncOptions>
+IncResult run_incremental(const Circuit& ckt, const lift::FaultList& baseline,
+                          const lift::FaultList& revision,
+                          const IncOptions& opt) {
+    const std::string what =
+        std::string("incremental ") + P::kAnalysis + " campaign";
+    IncResult res;
     require(!(opt.campaign.resume && opt.campaign.result_store.empty()),
-            "incremental campaign: resume needs a merged result store path");
+            what + ": resume needs a merged result store path");
 
     CarrySplit split =
         split_for_carry(baseline, revision, opt.rel_tol, opt.baseline_store,
-                        campaign_manifest(ckt, baseline, opt.campaign));
+                        P::manifest(ckt, baseline, opt.campaign));
     res.inc = split.inc;
 
-    CampaignOptions copt = opt.campaign;
+    typename P::Options copt = opt.campaign;
     if (!copt.result_store.empty()) {
         const std::uint64_t manifest =
-            campaign_manifest(ckt, revision, opt.campaign);
+            P::manifest(ckt, revision, opt.campaign);
         seed_merged_store(copt.result_store, manifest, opt.campaign.resume,
                           split.carried_by_id, copt.store_durability);
         // The subset campaign reopens the merged store under the revision
@@ -186,25 +185,22 @@ IncrementalResult run_incremental_campaign(const Circuit& ckt,
         copt.manifest_override = manifest;
     }
 
-    CampaignResult sub = run_campaign(ckt, split.subset, copt);
+    typename P::Output sub = P::run(ckt, split.subset, copt);
 
-    // Merge in revision order.  Nominal run, kernel-cost aggregates and
-    // batch counters describe the work this run actually performed.
-    std::map<int, const FaultSimResult*> sub_by_id;
-    for (const FaultSimResult& r : sub.results)
+    std::map<int, const typename P::Result*> sub_by_id;
+    for (const typename P::Result& r : sub.results)
         sub_by_id.emplace(r.fault_id, &r);
-    std::vector<FaultSimResult> merged;
+    std::vector<typename P::Result> merged;
     merged.reserve(revision.size());
     for (const lift::Fault& f : revision.faults) {
         const auto carried_it = split.carried_by_id.find(f.id);
         if (carried_it != split.carried_by_id.end()) {
-            merged.push_back(carried_it->second);
+            merged.push_back(P::from_record(carried_it->second));
             continue;
         }
         const auto it = sub_by_id.find(f.id);
         require(it != sub_by_id.end(),
-                "incremental campaign: missing result for fault " +
-                    std::to_string(f.id));
+                what + ": missing result for fault " + std::to_string(f.id));
         merged.push_back(*it->second);
     }
     res.campaign = std::move(sub);
@@ -216,99 +212,29 @@ IncrementalResult run_incremental_campaign(const Circuit& ckt,
     return res;
 }
 
+} // namespace
+
+IncrementalResult run_incremental_campaign(const Circuit& ckt,
+                                           const lift::FaultList& baseline,
+                                           const lift::FaultList& revision,
+                                           const IncrementalOptions& opt) {
+    return run_incremental<detail::TranPolicy, IncrementalResult>(
+        ckt, baseline, revision, opt);
+}
+
 IncrementalAcResult run_incremental_ac_campaign(
     const Circuit& ckt, const lift::FaultList& baseline,
     const lift::FaultList& revision, const IncrementalAcOptions& opt) {
-    IncrementalAcResult res;
-    require(!(opt.campaign.resume && opt.campaign.result_store.empty()),
-            "incremental ac campaign: resume needs a merged store path");
-
-    CarrySplit split =
-        split_for_carry(baseline, revision, opt.rel_tol, opt.baseline_store,
-                        ac_campaign_manifest(ckt, baseline, opt.campaign));
-    res.inc = split.inc;
-
-    AcCampaignOptions copt = opt.campaign;
-    if (!copt.result_store.empty()) {
-        const std::uint64_t manifest =
-            ac_campaign_manifest(ckt, revision, opt.campaign);
-        seed_merged_store(copt.result_store, manifest, opt.campaign.resume,
-                          split.carried_by_id, copt.store_durability);
-        copt.resume = true;
-        copt.manifest_override = manifest;
-    }
-
-    AcCampaignResult sub = run_ac_campaign(ckt, split.subset, copt);
-
-    std::map<int, const AcFaultResult*> sub_by_id;
-    for (const AcFaultResult& r : sub.results)
-        sub_by_id.emplace(r.fault_id, &r);
-    std::vector<AcFaultResult> merged;
-    merged.reserve(revision.size());
-    for (const lift::Fault& f : revision.faults) {
-        const auto carried_it = split.carried_by_id.find(f.id);
-        if (carried_it != split.carried_by_id.end()) {
-            merged.push_back(ac_from_record(carried_it->second));
-            continue;
-        }
-        const auto it = sub_by_id.find(f.id);
-        require(it != sub_by_id.end(),
-                "incremental ac campaign: missing result for fault " +
-                    std::to_string(f.id));
-        merged.push_back(*it->second);
-    }
-    res.campaign = std::move(sub);
-    res.campaign.results = std::move(merged);
-    res.campaign.batch.carried_from_store += split.inc.carried;
-    return res;
+    return run_incremental<detail::AcPolicy, IncrementalAcResult>(
+        ckt, baseline, revision, opt);
 }
 
 IncrementalDcResult run_incremental_dc_screen(const Circuit& ckt,
                                               const lift::FaultList& baseline,
                                               const lift::FaultList& revision,
                                               const IncrementalDcOptions& opt) {
-    IncrementalDcResult res;
-    require(!(opt.campaign.resume && opt.campaign.result_store.empty()),
-            "incremental dc screen: resume needs a merged store path");
-
-    CarrySplit split =
-        split_for_carry(baseline, revision, opt.rel_tol, opt.baseline_store,
-                        dc_screen_manifest(ckt, baseline, opt.campaign));
-    res.inc = split.inc;
-
-    DcScreenOptions copt = opt.campaign;
-    if (!copt.result_store.empty()) {
-        const std::uint64_t manifest =
-            dc_screen_manifest(ckt, revision, opt.campaign);
-        seed_merged_store(copt.result_store, manifest, opt.campaign.resume,
-                          split.carried_by_id, copt.store_durability);
-        copt.resume = true;
-        copt.manifest_override = manifest;
-    }
-
-    DcScreenResult sub = run_dc_screen(ckt, split.subset, copt);
-
-    std::map<int, const DcFaultResult*> sub_by_id;
-    for (const DcFaultResult& r : sub.results)
-        sub_by_id.emplace(r.fault_id, &r);
-    std::vector<DcFaultResult> merged;
-    merged.reserve(revision.size());
-    for (const lift::Fault& f : revision.faults) {
-        const auto carried_it = split.carried_by_id.find(f.id);
-        if (carried_it != split.carried_by_id.end()) {
-            merged.push_back(dc_from_record(carried_it->second));
-            continue;
-        }
-        const auto it = sub_by_id.find(f.id);
-        require(it != sub_by_id.end(),
-                "incremental dc screen: missing result for fault " +
-                    std::to_string(f.id));
-        merged.push_back(*it->second);
-    }
-    res.campaign = std::move(sub);
-    res.campaign.results = std::move(merged);
-    res.campaign.batch.carried_from_store += split.inc.carried;
-    return res;
+    return run_incremental<detail::DcPolicy, IncrementalDcResult>(
+        ckt, baseline, revision, opt);
 }
 
 std::string incremental_summary(const IncrementalStats& inc,

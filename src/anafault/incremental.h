@@ -11,11 +11,11 @@
 // to a cold full campaign on the revision -- and that serves as the
 // baseline store of the *next* revision.
 //
-// All three campaign runners dispatch through the same diff + store
-// machinery: run_incremental_campaign drives the transient runner,
-// run_incremental_ac_campaign the AC sweep, run_incremental_dc_screen the
-// DC screen (each bound to its own manifest hash, so a transient store can
-// never feed an AC carry).
+// One engine, written over the campaign driver's analysis policies
+// (anafault/driver.h): run_incremental_campaign drives the transient
+// campaign, run_incremental_ac_campaign the AC sweep,
+// run_incremental_dc_screen the DC screen (each bound to its own manifest
+// hash, so a transient store can never feed an AC carry).
 //
 // Carry-over safety: a baseline verdict is only reused when the baseline
 // store's manifest reproduces the baseline campaign's manifest hash --

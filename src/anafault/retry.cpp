@@ -1,5 +1,8 @@
 #include "anafault/retry.h"
 
+#include "obs/obs.h"
+
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -53,6 +56,48 @@ void log_attempt(std::string& retry_log, int attempt,
     retry_log += "attempt " + std::to_string(attempt + 1) + " [" +
                  attempt_label(attempt) + "]: " +
                  (error.empty() ? "failed" : error);
+}
+
+LadderOutcome run_retry_ladder(
+    const spice::SimOptions& base, int max_retries, int fault_id,
+    const std::function<Attempt(const spice::SimOptions&,
+                                std::string& error)>& attempt) {
+    const int attempts_allowed = 1 + std::max(0, max_retries);
+    const auto id = static_cast<std::int64_t>(fault_id);
+    LadderOutcome out;
+    Attempt a;
+    std::string error;
+    for (int k = 0; k < attempts_allowed; ++k) {
+        if (k > 0) {
+            if (obs::metrics_enabled())
+                obs::Registry::global().counter("campaign.retries").add(1);
+            if (obs::events_enabled())
+                obs::emit_event(
+                    "fault_retry",
+                    {obs::arg("fault_id", id),
+                     obs::arg("attempt", static_cast<std::int64_t>(k + 1)),
+                     obs::arg("config", attempt_label(k)),
+                     obs::arg("error", error)});
+        }
+        error.clear();
+        a = attempt(k == 0 ? base : degrade_sim(base, k), error);
+        out.attempts = static_cast<std::uint32_t>(k + 1);
+        if (a.ok || !a.retryable) break;
+        log_attempt(out.retry_log, k, error);
+    }
+    out.quarantined = !a.ok && a.retryable && max_retries > 0;
+    if (out.quarantined) {
+        if (obs::metrics_enabled())
+            obs::Registry::global().counter("campaign.quarantined").add(1);
+        if (obs::events_enabled())
+            obs::emit_event(
+                "fault_quarantined",
+                {obs::arg("fault_id", id),
+                 obs::arg("attempts",
+                          static_cast<std::int64_t>(out.attempts)),
+                 obs::arg("error", error)});
+    }
+    return out;
 }
 
 } // namespace catlift::anafault

@@ -22,6 +22,8 @@
 
 #include "spice/engine.h"
 
+#include <cstdint>
+#include <functional>
 #include <string>
 
 namespace catlift::anafault {
@@ -42,5 +44,33 @@ std::string attempt_label(int attempt);
 /// Append one failed attempt to a retry log ("attempt K [rung]: error").
 void log_attempt(std::string& retry_log, int attempt,
                  const std::string& error);
+
+/// Outcome of one kernel attempt.  `retryable` false marks a deterministic
+/// failure (e.g. a DC measurement gap) that no degraded rung can fix: the
+/// ladder stops there without quarantining the fault.
+struct Attempt {
+    bool ok = false;
+    bool retryable = true;
+};
+
+/// What the ladder did for one fault.
+struct LadderOutcome {
+    std::uint32_t attempts = 0;  ///< attempts made (1 = no retry)
+    bool quarantined = false;    ///< every allowed rung failed
+    std::string retry_log;       ///< one log_attempt entry per failed attempt
+};
+
+/// Run one fault through the ladder: `attempt` is called with the
+/// campaign's own configuration first, then with each degraded rung, until
+/// an attempt succeeds, fails non-retryably, or 1 + max_retries attempts
+/// are spent; a failed attempt leaves its reason in `error`.  Every
+/// re-attempt is counted (`campaign.retries`) and announced as
+/// `fault_retry` (1-based `attempt`); exhausting the ladder with
+/// max_retries > 0 quarantines the fault (`campaign.quarantined`,
+/// `fault_quarantined`).
+LadderOutcome run_retry_ladder(
+    const spice::SimOptions& base, int max_retries, int fault_id,
+    const std::function<Attempt(const spice::SimOptions&,
+                                std::string& error)>& attempt);
 
 } // namespace catlift::anafault

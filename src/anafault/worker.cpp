@@ -1,9 +1,8 @@
 #include "anafault/worker.h"
 
+#include "anafault/driver.h"
 #include "geom/base.h"
-#include "obs/obs.h"
 
-#include <map>
 #include <memory>
 
 namespace catlift::anafault {
@@ -63,32 +62,24 @@ CampaignResult load_campaign_result(const netlist::Circuit& ckt,
             "fabric: merged store " + store_path +
                 " identifies as a different campaign");
 
-    std::map<int, const batch::FaultSimResult*> by_id;
-    for (const batch::FaultSimResult& r : snap->records)
-        by_id.emplace(r.fault_id, &r);
-
     CampaignResult res;
     if (opt.tran)
         res.tstop = opt.tran->tstop;
     else if (ckt.tran)
         res.tstop = ckt.tran->tstop;
-    res.results.reserve(faults.faults.size());
-    for (const lift::Fault& f : faults.faults) {
-        const auto it = by_id.find(f.id);
-        if (it != by_id.end()) {
-            res.results.push_back(*it->second);
-            ++res.batch.resumed;
-            res.total_seconds += it->second->sim_seconds;
-        } else {
-            batch::FaultSimResult miss;
-            miss.fault_id = f.id;
-            miss.description = f.describe();
-            miss.probability = f.probability;
-            miss.simulated = false;
-            miss.error = "missing from merged store (worker range "
-                         "abandoned?)";
-            res.results.push_back(std::move(miss));
+    const std::vector<detail::JobMeta> metas = detail::fault_metas(faults);
+    const std::vector<char> done =
+        detail::load_slots<detail::TranPolicy>(snap->records, metas, res);
+    for (std::size_t i = 0; i < metas.size(); ++i) {
+        FaultSimResult& r = res.results[i];
+        if (done[i]) {
+            res.total_seconds += r.sim_seconds;
+            continue;
         }
+        r.fault_id = metas[i].fault_id;
+        r.description = metas[i].description;
+        r.probability = metas[i].probability;
+        r.error = "missing from merged store (worker range abandoned?)";
     }
     res.batch.threads = 1;
     return res;

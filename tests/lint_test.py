@@ -11,6 +11,7 @@ Run via ctest (`ctest -R lint_test`) or directly:
     python3 -m unittest discover -s tests -p lint_test.py
 """
 
+import re
 import subprocess
 import sys
 import tempfile
@@ -30,6 +31,22 @@ class PristineTreeTest(unittest.TestCase):
             [], [str(f) for f in findings],
             "the committed tree must lint clean; fix the finding or "
             "add a documented exemption")
+
+
+class RepoMapTest(unittest.TestCase):
+    """CL004 looks where the one per-fault body lives: the campaign driver
+    that tran, AC and DC all plug into."""
+
+    def test_containment_rule_targets_the_single_driver(self):
+        self.assertEqual(["src/anafault/driver.h"],
+                         catlift_lint.RUNNER_FILES)
+        anafault = REPO / "src" / "anafault"
+        bodies = {p.name: len(re.findall(r"run_class\s*=\s*\[",
+                                         p.read_text()))
+                  for p in anafault.iterdir()
+                  if p.suffix in (".h", ".cpp")}
+        self.assertEqual({"driver.h": 1},
+                         {k: v for k, v in bodies.items() if v})
 
 
 class SeededViolationTest(unittest.TestCase):

@@ -30,9 +30,10 @@ campaigns with:
       Suppress a deliberate use with `// lint-allow(CL003): <reason>`.
 
   CL004 fault-containment
-      The per-fault body (the run_class lambda) of each campaign runner
-      catches std::exception: one pathological fault must retire
-      `failed`, never take down the other faults' verdicts with it.
+      The per-fault body (the run_class lambda) of the campaign driver,
+      which every analysis (tran/AC/DC) runs through, catches
+      std::exception: one pathological fault must retire `failed`, never
+      take down the other faults' verdicts with it.
 
   CL005 site-docs
       Every failpoint site name (robust::hit("...")), span phase name
@@ -90,10 +91,10 @@ STORE_LOCK = "tools/store_format.lock"
 
 DETERMINISM_DIRS = ["src/spice", "src/anafault"]
 
+# The one campaign driver: tran, AC and DC are policies plugged into its
+# single run_class body.
 RUNNER_FILES = [
-    "src/anafault/campaign.cpp",
-    "src/anafault/ac_campaign.cpp",
-    "src/anafault/dc_campaign.cpp",
+    "src/anafault/driver.h",
 ]
 
 TRACE_IMPL = "src/obs/trace.cpp"
@@ -504,7 +505,7 @@ def _seed_time_in_runner(fx):
 
 
 def _seed_missing_catch(fx):
-    mutate(fx / "src/anafault/dc_campaign.cpp",
+    mutate(fx / "src/anafault/driver.h",
            "catch (const std::exception", "catch (const catlift::Error",
            count=10)
 
