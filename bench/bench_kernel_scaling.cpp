@@ -1,21 +1,19 @@
 // Kernel scaling: dense LU vs the sparse incremental kernel across matrix
-// sizes and orderings, on two workloads:
+// sizes, on two workloads:
 //
 //   * the N-stage ring oscillator (1-D, the historical rows) up to 201
 //     stages, and
 //   * the 2-D coupled-oscillator grid (circuits/oscgrid.h) up to ~10k
 //     unknowns, where fill-reducing orderings earn their keep.
 //
-// Per size the sparse kernel runs under both first-factorization
-// strategies -- the historical dynamic Markowitz ordering and the AMD
-// (minimum-degree preorder + Gilbert-Peierls + supernodal refactor) path
-// -- with the one-time-analysis vs numeric-refactor time split recorded,
-// so BENCH_kernel_scaling.json captures both the asymptotic dense/sparse
-// separation and the Markowitz-vs-AMD separation that unlocks 10k
-// unknowns.  A campaign section runs the paper's 64-fault VCO campaign
-// and the OTA campaign under the campaign-shared symbolic cache and
-// records hit rates and verdict-identity flags (tools/bench_guard.py
-// fails CI on any drift).
+// Per size the sparse AMD kernel (minimum-degree preorder +
+// Gilbert-Peierls + supernodal refactor) runs with and without the
+// Jacobian bypass, with the one-time-analysis vs numeric-refactor time
+// split recorded, so BENCH_kernel_scaling.json captures the asymptotic
+// dense/sparse separation up to 10k unknowns.  A campaign section runs
+// the paper's 64-fault VCO campaign and the OTA campaign under the
+// campaign-shared symbolic cache and records hit rates and
+// verdict-identity flags (tools/bench_guard.py fails CI on any drift).
 //
 // --quick: the CI smoke subset (small sizes only, same row schema, mode
 // recorded in the JSON so the guard compares only the rows present).
@@ -67,26 +65,19 @@ struct Sample {
 struct Config {
     const char* name;
     std::size_t sparse_threshold;
-    spice::SparseOrdering ordering;
     bool bypass;
 };
 
 constexpr std::size_t kDense = static_cast<std::size_t>(-1);
-constexpr Config kDenseCfg = {"dense", kDense, spice::SparseOrdering::Amd,
-                              false};
-constexpr Config kMarkCfg = {"sparse-mark", 0, spice::SparseOrdering::Markowitz,
-                             false};
-constexpr Config kAmdCfg = {"sparse-amd", 0, spice::SparseOrdering::Amd,
-                            false};
-constexpr Config kAmdBypassCfg = {"sparse-amd+bypass", 0,
-                                  spice::SparseOrdering::Amd, true};
+constexpr Config kDenseCfg = {"dense", kDense, false};
+constexpr Config kAmdCfg = {"sparse-amd", 0, false};
+constexpr Config kAmdBypassCfg = {"sparse-amd+bypass", 0, true};
 
 Sample run_one(const netlist::Circuit& ckt, const std::string& label,
                const Config& cfg, const netlist::TranSpec& ts) {
     spice::SimOptions opt;
     opt.uic = true;
     opt.sparse_threshold = cfg.sparse_threshold;
-    opt.ordering = cfg.ordering;
     opt.bypass = cfg.bypass;
 
     Sample s;
@@ -254,7 +245,6 @@ int main(int argc, char** argv) {
         const netlist::TranSpec ts{2.5e-9, 1e-6, 0.0};
         const std::string label = "ring-" + std::to_string(n);
         samples.push_back(run_one(ckt, label, kDenseCfg, ts));
-        samples.push_back(run_one(ckt, label, kMarkCfg, ts));
         samples.push_back(run_one(ckt, label, kAmdCfg, ts));
         samples.push_back(run_one(ckt, label, kAmdBypassCfg, ts));
     }
@@ -275,28 +265,8 @@ int main(int argc, char** argv) {
         const std::string label = "grid-" + std::to_string(rows) + "x" +
                                   std::to_string(rows);
         if (rows <= 8) samples.push_back(run_one(ckt, label, kDenseCfg, ts));
-        samples.push_back(run_one(ckt, label, kMarkCfg, ts));
         samples.push_back(run_one(ckt, label, kAmdCfg, ts));
         samples.push_back(run_one(ckt, label, kAmdBypassCfg, ts));
-    }
-
-    // Headline ratios.
-    auto find = [&](const std::string& label,
-                    const char* config) -> const Sample* {
-        for (const Sample& s : samples)
-            if (s.label == label && s.config == config) return &s;
-        return nullptr;
-    };
-    const std::vector<std::string> headline_labels = {
-        "ring-201", quick ? "grid-15x15" : "grid-58x58"};
-    for (const std::string& label : headline_labels) {
-        const Sample* mark = find(label, "sparse-mark");
-        const Sample* amd = find(label, "sparse-amd");
-        if (mark && amd && amd->wall_s > 0.0)
-            std::printf("  %s: amd vs markowitz %.2fx (ordering %.3fs -> "
-                        "%.3fs)\n",
-                        label.c_str(), mark->wall_s / amd->wall_s,
-                        mark->ordering_s, amd->ordering_s);
     }
 
     // -- Campaign-level: symbolic cache on the paper's circuits.

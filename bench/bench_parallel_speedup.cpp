@@ -38,25 +38,23 @@ struct Sample {
     bool early_abort = false;
     bool collapse = false;
     bool adaptive = false;
+    bool bypass = true;  ///< not in the JSON: only seed-serial turns it off
     double wall_s = 0.0;
     std::size_t early_aborts = 0;
     std::size_t steps_saved = 0;
     std::size_t collapsed = 0;
 };
 
-double run_once(const core::VcoExperiment& e, const lift::FaultList& faults,
-                unsigned threads, bool early_abort, bool collapse,
-                bool adaptive, bool incremental, Sample& out) {
+/// Runs the campaign in the configuration `out` names and records its
+/// wall time and batch counters there.
+void run_once(const core::VcoExperiment& e, const lift::FaultList& faults,
+              Sample& out) {
     anafault::CampaignOptions opt = e.config.campaign;
-    opt.threads = threads;
-    opt.early_abort = early_abort;
-    opt.collapse = collapse;
-    opt.sim.adaptive = adaptive;
-    // incremental=false reproduces the seed kernel's full rebuild +
-    // factorization on every Newton iteration (the PR-3 stamp-split /
-    // zero-allocation baseline).
-    opt.sim.incremental = incremental;
-    opt.sim.bypass = incremental && opt.sim.bypass;
+    opt.threads = out.threads;
+    opt.early_abort = out.early_abort;
+    opt.collapse = out.collapse;
+    opt.sim.adaptive = out.adaptive;
+    opt.sim.bypass = out.bypass;
     const auto t0 = std::chrono::steady_clock::now();
     const auto res = anafault::run_campaign(e.sim_circuit, faults, opt);
     out.wall_s = std::chrono::duration<double>(
@@ -65,11 +63,10 @@ double run_once(const core::VcoExperiment& e, const lift::FaultList& faults,
     out.early_aborts = res.batch.early_aborts;
     out.steps_saved = res.batch.steps_saved;
     out.collapsed = res.batch.collapsed;
-    return out.wall_s;
 }
 
 /// Observability overhead on the standard campaign configuration
-/// (threads=4, abort+collapse+adaptive+incremental), plus the recorded
+/// (threads=4, abort+collapse+adaptive), plus the recorded
 /// trace itself for the CI trace checker.
 struct ObsSample {
     double wall_off_s = 0.0;
@@ -309,19 +306,19 @@ int main(int argc, char** argv) {
     // to whichever configuration happens to run first.
     {
         Sample warmup;
-        run_once(e, lift_res.faults, 1, false, false, false, true, warmup);
+        run_once(e, lift_res.faults, warmup);
     }
 
-    // Seed-equivalent serial loop: threads=1, no collapsing, fixed-grid
-    // integration, every run integrated to tstop, and the kernel ablated
-    // to the seed's per-iteration full-rebuild work profile
-    // (incremental=false) -- so the batch rows measure the scheduler,
-    // early abort AND the incremental kernel against the true baseline.
+    // The seed's serial loop on today's kernel with every shortcut off:
+    // threads=1, no collapsing, fixed-grid integration, no Jacobian
+    // bypass, every run integrated to tstop -- so the batch rows measure
+    // the scheduler, early abort, collapsing, adaptive stepping and the
+    // bypass against it.
     {
         Sample s;
         s.label = "seed-serial";
-        s.threads = 1;
-        run_once(e, lift_res.faults, 1, false, false, false, false, s);
+        s.bypass = false;
+        run_once(e, lift_res.faults, s);
         samples.push_back(s);
     }
     const double t_seed = samples[0].wall_s;
@@ -338,7 +335,7 @@ int main(int argc, char** argv) {
             s.early_abort = abort_on;
             s.collapse = true;
             s.adaptive = true;  // campaign default: LTE stride control
-            run_once(e, lift_res.faults, n, abort_on, true, true, true, s);
+            run_once(e, lift_res.faults, s);
             samples.push_back(s);
         }
     }

@@ -78,7 +78,10 @@ std::string sim_knob_signature(const spice::SimOptions& sim) {
     } else {
         o += "|nobypass";
     }
-    o += sim.ordering == spice::SparseOrdering::Amd ? "|amd" : "|mark";
+    // The simulator always orders sparse factorizations with AMD; the
+    // literal keeps the hash of every existing manifest, and so every
+    // store, unchanged.
+    o += "|amd";
     // Execution budgets fail slow faults instead of waiting them out --
     // verdict-affecting, so a store written under different budgets is
     // foreign.

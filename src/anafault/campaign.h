@@ -55,9 +55,9 @@ struct CampaignOptions {
     /// sparse elimination order (spice::SymbolicCache) and hand it to
     /// every faulty variant, so the one-time fill-reducing analysis runs
     /// once per campaign instead of once per fault.  Only effective when
-    /// the kernel is sparse (>= sim.sparse_threshold unknowns) on the Amd
-    /// ordering; verdict-affecting (the pivot order steers rounding), so
-    /// it is part of the campaign manifest.
+    /// the kernel is sparse (>= sim.sparse_threshold unknowns);
+    /// verdict-affecting (the pivot order steers rounding), so it is part
+    /// of the campaign manifest.
     bool share_symbolic = true;
     /// Retry/degradation ladder (anafault/retry.h): degraded re-attempts
     /// allowed after a fault's first simulation failure.  A fault that

@@ -172,14 +172,14 @@ void Simulator::build_kernel() {
     sparse_ = n > 0 && n >= opt_.sparse_threshold;
     if (sparse_) {
         obs::Span sp(obs::Phase::Analyze);
-        slu_.set_ordering(opt_.ordering);
+        slu_.set_ordering(SparseOrdering::Amd);
         slot_lut_ = slu_.analyze(n, sites_);
         // Campaign-shared symbolic analysis: adopt the nominal circuit's
         // elimination order (patched with this circuit's injected
         // unknowns at the end) instead of running minimum degree here.
         // After analyze(), which defines the pattern the order is
         // validated against.
-        if (opt_.ordering == SparseOrdering::Amd && opt_.symbolic_cache) {
+        if (opt_.symbolic_cache) {
             preorder_cols_ = cache_order();
             if (!preorder_cols_.empty()) {
                 slu_.set_preorder(preorder_cols_);
@@ -384,10 +384,6 @@ bool Simulator::device_moved(const MosInstance& m,
                tol * std::max(1.0, std::fabs(m.lin_vs));
 }
 
-void Simulator::invalidate_device_stamps() {
-    for (MosInstance& m : mos_) m.lin_valid = false;
-}
-
 void Simulator::stamp_dynamic(const std::vector<double>& x, bool fresh) {
     double* vw = sparse_ ? svals_work_.data() : a_work_.data();
     const double* vs = sparse_ ? svals_static_.data() : a_static_.data();
@@ -578,16 +574,6 @@ bool Simulator::newton(std::vector<double>& x, double h, double t, bool dc,
     build_rhs_base(dc, h, t, src_scale);
 
     for (int it = 0; it < max_iter; ++it) {
-        if (!opt_.incremental) {
-            // Seed-kernel ablation: forget the static part, the
-            // factorization and every cached device linearization so
-            // every iteration pays the full rebuild.
-            static_key_.valid = false;
-            jac_valid_ = false;
-            invalidate_device_stamps();
-            ensure_static(dc, h, extra_gmin);
-            build_rhs_base(dc, h, t, src_scale);
-        }
         if (can_bypass(x)) {
             // Modified Newton: the device linearizations and the
             // factorization are reused; only the rhs is fresh.
@@ -850,7 +836,7 @@ AcResult Simulator::ac(const AcSpec& spec, const AcPointObserver& observer) {
         obs::Span asp(obs::Phase::Analyze);
         // The complex backend mirrors the real one's ordering setup so a
         // campaign-shared preordering covers the AC sweep too.
-        cslu_.set_ordering(opt_.ordering);
+        cslu_.set_ordering(SparseOrdering::Amd);
         // analyze() is deterministic over the same site list, so the
         // complex solver hands out the same slots as the real one; the
         // check turns any future divergence into a loud failure instead
@@ -858,7 +844,7 @@ AcResult Simulator::ac(const AcSpec& spec, const AcPointObserver& observer) {
         const std::vector<int> cslots = cslu_.analyze(n, sites_);
         if (!preorder_cols_.empty()) {
             cslu_.set_preorder(preorder_cols_);
-        } else if (opt_.ordering == SparseOrdering::Amd) {
+        } else {
             // The real backend has already ordered this exact pattern
             // (the operating point factored above); reuse its pivot
             // column order instead of running minimum degree twice.

@@ -56,11 +56,10 @@
 // The linear solve runs on one of two backends behind the same stamp
 // slots: dense LU (matrix.h) below SimOptions::sparse_threshold unknowns,
 // sparse LU (sparse.h) above it -- a one-time analysis (minimum-degree
-// preordering + Gilbert-Peierls fill discovery on the Amd path, dynamic
-// Markowitz ordering on the historical one), every later factorization a
-// pattern-reused supernodal numeric refactor.  A campaign hands every
-// faulty variant the nominal circuit's elimination order through
-// SimOptions::symbolic_cache so the one-time analysis runs once per
+// preordering + Gilbert-Peierls fill discovery), every later
+// factorization a pattern-reused supernodal numeric refactor.  A campaign
+// hands every faulty variant the nominal circuit's elimination order
+// through SimOptions::symbolic_cache so the one-time analysis runs once per
 // campaign instead of once per fault.  The AC sweep shares the machinery
 // with complex values: the G pattern is stamped once, per frequency only
 // the capacitor cells change, and above the threshold each point is a
@@ -134,14 +133,6 @@ struct SimOptions {
     /// forces dense.  The default keeps the paper's tens-of-nodes
     /// circuits on the dense path, where its constant factors win.
     std::size_t sparse_threshold = 64;
-    /// Ablation switch for benches: false rebuilds the complete Jacobian
-    /// (static part included) on every Newton iteration, reproducing the
-    /// seed kernel's work profile so speedups are measured against it
-    /// within one run.  Always leave true in production.
-    // manifest-exempt: ablation switch only redistributes Jacobian
-    // assembly work; the assembled matrix and thus every waveform and
-    // verdict are identical either way (pinned by kernel_test.cpp).
-    bool incremental = true;
     /// Modified-Newton Jacobian bypass, *per device*: a MOS whose terminal
     /// voltages all moved less than bypass_tol * max(1 V, |v|) since its
     /// linearization keeps its cached companion stamp instead of being
@@ -169,15 +160,8 @@ struct SimOptions {
     /// 1e-12..1e-10).  The raw-kernel default 1e-9 trades that last digit
     /// for skipping the model evaluation of every settled device.
     double device_bypass_tol = 1e-9;
-    /// First-factorization strategy of the sparse backend: Amd (a
-    /// fill-reducing minimum-degree preordering + Gilbert-Peierls
-    /// factorization, the path that scales past ~1k unknowns and can adopt
-    /// a campaign-shared symbolic cache) or Markowitz (the historical
-    /// dynamic ordering, kept for ablation benches and as the automatic
-    /// fallback when an order-restricted pivot goes singular).
-    SparseOrdering ordering = SparseOrdering::Amd;
     /// Campaign-shared symbolic analysis (see spice/symbolic_cache.h):
-    /// when set and the sparse Amd backend is active, the kernel adopts
+    /// when set and the sparse backend is active, the kernel adopts
     /// the cached elimination order -- nominal unknowns keep their cached
     /// rank, injected unknowns are appended -- instead of running minimum
     /// degree itself.  Campaigns harvest it from the nominal simulator
@@ -475,8 +459,6 @@ private:
     /// SimOptions::bypass): valid factorization, unchanged static key, and
     /// an empty dirty-device set.
     bool can_bypass(const std::vector<double>& x) const;
-    /// Drop every device's cached linearization (forces a full re-stamp).
-    void invalidate_device_stamps();
     /// Elimination order the symbolic cache implies for this circuit's
     /// unknowns.  Empty -- meaning the kernel runs its own ordering --
     /// when the cache covers at most half of the unknowns (a cache from a

@@ -9,7 +9,8 @@
 //   * full factor    -- first numeric factorization.  Two orderings:
 //                         - Markowitz: right-looking elimination with
 //                           dynamic Markowitz ordering under threshold
-//                           partial pivoting (the historical path; its
+//                           partial pivoting (Amd's fallback when a pivot
+//                           along the restricted order fails; its
 //                           per-step global pivot search is O(n^2)-ish and
 //                           becomes the bottleneck past ~1k unknowns).
 //                         - Amd: a fill-reducing minimum-degree preordering
@@ -67,9 +68,11 @@
 
 namespace catlift::spice {
 
-/// First-factorization strategy (see file header).  Markowitz is the
-/// historical path; Amd is the scalable one (and the only one that can
-/// adopt a campaign-shared preordering).
+/// First-factorization strategy (see file header).  The engine always
+/// runs Amd, the scalable one (and the only one that can adopt a
+/// campaign-shared preordering).  Markowitz stays as Amd's automatic
+/// fallback when an order-restricted pivot fails, and as the reference
+/// the sparse tests check Amd against.
 enum class SparseOrdering { Markowitz, Amd };
 
 template <typename T>

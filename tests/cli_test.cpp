@@ -1,0 +1,194 @@
+// anafaultc end to end: the command-line tool runs the same campaign as
+// the library, rejects malformed flag values with exit status 2 instead of
+// silently parsing them as 0, and forwards every campaign-shaping flag to
+// its fabric workers.
+//
+// The test writes the OTA buffer's deck and its LIFT fault list to a
+// temporary directory and runs the anafaultc binary built next to it
+// (CLI_TEST_ANAFAULTC, set by CMake).
+
+#include "anafault/campaign.h"
+#include "anafault/report.h"
+#include "batch/result_store.h"
+#include "circuits/ota.h"
+#include "layout/cellgen.h"
+#include "lift/extract_faults.h"
+#include "netlist/parser.h"
+#include "netlist/writer.h"
+
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
+
+#ifndef CLI_TEST_ANAFAULTC
+#error "CLI_TEST_ANAFAULTC must name the anafaultc binary"
+#endif
+
+using namespace catlift;
+namespace fs = std::filesystem;
+
+namespace {
+
+struct CliRun {
+    int status = -1;  ///< exit status, -1 when not a normal exit
+    std::string out;  ///< stdout
+    std::string err;  ///< stderr
+};
+
+std::string slurp(const fs::path& p) {
+    std::ifstream f(p);
+    std::ostringstream os;
+    os << f.rdbuf();
+    return os.str();
+}
+
+std::string quoted(const std::string& s) { return "'" + s + "'"; }
+
+/// Drops the "kernel time:" line, the only wall-clock figure in
+/// campaign_summary().
+std::string without_timing(const std::string& summary) {
+    std::istringstream in(summary);
+    std::string line, kept;
+    while (std::getline(in, line))
+        if (line.rfind("kernel time:", 0) != 0) kept += line + "\n";
+    return kept;
+}
+
+class CliTest : public ::testing::Test {
+protected:
+    static void SetUpTestSuite() {
+        dir_ = new fs::path(fs::temp_directory_path() /
+                            ("catlift_cli_" + std::to_string(::getpid())));
+        fs::create_directories(*dir_);
+        netlist::write_spice_file(deck(), circuits::build_ota());
+
+        circuits::OtaOptions dev_opt;
+        dev_opt.with_sources = false;
+        const layout::Layout lo =
+            layout::generate_cell_layout(circuits::build_ota(dev_opt));
+        lift::LiftOptions lopt;
+        lopt.net_blocks = circuits::ota_net_blocks();
+        std::ofstream f(faults_file());
+        lift::write_faultlist(
+            f, lift::extract_faults(
+                   lo, layout::Technology::single_poly_double_metal(), lopt)
+                   .faults);
+    }
+
+    static void TearDownTestSuite() {
+        std::error_code ec;
+        fs::remove_all(*dir_, ec);
+        delete dir_;
+        dir_ = nullptr;
+    }
+
+    static std::string deck() { return (*dir_ / "ota.sp").string(); }
+    static std::string faults_file() { return (*dir_ / "ota.flt").string(); }
+    static std::string path(const std::string& name) {
+        return (*dir_ / name).string();
+    }
+
+    /// The deck and fault list exactly as anafaultc reads them back.
+    static netlist::Circuit circuit() {
+        return netlist::parse_spice_file(deck());
+    }
+    static lift::FaultList faults() {
+        std::ifstream f(faults_file());
+        return lift::read_faultlist(f);
+    }
+
+    /// Runs `anafaultc <deck> <faults> <args>`.
+    static CliRun anafaultc(const std::vector<std::string>& args) {
+        std::string cmd = quoted(CLI_TEST_ANAFAULTC) + " " +
+                          quoted(deck()) + " " + quoted(faults_file());
+        for (const std::string& a : args) cmd += " " + quoted(a);
+        const std::string out = path("stdout.txt");
+        const std::string err = path("stderr.txt");
+        cmd += " > " + quoted(out) + " 2> " + quoted(err);
+        CliRun r;
+        const int ws = std::system(cmd.c_str());
+        if (ws != -1 && WIFEXITED(ws)) r.status = WEXITSTATUS(ws);
+        r.out = slurp(out);
+        r.err = slurp(err);
+        return r;
+    }
+
+    static anafault::CampaignOptions options() {
+        anafault::CampaignOptions opt;
+        opt.detection.observed = {circuits::kOtaOutput};
+        opt.detection.v_tol = 0.4;
+        return opt;
+    }
+
+    static fs::path* dir_;
+};
+
+fs::path* CliTest::dir_ = nullptr;
+
+} // namespace
+
+TEST_F(CliTest, DefaultRunPrintsTheLibrarySummary) {
+    const CliRun r = anafaultc({"--v-tol", "0.4"});
+    ASSERT_EQ(r.status, 0) << r.err;
+    const anafault::CampaignResult lib =
+        anafault::run_campaign(circuit(), faults(), options());
+    EXPECT_EQ(without_timing(r.out),
+              without_timing(anafault::campaign_summary(lib)));
+}
+
+TEST_F(CliTest, MalformedOrOutOfRangeValuesExit2) {
+    const std::vector<std::vector<std::string>> bad = {
+        {"--v-tol", "abc"},
+        {"--v-tol", "0.4x"},
+        {"--v-tol", ""},
+        {"--threads", "-1"},
+        {"--threads", "2.5"},
+        {"--nr-budget", "-1"},
+        {"--step-budget", "1e3"},
+        {"--max-retries", "-1"},
+        {"--lte-tol", "0"},
+        {"--t-tol", "nan"},
+        {"--workers", "0"},
+        {"--ordering", "amd"},  // flag removed with the Markowitz knob
+        {"--worker", "--store", path("w.store"), "--fault-range", "a:b"},
+        {"--worker", "--store", path("w.store"), "--fault-range", "5"},
+    };
+    for (const auto& args : bad) {
+        const CliRun r = anafaultc(args);
+        std::string shown;
+        for (const std::string& a : args) shown += a + " ";
+        EXPECT_EQ(r.status, 2) << shown << "\n" << r.out << r.err;
+        EXPECT_EQ(r.out, "") << shown;
+    }
+}
+
+TEST_F(CliTest, BadValueNamesTheFlag) {
+    const CliRun r = anafaultc({"--v-tol", "abc"});
+    EXPECT_EQ(r.status, 2);
+    EXPECT_NE(r.err.find("anafaultc: --v-tol needs"), std::string::npos)
+        << r.err;
+}
+
+TEST_F(CliTest, FabricWorkersGetTheCampaignFlags) {
+    const std::string store = path("fabric.store");
+    const CliRun r = anafaultc({"--v-tol", "0.4", "--workers", "2",
+                                "--store", store, "--no-collapse",
+                                "--max-retries", "1"});
+    ASSERT_EQ(r.status, 0) << r.err;
+    anafault::CampaignOptions opt = options();
+    opt.collapse = false;
+    opt.max_retries = 1;
+    const auto snap = batch::load_store(store);
+    ASSERT_TRUE(snap.has_value());
+    EXPECT_EQ(snap->manifest,
+              anafault::campaign_manifest(circuit(), faults(), opt));
+    EXPECT_EQ(snap->records.size(), faults().size());
+}

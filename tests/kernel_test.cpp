@@ -221,8 +221,8 @@ TEST(Kernel, InverterChainTransientEquivalentDenseSparse) {
             worst = std::max(worst, std::fabs(a[i] - b[i]));
         EXPECT_LT(worst, 0.05) << node;
     }
-    // The sparse kernel must actually have run incrementally: one
-    // Markowitz analysis per (pattern, stepsize regime), everything else
+    // The sparse kernel must actually have run incrementally: one AMD
+    // analysis per (pattern, stepsize regime), everything else
     // pattern-reused refactors.
     EXPECT_GT(ss.stats().sparse_refactors, 0u);
     EXPECT_GT(ss.stats().sparse_refactors, ss.stats().sparse_full_factors);

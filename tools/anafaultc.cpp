@@ -4,84 +4,10 @@
 // automatic fault simulation cycle for every fault, and reports coverage.
 //
 //   anafaultc <deck.sp> <faults.flt> [options]
-//     --observe <node>   monitored node (repeatable; default: .save nodes)
-//     --supply <vsrc>    also monitor the branch current of this source
-//     --model <m>        hard fault model: resistor (default) | source
-//     --v-tol <V>        amplitude tolerance (default 2.0)
-//     --t-tol <s>        time tolerance (default 0.2e-6)
-//     --threads <n>      parallel workers (default 1)
-//     --store <file>     append-only result store (crash-resumable log)
-//     --resume           reuse finished faults from --store
-//     --workers <n>      multi-process fabric: shard the fault list by id
-//                        range across n supervised worker processes (each
-//                        a self-exec of this binary with --worker), merge
-//                        the shards into --store and report as usual.
-//                        Workers that crash or hang are respawned with
-//                        backoff; a fault that kills its worker twice in
-//                        a row is retired `quarantined` (requires --store)
-//     --worker-timeout <s>  SIGKILL a worker silent for s seconds
-//                        (default 30)
-//     --worker-failpoints <slot[.spawn]>=<spec>  arm <spec> in one worker
-//                        slot (every spawn, or only spawn index <spawn>);
-//                        repeatable -- how the kill-worker CI smoke aims
-//                        torn_crash / poison at specific workers
-//     --worker           (internal) run as a fabric worker process
-//     --fault-range <lo:hi>  (internal) fault-id range of this worker
-//     --heartbeat-fd <fd>    (internal) supervision pipe fd
-//     --merge-shards <base>  fold every <base>.shard-* into the canonical
-//                        store at <base> for the campaign of the given
-//                        deck + fault list, report, and exit
-//     --baseline-store <file>   result store of a previous layout revision
-//     --baseline-faults <file>  fault list that baseline store was run for;
-//                               with --baseline-store, the campaign runs
-//                               incrementally: signature-identical faults
-//                               carry their baseline verdicts, only the
-//                               added/changed remainder is simulated, and
-//                               --store receives the merged (full) log
-//     --diff-tol <frac>  probability tolerance of the revision diff (0.05)
-//     --no-early-abort   integrate every faulty run to tstop
-//     --no-collapse      skip the fault-collapsing pre-pass
-//     --no-adaptive      fixed-grid integration (no LTE stride control)
-//     --lte-tol <tol>    adaptive LTE acceptance tolerance (default 5e-3)
-//     --no-sparse        force the dense kernel at every size
-//     --sparse           force the sparse kernel at every size
-//     --no-bypass        disable the modified-Newton Jacobian bypass
-//     --bypass-tol <tol> bypass movement tolerance (default 1e-7)
-//     --device-bypass-tol <tol>  per-device stamp-reuse tolerance
-//                        (campaign default 0: replay only bitwise-unchanged
-//                        devices -- margin-safe; raise to skip settled
-//                        devices' model evaluations)
-//     --ordering <o>     sparse first-factorization: amd (default) |
-//                        markowitz
-//     --no-share-symbolic  every faulty kernel runs its own ordering
-//                        instead of adopting the nominal one
-//     --wall-budget <s>  per-fault wall-clock deadline (0 = unlimited)
-//     --nr-budget <n>    per-fault total-NR-iteration budget (0 = unlimited)
-//     --step-budget <n>  per-fault transient-step budget (0 = unlimited)
-//     --max-retries <n>  degraded re-attempts before quarantine (default 4;
-//                        0 = first failure retires the fault as failed)
-//     --store-durability <d>  flush (default: survives process death) |
-//                        fsync (survives power loss; one fsync per append)
-//     --repair-store <file>  offline store repair: trim the file to its
-//                        last intact record, report records kept / bytes
-//                        dropped, and exit (no deck/fault list needed);
-//                        every <file>.shard-* gets the same treatment,
-//                        reported as a per-shard records/bytes-kept table
-//     --failpoints <spec>  arm deterministic failpoints, e.g.
-//                        "store.append=torn@3;kernel.factor=singular"
-//                        (also read from env CATLIFT_FAILPOINTS;
-//                        see docs/robustness.md for the site catalog)
-//     --stats            batch/kernel counter block (scheduler, bypass,
-//                        symbolic cache, ordering/numeric time split,
-//                        per-phase latency percentiles)
-//     --trace <file>     record per-fault spans and write a Chrome
-//                        trace_event JSON (open in Perfetto)
-//     --metrics-json <file>  write the metrics registry snapshot as JSON
-//     --events <file>    stream campaign lifecycle events as JSONL
-//     --progress         live [k/n] progress line on stderr
-//     --table            per-fault result table
-//     --plot             ASCII coverage plot
-//     --csv <file>       coverage curve CSV
+//   anafaultc --repair-store <file>
+//
+// Every option is declared once, in kFlags below: its value, help text,
+// parser, and whether fabric workers inherit it.  usage() prints the table.
 
 #include "anafault/campaign.h"
 #include "anafault/incremental.h"
@@ -94,13 +20,17 @@
 #include "obs/obs.h"
 #include "robust/failpoint.h"
 
+#include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -108,34 +38,333 @@
 #include <unistd.h>
 #endif
 
+using namespace catlift;
+
 namespace {
 
+/// One --worker-failpoints directive: arm `spec` in worker `slot`, on
+/// every spawn (spawn < 0) or only on spawn index `spawn`.
+struct WorkerFailpoint {
+    std::size_t slot = 0;
+    int spawn = -1;
+    std::string spec;
+};
+
+/// Everything the command line sets.
+struct Cli {
+    anafault::CampaignOptions opt;
+    std::string deck_path, flt_path, csv_path;
+    std::string baseline_store, baseline_flt_path;
+    std::string trace_path, metrics_path, events_path;
+    std::string repair_path, merge_base;
+    unsigned fabric_workers = 0;
+    double worker_timeout = 30.0;
+    bool worker_mode = false;
+    bool has_fault_range = false;
+    anafault::WorkerOptions worker;  ///< --fault-range, --heartbeat-fd
+    std::vector<WorkerFailpoint> worker_failpoints;
+    std::vector<std::string> forward_args;  ///< argv slices workers get
+    double diff_tol = 0.05;
+    bool table = false, plot = false, stats = false, progress = false;
+};
+
+/// Parses a whole decimal integer in [lo, hi]: no junk, no overflow.
+bool whole_int(const std::string& s, long long lo, long long hi,
+               long long& v) {
+    char* end = nullptr;
+    errno = 0;
+    v = std::strtoll(s.c_str(), &end, 10);
+    return end != s.c_str() && *end == '\0' && errno == 0 && v >= lo &&
+           v <= hi;
+}
+
+/// One flag's value text, parsed strictly: a value that does not parse or
+/// is out of range exits 2 naming the flag, never silently becomes 0.
+struct Arg {
+    const char* flag;
+    const char* text;
+
+    [[noreturn]] void fail(const char* need) const {
+        std::fprintf(stderr, "anafaultc: %s needs %s\n", flag, need);
+        std::exit(2);
+    }
+    /// A finite real number, > 0 or (with `zero_ok`) >= 0.
+    double real(bool zero_ok = false) const {
+        char* end = nullptr;
+        errno = 0;
+        const double v = std::strtod(text, &end);
+        if (end == text || *end != '\0' || errno != 0 || !std::isfinite(v) ||
+            v < 0.0 || (v == 0.0 && !zero_ok))
+            fail(zero_ok ? "a non-negative number" : "a positive number");
+        return v;
+    }
+    /// An integer in [lo, hi].
+    long long count(long long lo, long long hi) const {
+        long long v = 0;
+        if (!whole_int(text, lo, hi, v))
+            fail(lo > 0 ? "a positive count" : "a non-negative count");
+        return v;
+    }
+    /// True for `yes`, false for `no`; anything else exits 2.
+    bool is(const char* yes, const char* no) const {
+        if (std::strcmp(text, yes) != 0 && std::strcmp(text, no) != 0)
+            fail((std::string(yes) + " or " + no).c_str());
+        return std::strcmp(text, yes) == 0;
+    }
+};
+
+struct Flag {
+    const char* name;
+    const char* value;  ///< placeholder of its argument; nullptr: a switch
+    /// Shapes the campaign (manifest or execution): the fabric parent
+    /// forwards it verbatim to every worker.  Per-process plumbing (store
+    /// paths, reporting, failpoints) is not forwarded.
+    bool campaign;
+    const char* help;
+    void (*set)(Cli&, Arg);
+};
+
+constexpr bool kCampaign = true, kLocal = false;
+
+const Flag kFlags[] = {
+    {"--observe", "node", kCampaign,
+     "monitored node (repeatable; default: .save nodes)",
+     [](Cli& c, Arg a) { c.opt.detection.observed.push_back(a.text); }},
+    {"--supply", "vsrc", kCampaign,
+     "also monitor the branch current of this source",
+     [](Cli& c, Arg a) {
+         c.opt.detection.observed_supplies.push_back(a.text);
+     }},
+    {"--model", "m", kCampaign, "hard fault model: resistor (default) | source",
+     [](Cli& c, Arg a) {
+         c.opt.injection.model = a.is("source", "resistor")
+                                     ? anafault::HardFaultModel::Source
+                                     : anafault::HardFaultModel::Resistor;
+     }},
+    {"--v-tol", "V", kCampaign, "amplitude tolerance (default 2.0)",
+     [](Cli& c, Arg a) { c.opt.detection.v_tol = a.real(); }},
+    {"--t-tol", "s", kCampaign, "time tolerance (default 0.2e-6)",
+     [](Cli& c, Arg a) { c.opt.detection.t_tol = a.real(true); }},
+    {"--threads", "n", kCampaign, "parallel workers (default 1)",
+     [](Cli& c, Arg a) { c.opt.threads = a.count(1, UINT_MAX); }},
+    {"--store", "file", kLocal, "append-only result store (crash-resumable)",
+     [](Cli& c, Arg a) { c.opt.result_store = a.text; }},
+    {"--resume", nullptr, kLocal, "reuse finished faults from --store",
+     [](Cli& c, Arg) { c.opt.resume = true; }},
+    {"--workers", "n", kLocal,
+     "multi-process fabric: shard the fault list by id range across n "
+     "supervised worker processes (each a self-exec of this binary with "
+     "--worker), merge the shards into --store and report as usual.  "
+     "Workers that crash or hang are respawned with backoff; a fault that "
+     "kills its worker twice in a row is retired `quarantined` (requires "
+     "--store)",
+     [](Cli& c, Arg a) { c.fabric_workers = a.count(1, UINT_MAX); }},
+    {"--worker-timeout", "s", kLocal,
+     "SIGKILL a worker silent for s seconds (default 30)",
+     [](Cli& c, Arg a) { c.worker_timeout = a.real(); }},
+    {"--worker-failpoints", "slot[.spawn]=spec", kLocal,
+     "arm <spec> in one worker slot (every spawn, or only spawn index "
+     "<spawn>); repeatable -- how the kill-worker CI smoke aims torn_crash "
+     "/ poison at specific workers",
+     [](Cli& c, Arg a) {
+         const std::string s = a.text, key = s.substr(0, s.find('='));
+         const auto dot = key.find('.');
+         long long slot = 0, spawn = -1;
+         if (key.size() + 1 >= s.size() ||
+             !whole_int(key.substr(0, dot), 0, INT_MAX, slot) ||
+             (dot != std::string::npos &&
+              !whole_int(key.substr(dot + 1), 0, INT_MAX, spawn)))
+             a.fail("slot[.spawn]=spec");
+         c.worker_failpoints.push_back({static_cast<std::size_t>(slot),
+                                        static_cast<int>(spawn),
+                                        s.substr(key.size() + 1)});
+     }},
+    {"--worker", nullptr, kLocal, "(internal) run as a fabric worker process",
+     [](Cli& c, Arg) { c.worker_mode = true; }},
+    {"--fault-range", "lo:hi", kLocal,
+     "(internal) fault-id range of this worker",
+     [](Cli& c, Arg a) {
+         const std::string s = a.text;
+         const auto colon = s.find(':');
+         long long lo = 0, hi = 0;
+         if (colon == std::string::npos ||
+             !whole_int(s.substr(0, colon), INT_MIN, INT_MAX, lo) ||
+             !whole_int(s.substr(colon + 1), lo, INT_MAX, hi))
+             a.fail("lo:hi fault ids");
+         c.worker.id_lo = static_cast<int>(lo);
+         c.worker.id_hi = static_cast<int>(hi);
+         c.has_fault_range = true;
+     }},
+    {"--heartbeat-fd", "fd", kLocal, "(internal) supervision pipe fd",
+     [](Cli& c, Arg a) { c.worker.heartbeat_fd = a.count(0, INT_MAX); }},
+    {"--merge-shards", "base", kLocal,
+     "fold every <base>.shard-* into the canonical store at <base> for the "
+     "campaign of the given deck + fault list, report, and exit",
+     [](Cli& c, Arg a) { c.merge_base = a.text; }},
+    {"--baseline-store", "file", kLocal,
+     "result store of a previous layout revision",
+     [](Cli& c, Arg a) { c.baseline_store = a.text; }},
+    {"--baseline-faults", "file", kLocal,
+     "fault list that baseline store was run for; with --baseline-store, "
+     "the campaign runs incrementally: signature-identical faults carry "
+     "their baseline verdicts, only the added/changed remainder is "
+     "simulated, and --store receives the merged (full) log",
+     [](Cli& c, Arg a) { c.baseline_flt_path = a.text; }},
+    {"--diff-tol", "frac", kLocal,
+     "probability tolerance of the revision diff (default 0.05)",
+     [](Cli& c, Arg a) { c.diff_tol = a.real(true); }},
+    {"--no-early-abort", nullptr, kCampaign,
+     "integrate every faulty run to tstop",
+     [](Cli& c, Arg) { c.opt.early_abort = false; }},
+    {"--no-collapse", nullptr, kCampaign, "skip the fault-collapsing pre-pass",
+     [](Cli& c, Arg) { c.opt.collapse = false; }},
+    {"--no-adaptive", nullptr, kCampaign,
+     "fixed-grid integration (no LTE stride control)",
+     [](Cli& c, Arg) { c.opt.sim.adaptive = false; }},
+    {"--lte-tol", "tol", kCampaign,
+     "adaptive LTE acceptance tolerance (default 5e-3)",
+     [](Cli& c, Arg a) { c.opt.sim.lte_tol = a.real(); }},
+    {"--no-sparse", nullptr, kCampaign, "force the dense kernel at every size",
+     [](Cli& c, Arg) { c.opt.sim.sparse_threshold = std::size_t(-1); }},
+    {"--sparse", nullptr, kCampaign, "force the sparse kernel at every size",
+     [](Cli& c, Arg) { c.opt.sim.sparse_threshold = 0; }},
+    {"--no-bypass", nullptr, kCampaign,
+     "disable the modified-Newton Jacobian bypass",
+     [](Cli& c, Arg) { c.opt.sim.bypass = false; }},
+    {"--bypass-tol", "tol", kCampaign,
+     "bypass movement tolerance (default 1e-7)",
+     [](Cli& c, Arg a) { c.opt.sim.bypass_tol = a.real(); }},
+    {"--device-bypass-tol", "tol", kCampaign,
+     "per-device stamp-reuse tolerance (campaign default 0: replay only "
+     "bitwise-unchanged devices -- margin-safe; raise to skip settled "
+     "devices' model evaluations)",
+     [](Cli& c, Arg a) { c.opt.sim.device_bypass_tol = a.real(true); }},
+    {"--no-share-symbolic", nullptr, kCampaign,
+     "every faulty kernel runs its own ordering instead of adopting the "
+     "nominal one",
+     [](Cli& c, Arg) { c.opt.share_symbolic = false; }},
+    {"--wall-budget", "s", kCampaign,
+     "per-fault wall-clock deadline (0 = unlimited)",
+     [](Cli& c, Arg a) { c.opt.sim.max_wall_seconds = a.real(true); }},
+    {"--nr-budget", "n", kCampaign,
+     "per-fault total-NR-iteration budget (0 = unlimited)",
+     [](Cli& c, Arg a) { c.opt.sim.max_nr_total = a.count(0, LLONG_MAX); }},
+    {"--step-budget", "n", kCampaign,
+     "per-fault transient-step budget (0 = unlimited)",
+     [](Cli& c, Arg a) { c.opt.sim.max_tran_steps = a.count(0, LLONG_MAX); }},
+    {"--max-retries", "n", kCampaign,
+     "degraded re-attempts before quarantine (default 4; 0 = first failure "
+     "retires the fault as failed)",
+     [](Cli& c, Arg a) { c.opt.max_retries = a.count(0, INT_MAX); }},
+    {"--store-durability", "d", kCampaign,
+     "flush (default: survives process death) | fsync (survives power "
+     "loss; one fsync per append)",
+     [](Cli& c, Arg a) {
+         c.opt.store_durability = a.is("fsync", "flush")
+                                      ? batch::Durability::Fsync
+                                      : batch::Durability::Flush;
+     }},
+    {"--repair-store", "file", kLocal,
+     "offline store repair: trim the file to its last intact record, "
+     "report records kept / bytes dropped, and exit (no deck/fault list "
+     "needed); every <file>.shard-* gets the same treatment, reported as a "
+     "per-shard records/bytes-kept table",
+     [](Cli& c, Arg a) { c.repair_path = a.text; }},
+    {"--failpoints", "spec", kLocal,
+     "arm deterministic failpoints, e.g. "
+     "\"store.append=torn@3;kernel.factor=singular\" (also read from env "
+     "CATLIFT_FAILPOINTS; see docs/robustness.md for the site catalog)",
+     [](Cli&, Arg a) {
+         try {
+             robust::arm(a.text);
+         } catch (const Error& e) {
+             std::fprintf(stderr, "anafaultc: %s\n", e.what());
+             std::exit(2);
+         }
+     }},
+    {"--stats", nullptr, kLocal,
+     "batch/kernel counter block (scheduler, bypass, symbolic cache, "
+     "ordering/numeric time split, per-phase latency percentiles)",
+     [](Cli& c, Arg) { c.stats = true; }},
+    {"--trace", "file", kLocal,
+     "record per-fault spans and write a Chrome trace_event JSON (open in "
+     "Perfetto)",
+     [](Cli& c, Arg a) { c.trace_path = a.text; }},
+    {"--metrics-json", "file", kLocal,
+     "write the metrics registry snapshot as JSON",
+     [](Cli& c, Arg a) { c.metrics_path = a.text; }},
+    {"--events", "file", kLocal, "stream campaign lifecycle events as JSONL",
+     [](Cli& c, Arg a) { c.events_path = a.text; }},
+    {"--progress", nullptr, kLocal, "live [k/n] progress line on stderr",
+     [](Cli& c, Arg) { c.progress = true; }},
+    {"--table", nullptr, kLocal, "per-fault result table",
+     [](Cli& c, Arg) { c.table = true; }},
+    {"--plot", nullptr, kLocal, "ASCII coverage plot",
+     [](Cli& c, Arg) { c.plot = true; }},
+    {"--csv", "file", kLocal, "coverage curve CSV",
+     [](Cli& c, Arg a) { c.csv_path = a.text; }},
+};
+
 [[noreturn]] void usage() {
-    std::fprintf(
-        stderr,
-        "usage: anafaultc <deck.sp> <faults.flt> [--observe node]... "
-        "[--supply vsrc] [--model resistor|source] [--v-tol V] [--t-tol s] "
-        "[--threads n] [--store file] [--resume] "
-        "[--workers n] [--worker-timeout s] "
-        "[--worker-failpoints slot[.spawn]=spec] [--merge-shards base] "
-        "[--baseline-store file --baseline-faults file] [--diff-tol frac] "
-        "[--no-early-abort] "
-        "[--no-collapse] [--no-adaptive] [--lte-tol tol] [--no-sparse] "
-        "[--sparse] [--no-bypass] [--bypass-tol tol] "
-        "[--device-bypass-tol tol] [--ordering amd|markowitz] "
-        "[--no-share-symbolic] [--wall-budget s] [--nr-budget n] "
-        "[--step-budget n] [--max-retries n] "
-        "[--store-durability flush|fsync] [--repair-store file] "
-        "[--failpoints spec] [--stats] [--trace file] "
-        "[--metrics-json file] [--events file] [--progress] [--table] "
-        "[--plot] [--csv file]\n");
+    std::fprintf(stderr, "usage: anafaultc <deck.sp> <faults.flt> [options]\n"
+                         "       anafaultc --repair-store <file>\n"
+                         "options:\n");
+    for (const Flag& f : kFlags) {
+        // Flag and value, then the help text word-wrapped in a column.
+        std::string lhs = f.name, text;
+        if (f.value) lhs += std::string(" <") + f.value + ">";
+        if (lhs.size() > 25) {
+            std::fprintf(stderr, "  %s\n", lhs.c_str());
+            lhs.clear();
+        }
+        std::istringstream words(f.help);
+        for (std::string w; words >> w;) {
+            if (!text.empty() && text.size() + 1 + w.size() > 50) {
+                std::fprintf(stderr, "  %-25s %s\n", lhs.c_str(),
+                             text.c_str());
+                lhs.clear();
+                text.clear();
+            }
+            text += (text.empty() ? "" : " ") + w;
+        }
+        std::fprintf(stderr, "  %-25s %s\n", lhs.c_str(), text.c_str());
+    }
     std::exit(2);
 }
 
-catlift::lift::FaultList read_faults_file(const std::string& path) {
+Cli parse_args(int argc, char** argv) {
+    Cli c;
+    c.opt.detection.observed.clear();
+    for (int i = 1; i < argc; ++i) {
+        const std::string a = argv[i];
+        const Flag* f =
+            std::find_if(std::begin(kFlags), std::end(kFlags),
+                         [&](const Flag& row) { return a == row.name; });
+        if (f == std::end(kFlags)) {
+            if (!a.empty() && a[0] == '-') usage();
+            if (c.deck_path.empty()) c.deck_path = a;
+            else if (c.flt_path.empty()) c.flt_path = a;
+            else usage();
+            continue;
+        }
+        const char* value = nullptr;
+        if (f->value) {
+            if (++i >= argc) usage();
+            value = argv[i];
+        }
+        f->set(c, Arg{f->name, value});
+        if (f->campaign) {
+            c.forward_args.push_back(a);
+            if (value) c.forward_args.emplace_back(value);
+        }
+    }
+    return c;
+}
+
+lift::FaultList read_faults_file(const std::string& path) {
     std::ifstream f(path);
-    if (!f.good()) throw catlift::Error("cannot open fault list " + path);
-    return catlift::lift::read_faultlist(f);
+    if (!f.good()) throw Error("cannot open fault list " + path);
+    return lift::read_faultlist(f);
 }
 
 /// Path of this very binary, for the fabric's worker self-exec.
@@ -151,50 +380,9 @@ std::string self_exe(const char* argv0) {
     return argv0;
 }
 
-/// One --worker-failpoints directive: arm `spec` in worker `slot`, on
-/// every spawn (spawn < 0) or only on spawn index `spawn`.
-struct WorkerFailpoint {
-    std::size_t slot = 0;
-    int spawn = -1;
-    std::string spec;
-};
-
-WorkerFailpoint parse_worker_failpoint(const std::string& s) {
-    const auto eq = s.find('=');
-    if (eq == std::string::npos || eq == 0) usage();
-    const std::string key = s.substr(0, eq);
-    WorkerFailpoint wf;
-    wf.spec = s.substr(eq + 1);
-    try {
-        const auto dot = key.find('.');
-        wf.slot = std::stoull(key.substr(0, dot));
-        if (dot != std::string::npos)
-            wf.spawn = std::stoi(key.substr(dot + 1));
-    } catch (const std::exception&) {
-        usage();
-    }
-    if (wf.spec.empty()) usage();
-    return wf;
-}
-
-/// Flags forwarded verbatim from the fabric parent to every worker:
-/// everything that shapes the campaign (manifest or execution), nothing
-/// that is per-process plumbing (store paths, reporting, failpoints).
-const std::set<std::string>& forwarded_flags() {
-    static const std::set<std::string> kForward = {
-        "--observe", "--supply", "--model", "--v-tol", "--t-tol",
-        "--threads", "--no-early-abort", "--no-collapse", "--no-adaptive",
-        "--lte-tol", "--no-sparse", "--sparse", "--no-bypass",
-        "--bypass-tol", "--device-bypass-tol", "--ordering",
-        "--no-share-symbolic", "--wall-budget", "--nr-budget",
-        "--step-budget", "--max-retries", "--store-durability"};
-    return kForward;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
-    using namespace catlift;
     // Env-armed failpoints first, so an explicit --failpoints wins when
     // both name the same site.
     try {
@@ -203,202 +391,31 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "anafaultc: CATLIFT_FAILPOINTS: %s\n", e.what());
         return 2;
     }
-    std::string deck_path, flt_path, csv_path;
-    std::string baseline_store, baseline_flt_path;
-    std::string trace_path, metrics_path, events_path;
-    std::string repair_path, merge_base, fault_range;
-    unsigned fabric_workers = 0;
-    double worker_timeout = 30.0;
-    bool worker_mode = false;
-    int heartbeat_fd = -1;
-    std::vector<WorkerFailpoint> worker_failpoints;
-    std::vector<std::string> forward_args;  ///< parent argv slices workers get
-    double diff_tol = 0.05;
-    anafault::CampaignOptions opt;
-    opt.detection.observed.clear();
-    bool table = false, plot = false, stats = false, progress = false;
-
-    for (int i = 1; i < argc; ++i) {
-        const int arg_start = i;
-        const std::string a = argv[i];
-        auto next = [&]() -> const char* {
-            if (++i >= argc) usage();
-            return argv[i];
-        };
-        if (a == "--observe") opt.detection.observed.push_back(next());
-        else if (a == "--supply")
-            opt.detection.observed_supplies.push_back(next());
-        else if (a == "--model") {
-            const std::string m = next();
-            if (m == "resistor")
-                opt.injection.model = anafault::HardFaultModel::Resistor;
-            else if (m == "source")
-                opt.injection.model = anafault::HardFaultModel::Source;
-            else
-                usage();
-        } else if (a == "--v-tol") opt.detection.v_tol = std::atof(next());
-        else if (a == "--t-tol") opt.detection.t_tol = std::atof(next());
-        else if (a == "--threads")
-            opt.threads = static_cast<unsigned>(std::atoi(next()));
-        else if (a == "--store") opt.result_store = next();
-        else if (a == "--resume") opt.resume = true;
-        else if (a == "--workers") {
-            fabric_workers = static_cast<unsigned>(std::atoi(next()));
-            if (fabric_workers < 1) {
-                std::fprintf(stderr,
-                             "anafaultc: --workers needs a positive count\n");
-                return 2;
-            }
-        }
-        else if (a == "--worker-timeout") {
-            worker_timeout = std::atof(next());
-            if (!(worker_timeout > 0.0)) {
-                std::fprintf(stderr,
-                             "anafaultc: --worker-timeout needs a positive "
-                             "number of seconds\n");
-                return 2;
-            }
-        }
-        else if (a == "--worker-failpoints")
-            worker_failpoints.push_back(parse_worker_failpoint(next()));
-        else if (a == "--worker") worker_mode = true;
-        else if (a == "--fault-range") fault_range = next();
-        else if (a == "--heartbeat-fd") heartbeat_fd = std::atoi(next());
-        else if (a == "--merge-shards") merge_base = next();
-        else if (a == "--baseline-store") baseline_store = next();
-        else if (a == "--baseline-faults") baseline_flt_path = next();
-        else if (a == "--diff-tol") {
-            diff_tol = std::atof(next());
-            if (!(diff_tol >= 0.0)) {
-                std::fprintf(
-                    stderr,
-                    "anafaultc: --diff-tol needs a non-negative number\n");
-                return 2;
-            }
-        }
-        else if (a == "--no-early-abort") opt.early_abort = false;
-        else if (a == "--no-collapse") opt.collapse = false;
-        else if (a == "--no-adaptive") opt.sim.adaptive = false;
-        else if (a == "--lte-tol") {
-            opt.sim.lte_tol = std::atof(next());
-            if (!(opt.sim.lte_tol > 0.0)) {
-                std::fprintf(stderr,
-                             "anafaultc: --lte-tol needs a positive number\n");
-                return 2;
-            }
-        }
-        else if (a == "--no-sparse")
-            opt.sim.sparse_threshold = static_cast<std::size_t>(-1);
-        else if (a == "--sparse") opt.sim.sparse_threshold = 0;
-        else if (a == "--no-bypass") opt.sim.bypass = false;
-        else if (a == "--bypass-tol") {
-            opt.sim.bypass_tol = std::atof(next());
-            if (!(opt.sim.bypass_tol > 0.0)) {
-                std::fprintf(
-                    stderr,
-                    "anafaultc: --bypass-tol needs a positive number\n");
-                return 2;
-            }
-        }
-        else if (a == "--device-bypass-tol") {
-            opt.sim.device_bypass_tol = std::atof(next());
-            if (!(opt.sim.device_bypass_tol >= 0.0)) {
-                std::fprintf(stderr,
-                             "anafaultc: --device-bypass-tol needs a "
-                             "non-negative number\n");
-                return 2;
-            }
-        }
-        else if (a == "--ordering") {
-            const std::string o = next();
-            if (o == "amd")
-                opt.sim.ordering = spice::SparseOrdering::Amd;
-            else if (o == "markowitz")
-                opt.sim.ordering = spice::SparseOrdering::Markowitz;
-            else
-                usage();
-        }
-        else if (a == "--no-share-symbolic") opt.share_symbolic = false;
-        else if (a == "--wall-budget") {
-            opt.sim.max_wall_seconds = std::atof(next());
-            if (!(opt.sim.max_wall_seconds >= 0.0)) {
-                std::fprintf(stderr,
-                             "anafaultc: --wall-budget needs a non-negative "
-                             "number of seconds\n");
-                return 2;
-            }
-        }
-        else if (a == "--nr-budget")
-            opt.sim.max_nr_total =
-                static_cast<std::size_t>(std::atoll(next()));
-        else if (a == "--step-budget")
-            opt.sim.max_tran_steps =
-                static_cast<std::size_t>(std::atoll(next()));
-        else if (a == "--max-retries") {
-            opt.max_retries = std::atoi(next());
-            if (opt.max_retries < 0) {
-                std::fprintf(stderr,
-                             "anafaultc: --max-retries needs a non-negative "
-                             "count\n");
-                return 2;
-            }
-        }
-        else if (a == "--store-durability") {
-            const std::string d = next();
-            if (d == "flush") opt.store_durability = batch::Durability::Flush;
-            else if (d == "fsync")
-                opt.store_durability = batch::Durability::Fsync;
-            else
-                usage();
-        }
-        else if (a == "--repair-store") repair_path = next();
-        else if (a == "--failpoints") {
-            try {
-                robust::arm(next());
-            } catch (const Error& e) {
-                std::fprintf(stderr, "anafaultc: %s\n", e.what());
-                return 2;
-            }
-        }
-        else if (a == "--stats") stats = true;
-        else if (a == "--trace") trace_path = next();
-        else if (a == "--metrics-json") metrics_path = next();
-        else if (a == "--events") events_path = next();
-        else if (a == "--progress") progress = true;
-        else if (a == "--table") table = true;
-        else if (a == "--plot") plot = true;
-        else if (a == "--csv") csv_path = next();
-        else if (!a.empty() && a[0] == '-') usage();
-        else if (deck_path.empty()) deck_path = a;
-        else if (flt_path.empty()) flt_path = a;
-        else usage();
-        if (forwarded_flags().count(a))
-            for (int j = arg_start; j <= i; ++j)
-                forward_args.emplace_back(argv[j]);
-    }
+    Cli c = parse_args(argc, argv);
+    anafault::CampaignOptions& opt = c.opt;
     // --repair-store is a standalone command: repair, report, exit.  The
     // canonical file's shards (a fabric campaign that died before its
     // merge) get the same tail-trim, reported as a per-shard table.
-    if (!repair_path.empty()) {
+    if (!c.repair_path.empty()) {
         try {
             const std::vector<std::string> shards =
-                batch::list_shards(repair_path);
-            const bool base_exists = std::filesystem::exists(repair_path);
+                batch::list_shards(c.repair_path);
+            const bool base_exists = std::filesystem::exists(c.repair_path);
             if (!base_exists && shards.empty())
-                throw Error("repair-store: no such file: " + repair_path);
+                throw Error("repair-store: no such file: " + c.repair_path);
             int rc = 0;
             if (base_exists) {
                 const batch::RepairReport rep =
-                    batch::repair_store(repair_path);
+                    batch::repair_store(c.repair_path);
                 if (!rep.header_ok) {
                     std::printf("repair %s: no valid store header -- "
                                 "nothing recoverable, file left untouched\n",
-                                repair_path.c_str());
+                                c.repair_path.c_str());
                     rc = 1;
                 } else {
                     std::printf("repair %s: manifest %016llx, %zu records "
                                 "kept, %zu of %zu bytes kept (%zu trimmed)\n",
-                                repair_path.c_str(),
+                                c.repair_path.c_str(),
                                 static_cast<unsigned long long>(rep.manifest),
                                 rep.records_kept, rep.bytes_kept,
                                 rep.bytes_total,
@@ -428,54 +445,48 @@ int main(int argc, char** argv) {
             return 1;
         }
     }
-    if (deck_path.empty() || flt_path.empty()) usage();
-    if (opt.resume && opt.result_store.empty()) {
-        std::fprintf(stderr, "anafaultc: --resume needs --store <file>\n");
-        return 2;
-    }
-    if (baseline_store.empty() != baseline_flt_path.empty()) {
-        std::fprintf(stderr,
-                     "anafaultc: --baseline-store and --baseline-faults "
-                     "must be given together\n");
-        return 2;
-    }
-    if (fabric_workers >= 1 && opt.result_store.empty()) {
-        std::fprintf(stderr, "anafaultc: --workers needs --store <file>\n");
-        return 2;
-    }
-    if (fabric_workers >= 1 && (!baseline_store.empty() || worker_mode)) {
-        std::fprintf(stderr,
-                     "anafaultc: --workers cannot be combined with --worker "
-                     "or an incremental (--baseline-store) campaign\n");
-        return 2;
-    }
-    if (worker_mode &&
-        (opt.result_store.empty() || fault_range.find(':') ==
-                                         std::string::npos)) {
-        std::fprintf(stderr,
-                     "anafaultc: --worker needs --store <shard> and "
-                     "--fault-range lo:hi\n");
-        return 2;
-    }
+    if (c.deck_path.empty() || c.flt_path.empty()) usage();
+    const bool fabric = c.fabric_workers >= 1;
+    const bool no_store = opt.result_store.empty();
+    const struct {
+        bool bad;
+        const char* why;
+    } combos[] = {
+        {opt.resume && no_store, "--resume needs --store <file>"},
+        {c.baseline_store.empty() != c.baseline_flt_path.empty(),
+         "--baseline-store and --baseline-faults must be given together"},
+        {fabric && no_store, "--workers needs --store <file>"},
+        {fabric && (!c.baseline_store.empty() || c.worker_mode),
+         "--workers cannot be combined with --worker or an incremental "
+         "(--baseline-store) campaign"},
+        {c.worker_mode && (no_store || !c.has_fault_range),
+         "--worker needs --store <shard> and --fault-range lo:hi"},
+    };
+    for (const auto& k : combos)
+        if (k.bad) {
+            std::fprintf(stderr, "anafaultc: %s\n", k.why);
+            return 2;
+        }
 
     // Observation must be switched on before the campaign runs; --stats
     // needs the metrics bit too so the phase histograms fill in.
-    if (stats || !metrics_path.empty()) obs::enable_metrics(true);
-    if (!trace_path.empty()) obs::enable_tracing(true);
-    if (!events_path.empty()) {
-        auto sink = std::make_shared<obs::JsonlSink>(events_path);
+    if (c.stats || !c.metrics_path.empty()) obs::enable_metrics(true);
+    if (!c.trace_path.empty()) obs::enable_tracing(true);
+    if (!c.events_path.empty()) {
+        auto sink = std::make_shared<obs::JsonlSink>(c.events_path);
         if (!sink->good()) {
             std::fprintf(stderr, "anafaultc: cannot write %s\n",
-                         events_path.c_str());
+                         c.events_path.c_str());
             return 1;
         }
         obs::attach_event_sink(sink);
     }
-    if (progress) obs::attach_event_sink(std::make_shared<obs::ProgressSink>());
+    if (c.progress)
+        obs::attach_event_sink(std::make_shared<obs::ProgressSink>());
 
     try {
-        const netlist::Circuit ckt = netlist::parse_spice_file(deck_path);
-        const lift::FaultList faults = read_faults_file(flt_path);
+        const netlist::Circuit ckt = netlist::parse_spice_file(c.deck_path);
+        const lift::FaultList faults = read_faults_file(c.flt_path);
 
         if (opt.detection.observed.empty())
             opt.detection.observed = ckt.save_nodes;
@@ -485,28 +496,23 @@ int main(int argc, char** argv) {
 
         // Internal fabric-worker mode: run the assigned id subrange into
         // the shard and exit quietly -- the supervisor owns all reporting.
-        if (worker_mode) {
-            anafault::WorkerOptions w;
-            const auto colon = fault_range.find(':');
-            w.id_lo = std::atoi(fault_range.substr(0, colon).c_str());
-            w.id_hi = std::atoi(fault_range.substr(colon + 1).c_str());
-            w.shard = opt.result_store;
-            w.heartbeat_fd = heartbeat_fd;
-            anafault::run_worker_campaign(ckt, faults, opt, w);
+        if (c.worker_mode) {
+            c.worker.shard = opt.result_store;
+            anafault::run_worker_campaign(ckt, faults, opt, c.worker);
             obs::detach_event_sinks();
             return 0;
         }
 
         // --merge-shards is a standalone command: fold, report, exit.
-        if (!merge_base.empty()) {
+        if (!c.merge_base.empty()) {
             const std::uint64_t manifest =
                 anafault::campaign_manifest(ckt, faults, opt);
             const batch::ShardMergeReport m = batch::merge_shards(
-                merge_base, manifest, batch::list_shards(merge_base),
+                c.merge_base, manifest, batch::list_shards(c.merge_base),
                 opt.store_durability);
             std::printf("merge %s: %zu shards, %zu records in, %zu kept, "
                         "%zu duplicates%s\n",
-                        merge_base.c_str(), m.shards_merged, m.records_in,
+                        c.merge_base.c_str(), m.shards_merged, m.records_in,
                         m.records_kept, m.duplicates,
                         m.changed ? "" : " (store already canonical)");
             obs::detach_event_sinks();
@@ -514,7 +520,7 @@ int main(int argc, char** argv) {
         }
 
         anafault::CampaignResult res;
-        if (fabric_workers >= 1) {
+        if (fabric) {
             const std::uint64_t manifest =
                 anafault::campaign_manifest(ckt, faults, opt);
             std::vector<int> ids;
@@ -522,19 +528,20 @@ int main(int argc, char** argv) {
             for (const lift::Fault& f : faults.faults) ids.push_back(f.id);
 
             batch::FabricOptions fo;
-            fo.workers = fabric_workers;
-            fo.worker_timeout_s = worker_timeout;
+            fo.workers = c.fabric_workers;
+            fo.worker_timeout_s = c.worker_timeout;
             fo.durability = opt.store_durability;
             const std::string exe = self_exe(argv[0]);
             batch::WorkerCommand cmd = [&](const batch::WorkerSlot& s) {
                 std::vector<std::string> v = {
-                    exe, deck_path, flt_path, "--worker", "--fault-range",
+                    exe, c.deck_path, c.flt_path, "--worker", "--fault-range",
                     std::to_string(s.range.lo) + ":" +
                         std::to_string(s.range.hi),
                     "--store", s.shard, "--heartbeat-fd",
                     std::to_string(s.heartbeat_fd)};
-                v.insert(v.end(), forward_args.begin(), forward_args.end());
-                for (const WorkerFailpoint& wf : worker_failpoints)
+                v.insert(v.end(), c.forward_args.begin(),
+                         c.forward_args.end());
+                for (const WorkerFailpoint& wf : c.worker_failpoints)
                     if (wf.slot == s.slot &&
                         (wf.spawn < 0 || wf.spawn == s.spawn_index)) {
                         v.push_back("--failpoints");
@@ -571,20 +578,20 @@ int main(int argc, char** argv) {
             res.batch.worker_deaths = frep.deaths;
             res.batch.worker_timeouts = frep.timeouts;
             res.batch.poisoned = frep.poisoned;
-        } else if (!baseline_store.empty()) {
+        } else if (!c.baseline_store.empty()) {
             anafault::IncrementalOptions iopt;
             iopt.campaign = opt;
-            iopt.baseline_store = baseline_store;
-            iopt.rel_tol = diff_tol;
+            iopt.baseline_store = c.baseline_store;
+            iopt.rel_tol = c.diff_tol;
             auto inc = anafault::run_incremental_campaign(
-                ckt, read_faults_file(baseline_flt_path), faults, iopt);
+                ckt, read_faults_file(c.baseline_flt_path), faults, iopt);
             std::printf("%s", anafault::incremental_summary(inc).c_str());
             res = std::move(inc.campaign);
         } else {
             res = anafault::run_campaign(ckt, faults, opt);
         }
         std::printf("%s", anafault::campaign_summary(res).c_str());
-        if (stats) {
+        if (c.stats) {
             const batch::BatchStats& b = res.batch;
             std::printf("\nbatch/kernel counters (current process):\n");
             std::printf("  threads %u, classes %zu, collapsed %zu\n",
@@ -649,22 +656,22 @@ int main(int argc, char** argv) {
                             h.p50(), h.p95(), h.max);
             }
         }
-        if (plot)
+        if (c.plot)
             std::printf("\n%s",
                         anafault::coverage_plot_ascii(res).c_str());
-        if (table)
+        if (c.table)
             std::printf("\n%s", anafault::campaign_table(res).c_str());
-        if (!csv_path.empty()) {
-            std::ofstream f(csv_path);
-            if (!f.good()) throw Error("cannot write " + csv_path);
+        if (!c.csv_path.empty()) {
+            std::ofstream f(c.csv_path);
+            if (!f.good()) throw Error("cannot write " + c.csv_path);
             f << anafault::coverage_csv(res);
         }
-        if (!trace_path.empty() &&
-            !obs::write_chrome_trace_file(trace_path))
-            throw Error("cannot write " + trace_path);
-        if (!metrics_path.empty()) {
-            std::ofstream f(metrics_path);
-            if (!f.good()) throw Error("cannot write " + metrics_path);
+        if (!c.trace_path.empty() &&
+            !obs::write_chrome_trace_file(c.trace_path))
+            throw Error("cannot write " + c.trace_path);
+        if (!c.metrics_path.empty()) {
+            std::ofstream f(c.metrics_path);
+            if (!f.good()) throw Error("cannot write " + c.metrics_path);
             f << obs::Registry::global().to_json() << "\n";
         }
         obs::detach_event_sinks();

@@ -185,24 +185,6 @@ def guard_kernel_scaling(base, fresh, ctol, rtol):
             continue
         check_ratio(f"kernel_scaling.{label}.amd_bypass_vs_dense", br, fr,
                     rtol)
-    # The ordering claim: AMD vs Markowitz at the largest common size --
-    # guarded against the baseline, with a hard >= 2x floor once the size
-    # reaches 2k unknowns (the scale-up acceptance bar).
-    ordered = [label for label in common
-               if (label, "sparse-mark") in f and (label, "sparse-amd") in f]
-    if ordered:
-        largest = max(ordered,
-                      key=lambda lb: f[(lb, "sparse-amd")]["unknowns"])
-        br = b[(largest, "sparse-mark")]["wall_s"] / \
-            max(b[(largest, "sparse-amd")]["wall_s"], 1e-9)
-        fr = f[(largest, "sparse-mark")]["wall_s"] / \
-            max(f[(largest, "sparse-amd")]["wall_s"], 1e-9)
-        check_ratio(f"kernel_scaling.{largest}.amd_vs_markowitz", br, fr,
-                    rtol)
-        if f[(largest, "sparse-amd")]["unknowns"] >= 2000 and fr < 2.0:
-            print(f"  [FAIL] kernel_scaling.{largest}.amd_vs_markowitz "
-                  f"{fr:.2f}x below the 2x scale-up floor")
-            FAILURES.append(f"kernel_scaling.{largest}.amd_floor")
     # Campaign-shared symbolic kernel section.
     cb, cf = base.get("campaign"), fresh.get("campaign")
     if cb and not cf:
