@@ -8,101 +8,44 @@ namespace catlift::anafault {
 
 using netlist::Circuit;
 
-std::size_t AcCampaignResult::detected() const {
-    return static_cast<std::size_t>(
-        std::count_if(results.begin(), results.end(),
-                      [](const AcFaultResult& r) { return r.detected; }));
-}
-
-double AcCampaignResult::coverage() const {
-    if (results.empty()) return 0.0;
-    return 100.0 * static_cast<double>(detected()) /
-           static_cast<double>(results.size());
-}
-
-std::size_t AcCampaignResult::failed() const {
-    return static_cast<std::size_t>(std::count_if(
-        results.begin(), results.end(), [](const AcFaultResult& r) {
-            return !r.simulated && !r.quarantined;
-        }));
-}
-
-std::size_t AcCampaignResult::quarantined() const {
-    return static_cast<std::size_t>(
-        std::count_if(results.begin(), results.end(),
-                      [](const AcFaultResult& r) { return r.quarantined; }));
-}
-
 std::uint64_t ac_campaign_manifest(const Circuit& ckt,
                                    const lift::FaultList& faults,
                                    const AcCampaignOptions& opt) {
     std::uint64_t h =
         chain_fault_manifest(batch::fnv1a(netlist::write_spice(ckt)), faults);
-    std::string o = "ac";
+    std::string o = "ac|";
+    o += injection_signature(opt);
     const auto field = [&o](const std::string& v) {
         o += '|';
         o += v;
     };
-    field(to_string(opt.injection.model));
-    field(manifest_double(opt.injection.short_resistance));
-    field(manifest_double(opt.injection.open_resistance));
     field(manifest_double(opt.sweep.fstart));
     field(manifest_double(opt.sweep.fstop));
     field(std::to_string(opt.sweep.points_per_decade));
     field(manifest_double(opt.db_tol));
     for (const std::string& n : opt.observed) field(n);
-    o += sim_knob_signature(opt.sim);
-    o += opt.share_symbolic ? "|sharesym" : "|nosharesym";
-    o += opt.collapse ? "|collapse" : "|nocollapse";
-    o += opt.early_abort ? "|abort" : "|noabort";
-    // The retry ladder can converge a fault the base config fails, so a
-    // store written under a different retry depth is foreign.
-    o += "|retries:" + std::to_string(opt.max_retries);
+    o += run_signature(opt, opt.early_abort ? "abort" : "noabort");
     return batch::fnv1a(o, h);
 }
 
 batch::FaultSimResult ac_to_record(const AcFaultResult& r) {
     batch::FaultSimResult rec;
-    rec.fault_id = r.fault_id;
-    rec.description = r.description;
-    rec.probability = r.probability;
+    copy_outcome(r, rec);
     rec.simulated = r.simulated;
-    rec.error = r.error;
     if (r.detected) rec.detect_time = r.detect_freq.value_or(0.0);
     rec.metric = r.max_deviation_db;
     rec.steps_saved = r.points_saved;
-    rec.sim_seconds = r.sim_seconds;
-    rec.nr_iterations = r.nr_iterations;
-    rec.symbolic_cache_hits = r.symbolic_cache_hits;
-    rec.ordering_seconds = r.ordering_seconds;
-    rec.numeric_seconds = r.numeric_seconds;
-    rec.carried = r.carried;
-    rec.attempts = r.attempts;
-    rec.quarantined = r.quarantined;
-    rec.retry_log = r.retry_log;
     return rec;
 }
 
 AcFaultResult ac_from_record(const batch::FaultSimResult& rec) {
     AcFaultResult r;
-    r.fault_id = rec.fault_id;
-    r.description = rec.description;
-    r.probability = rec.probability;
+    copy_outcome(rec, r);
     r.simulated = rec.simulated;
-    r.error = rec.error;
     r.detected = rec.detect_time.has_value();
-    if (rec.detect_time) r.detect_freq = rec.detect_time;
+    r.detect_freq = rec.detect_time;
     r.max_deviation_db = rec.metric;
     r.points_saved = rec.steps_saved;
-    r.sim_seconds = rec.sim_seconds;
-    r.nr_iterations = rec.nr_iterations;
-    r.symbolic_cache_hits = rec.symbolic_cache_hits;
-    r.ordering_seconds = rec.ordering_seconds;
-    r.numeric_seconds = rec.numeric_seconds;
-    r.carried = rec.carried;
-    r.attempts = rec.attempts;
-    r.quarantined = rec.quarantined;
-    r.retry_log = rec.retry_log;
     return r;
 }
 

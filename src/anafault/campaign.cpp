@@ -21,13 +21,6 @@ double seconds_since(
         .count();
 }
 
-TranSpec resolve_tran(const Circuit& ckt, const CampaignOptions& opt) {
-    if (opt.tran) return *opt.tran;
-    require(ckt.tran.has_value(),
-            "campaign: no .tran card and no explicit TranSpec");
-    return *ckt.tran;
-}
-
 std::string hexd(double v) {
     char buf[40];
     std::snprintf(buf, sizeof buf, "%a", v);
@@ -40,15 +33,7 @@ std::string manifest_double(double v) { return hexd(v); }
 
 std::uint64_t chain_fault_manifest(std::uint64_t h,
                                    const lift::FaultList& faults) {
-    for (const lift::Fault& f : faults.faults) {
-        // Delimited: without separators, distinct identity tuples could
-        // chain to the same bytes.
-        h = batch::fnv1a(std::to_string(f.id) + "|" + f.describe() + "|" +
-                             hexd(f.probability) + "|" +
-                             batch::effect_signature(f) + "\n",
-                         h);
-    }
-    return h;
+    return detail::chain_fault_metas(h, detail::fault_metas(faults));
 }
 
 std::string sim_knob_signature(const spice::SimOptions& sim) {
@@ -91,6 +76,27 @@ std::string sim_knob_signature(const spice::SimOptions& sim) {
     return o;
 }
 
+std::string injection_signature(const RunOptions& opt) {
+    return std::string(to_string(opt.injection.model)) + "|" +
+           hexd(opt.injection.short_resistance) + "|" +
+           hexd(opt.injection.open_resistance);
+}
+
+std::string run_signature(const RunOptions& opt, const char* mode) {
+    std::string o = sim_knob_signature(opt.sim);
+    o += opt.share_symbolic ? "|sharesym" : "|nosharesym";
+    // Engine shortcuts do not change verdicts, but a user toggling them
+    // (e.g. --no-collapse to rule out a collapse bug) wants faults
+    // actually re-simulated -- treat the store as foreign.
+    o += opt.collapse ? "|collapse" : "|nocollapse";
+    o += "|";
+    o += mode;
+    // The retry ladder can converge a fault the base config fails, so a
+    // store written under a different retry depth is foreign.
+    o += "|retries:" + std::to_string(opt.max_retries);
+    return o;
+}
+
 namespace {
 
 /// Campaign manifest: hashes everything that determines the per-fault
@@ -99,8 +105,33 @@ namespace {
 std::uint64_t manifest_hash(const Circuit& ckt,
                             const std::vector<detail::JobMeta>& metas,
                             const TranSpec& ts, const CampaignOptions& opt) {
-    std::uint64_t h = batch::fnv1a(netlist::write_spice(ckt));
-    for (const detail::JobMeta& m : metas) {
+    const std::uint64_t h = detail::chain_fault_metas(
+        batch::fnv1a(netlist::write_spice(ckt)), metas);
+    std::string o = injection_signature(opt);
+    o += "|" + hexd(opt.detection.v_tol) + "|" + hexd(opt.detection.t_tol);
+    o += "|" + hexd(opt.detection.i_tol);
+    for (const std::string& n : opt.detection.observed) o += "|" + n;
+    for (const std::string& s : opt.detection.observed_supplies)
+        o += "|i:" + s;
+    o += "|" + hexd(ts.tstep) + "|" + hexd(ts.tstop) + "|" + hexd(ts.tstart);
+    o += run_signature(opt, opt.early_abort ? "abort" : "noabort");
+    return batch::fnv1a(o, h);
+}
+
+} // namespace
+
+namespace detail {
+
+TranSpec resolve_tran(const Circuit& ckt, const CampaignOptions& opt) {
+    if (opt.tran) return *opt.tran;
+    require(ckt.tran.has_value(),
+            "campaign: no .tran card and no explicit TranSpec");
+    return *ckt.tran;
+}
+
+std::uint64_t chain_fault_metas(std::uint64_t h,
+                                const std::vector<JobMeta>& metas) {
+    for (const JobMeta& m : metas) {
         // Delimited: without separators, distinct (id, description,
         // probability, signature) tuples could chain to the same bytes.
         h = batch::fnv1a(std::to_string(m.fault_id) + "|" + m.description +
@@ -108,32 +139,8 @@ std::uint64_t manifest_hash(const Circuit& ckt,
                              "\n",
                          h);
     }
-    std::string o;
-    o += to_string(opt.injection.model);
-    o += "|" + hexd(opt.injection.short_resistance);
-    o += "|" + hexd(opt.injection.open_resistance);
-    o += "|" + hexd(opt.detection.v_tol) + "|" + hexd(opt.detection.t_tol);
-    o += "|" + hexd(opt.detection.i_tol);
-    for (const std::string& n : opt.detection.observed) o += "|" + n;
-    for (const std::string& s : opt.detection.observed_supplies)
-        o += "|i:" + s;
-    o += "|" + hexd(ts.tstep) + "|" + hexd(ts.tstop) + "|" + hexd(ts.tstart);
-    o += sim_knob_signature(opt.sim);
-    o += opt.share_symbolic ? "|sharesym" : "|nosharesym";
-    // Engine shortcuts do not change verdicts, but a user toggling them
-    // (e.g. --no-collapse to rule out a collapse bug) wants faults
-    // actually re-simulated -- treat the store as foreign.
-    o += opt.collapse ? "|collapse" : "|nocollapse";
-    o += opt.early_abort ? "|abort" : "|noabort";
-    // The retry ladder can converge a fault the base config fails, so a
-    // store written under a different retry depth is foreign.
-    o += "|retries:" + std::to_string(opt.max_retries);
-    return batch::fnv1a(o, h);
+    return h;
 }
-
-} // namespace
-
-namespace detail {
 
 std::vector<JobMeta> fault_metas(const lift::FaultList& faults) {
     std::vector<JobMeta> metas;
@@ -250,7 +257,7 @@ void TranPolicy::fold(CampaignResult& res, const FaultSimResult& r) {
 
 CampaignResult run_campaign(const Circuit& ckt, const lift::FaultList& faults,
                             const CampaignOptions& opt) {
-    detail::TranPolicy p{ckt, opt, resolve_tran(ckt, opt)};
+    detail::TranPolicy p{ckt, opt, detail::resolve_tran(ckt, opt)};
     return detail::drive(p, faults);
 }
 
@@ -258,7 +265,7 @@ std::uint64_t campaign_manifest(const Circuit& ckt,
                                 const lift::FaultList& faults,
                                 const CampaignOptions& opt) {
     return manifest_hash(ckt, detail::fault_metas(faults),
-                         resolve_tran(ckt, opt), opt);
+                         detail::resolve_tran(ckt, opt), opt);
 }
 
 CampaignResult run_parametric_campaign(
@@ -275,7 +282,7 @@ CampaignResult run_parametric_campaign(
                       ":" + hexd(faults[i].factor);
         metas.push_back(std::move(m));
     }
-    detail::TranPolicy p{ckt, opt, resolve_tran(ckt, opt)};
+    detail::TranPolicy p{ckt, opt, detail::resolve_tran(ckt, opt)};
     return detail::drive(
         p, metas,
         [&](std::size_t i) { return inject_parametric(ckt, faults[i]); },
@@ -284,40 +291,6 @@ CampaignResult run_parametric_campaign(
 
 // ---------------------------------------------------------------------------
 // CampaignResult
-
-std::size_t CampaignResult::detected() const {
-    return static_cast<std::size_t>(std::count_if(
-        results.begin(), results.end(),
-        [](const FaultSimResult& r) { return r.detect_time.has_value(); }));
-}
-
-std::size_t CampaignResult::undetected() const {
-    return static_cast<std::size_t>(
-        std::count_if(results.begin(), results.end(),
-                      [](const FaultSimResult& r) {
-                          return r.simulated && !r.detect_time;
-                      }));
-}
-
-std::size_t CampaignResult::failed() const {
-    return static_cast<std::size_t>(std::count_if(
-        results.begin(), results.end(), [](const FaultSimResult& r) {
-            return !r.simulated && !r.quarantined;
-        }));
-}
-
-std::size_t CampaignResult::quarantined() const {
-    return static_cast<std::size_t>(
-        std::count_if(results.begin(), results.end(),
-                      [](const FaultSimResult& r) { return r.quarantined; }));
-}
-
-std::size_t CampaignResult::retries() const {
-    std::size_t n = 0;
-    for (const FaultSimResult& r : results)
-        if (r.attempts > 1) n += r.attempts - 1;
-    return n;
-}
 
 double CampaignResult::coverage_at(double t) const {
     if (results.empty()) return 0.0;

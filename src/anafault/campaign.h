@@ -13,6 +13,13 @@
 // The transient campaign below is one of its three policies; the AC sweep
 // (ac_campaign.h) and the DC screen (dc_campaign.h) are the other two and
 // share its store, resume, collapsing, retry ladder and events.
+//
+// This header also declares the vocabulary the three analyses share, once:
+// RunOptions (the execution options every option struct derives from),
+// FaultOutcome (the identity, containment and cost fields of every
+// per-fault result, copied to and from the store record by copy_outcome)
+// and CampaignOutput (results, batch counters and the detected / failed /
+// quarantined / retries / coverage tallies of every campaign result).
 
 #pragma once
 
@@ -25,33 +32,31 @@
 #include "netlist/netlist.h"
 #include "spice/engine.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
 namespace catlift::anafault {
 
-struct CampaignOptions {
+/// The execution options every analysis shares: how a fault is injected,
+/// the kernel knobs, and how the batch engine runs the list.  The tran,
+/// AC and DC option structs derive from it and add only their own
+/// analysis axis and detection knobs; injection_signature() and
+/// run_signature() hash the verdict-affecting fields into every manifest.
+struct RunOptions {
     InjectionOptions injection;
-    DetectionSpec detection;
     spice::SimOptions sim;
-    /// Analysis grid; falls back to the circuit's own .tran card.
-    std::optional<netlist::TranSpec> tran;
     /// Worker threads (1 = serial).
     // manifest-exempt: parallelism only changes wall-clock; the
     // work-stealing scheduler retires identical verdicts at any
     // worker count (pinned by batch_test.cpp determinism cases).
     unsigned threads = 1;
-
-    // -- batch engine knobs --------------------------------------------------
-    /// Stop each faulty run at the first confirmed detection instead of
-    /// integrating to tstop (verdicts are unchanged; see
-    /// StreamingDetector).
-    bool early_abort = true;
     /// Collapse faults with identical electrical effect and simulate each
     /// equivalence class once (batch/collapse.h).
     bool collapse = true;
-    /// Campaign-shared symbolic kernel: harvest the nominal simulation's
+    /// Campaign-shared symbolic kernel: harvest the nominal analysis'
     /// sparse elimination order (spice::SymbolicCache) and hand it to
     /// every faulty variant, so the one-time fill-reducing analysis runs
     /// once per campaign instead of once per fault.  Only effective when
@@ -82,14 +87,24 @@ struct CampaignOptions {
     // the same manifest; it cannot change what a fault retires as.
     bool resume = false;
     /// Bind the result store to this manifest instead of the campaign's
-    /// own hash.  Set only by the incremental cross-revision engine, which
-    /// runs a *subset* campaign against the full revision's store (the
-    /// carried records must survive the subset run and the merged store
-    /// must identify as the full revision campaign).
+    /// own hash.  Set only by the incremental cross-revision engine (a
+    /// *subset* campaign against the full revision's store: the carried
+    /// records must survive the subset run and the merged store must
+    /// identify as the full revision campaign) and by fabric workers.
     // manifest-exempt: IS the manifest binding (hashing the override
     // into the hash it overrides would be circular); only the
-    // incremental engine sets it, to a hash it computed itself.
+    // incremental engine and the fabric set it, to a hash they computed.
     std::optional<std::uint64_t> manifest_override;
+};
+
+struct CampaignOptions : RunOptions {
+    DetectionSpec detection;
+    /// Analysis grid; falls back to the circuit's own .tran card.
+    std::optional<netlist::TranSpec> tran;
+    /// Stop each faulty run at the first confirmed detection instead of
+    /// integrating to tstop (verdicts are unchanged; see
+    /// StreamingDetector).
+    bool early_abort = true;
 
     CampaignOptions() {
         sim.uic = true;       // paper: start at supply activation
@@ -107,31 +122,114 @@ struct CampaignOptions {
     }
 };
 
+/// The per-fault fields every analysis' result shares with its store
+/// record (batch::FaultSimResult): identity, failure containment, kernel
+/// cost and provenance.  The campaign driver fills them itself;
+/// copy_outcome() moves them between a result and its record.
+struct FaultOutcome {
+    int fault_id = 0;
+    std::string description;
+    double probability = 0.0;
+    /// Why the last attempt (or the injection) failed; empty when the
+    /// fault ran.
+    std::string error;
+    double sim_seconds = 0.0;            ///< kernel wall time, all attempts
+    std::size_t nr_iterations = 0;       ///< NR cost of the analysis
+    std::size_t symbolic_cache_hits = 0; ///< kernel adopted the shared order
+    double ordering_seconds = 0.0;       ///< sparse one-time analysis time
+    double numeric_seconds = 0.0;        ///< sparse refactor time
+    /// Verdict carried from a baseline store by the incremental engine.
+    bool carried = false;
+    std::uint32_t attempts = 1;  ///< simulation attempts (1 = no retry)
+    /// The retry ladder was exhausted: every attempt failed.  Disjoint
+    /// from plain `failed` (the fault did not run and is not quarantined).
+    bool quarantined = false;
+    std::string retry_log;  ///< one entry per failed attempt
+};
+
+/// Copy the FaultOutcome fields from a result to its store record or back.
+template <class From, class To>
+void copy_outcome(const From& from, To& to) {
+    to.fault_id = from.fault_id;
+    to.description = from.description;
+    to.probability = from.probability;
+    to.error = from.error;
+    to.sim_seconds = from.sim_seconds;
+    to.nr_iterations = from.nr_iterations;
+    to.symbolic_cache_hits = from.symbolic_cache_hits;
+    to.ordering_seconds = from.ordering_seconds;
+    to.numeric_seconds = from.numeric_seconds;
+    to.carried = from.carried;
+    to.attempts = from.attempts;
+    to.quarantined = from.quarantined;
+    to.retry_log = from.retry_log;
+}
+
 /// Outcome of one fault simulation (defined beside the result store that
 /// persists it).
 using FaultSimResult = batch::FaultSimResult;
 
-/// Aggregated campaign outcome with the coverage computations behind the
-/// paper's Fig. 5.
-struct CampaignResult {
+/// Verdict predicates of a transient result: detected, and ran to a
+/// verdict.  The AC and DC results declare theirs beside their type.
+inline bool is_detected(const FaultSimResult& r) {
+    return r.detect_time.has_value();
+}
+inline bool ran(const FaultSimResult& r) { return r.simulated; }
+
+/// The per-fault results of one campaign and the counters every analysis
+/// derives from them the same way (through is_detected / ran).
+template <class R>
+struct CampaignOutput {
+    std::vector<R> results;
+    batch::BatchStats batch;  ///< scheduler / collapse / abort counters
+
+    std::size_t detected() const {
+        return count([](const R& r) { return is_detected(r); });
+    }
+    /// Faults that ran to a verdict without being detected.
+    std::size_t undetected() const {
+        return count([](const R& r) { return ran(r) && !is_detected(r); });
+    }
+    /// Faults that failed without exhausting the retry ladder (injection
+    /// errors, contained exceptions); disjoint from quarantined().
+    std::size_t failed() const {
+        return count([](const R& r) { return !ran(r) && !r.quarantined; });
+    }
+    /// Faults retired by the retry ladder: every rung failed.
+    std::size_t quarantined() const {
+        return count([](const R& r) { return r.quarantined; });
+    }
+    /// Degraded re-attempts across all faults (resumed records included).
+    std::size_t retries() const {
+        std::size_t n = 0;
+        for (const R& r : results)
+            if (r.attempts > 1) n += r.attempts - 1;
+        return n;
+    }
+    /// Fault coverage in percent.
+    double coverage() const {
+        if (results.empty()) return 0.0;
+        return 100.0 * static_cast<double>(detected()) /
+               static_cast<double>(results.size());
+    }
+
+private:
+    template <class Pred>
+    std::size_t count(Pred pred) const {
+        return static_cast<std::size_t>(
+            std::count_if(results.begin(), results.end(), pred));
+    }
+};
+
+/// Aggregated transient campaign outcome with the coverage computations
+/// behind the paper's Fig. 5.
+struct CampaignResult : CampaignOutput<FaultSimResult> {
     spice::Waveforms nominal;
     double nominal_seconds = 0.0;
     double total_seconds = 0.0;  ///< kernel time this run spent on faults
                                  ///< (store-resumed results excluded; their
                                  ///< original cost stays on each result)
     double tstop = 0.0;
-    std::vector<FaultSimResult> results;
-    batch::BatchStats batch;     ///< scheduler / collapse / abort counters
-
-    std::size_t detected() const;
-    std::size_t undetected() const;
-    /// Faults that failed without exhausting the retry ladder (injection
-    /// errors, contained exceptions); disjoint from quarantined().
-    std::size_t failed() const;
-    /// Faults retired by the retry ladder: every rung failed.
-    std::size_t quarantined() const;
-    /// Degraded re-attempts this run spent across all faults.
-    std::size_t retries() const;
 
     /// Fault coverage (%) counting faults detected by time t.
     double coverage_at(double t) const;
@@ -165,13 +263,22 @@ std::uint64_t campaign_manifest(const netlist::Circuit& ckt,
                                 const CampaignOptions& opt = {});
 
 /// Canonical text of every verdict-determining numeric/kernel knob of a
-/// SimOptions -- the block shared by the tran, AC and DC campaign
-/// manifests.
+/// SimOptions -- part of run_signature().
 std::string sim_knob_signature(const spice::SimOptions& sim);
+
+/// Manifest text of the injection model ("resistor|<short>|<open>"), the
+/// first block of every analysis' option text.
+std::string injection_signature(const RunOptions& opt);
+
+/// Manifest text of the shared kernel and engine knobs, the last block of
+/// every analysis' option text.  `mode` is the analysis' own engine
+/// shortcut token ("abort"/"noabort", "warm"/"cold"), hashed between the
+/// collapse and retry tokens.
+std::string run_signature(const RunOptions& opt, const char* mode);
 
 /// Chain every fault's identity (id | description | probability |
 /// electrical-effect signature) into a manifest hash -- the fault-list
-/// block shared by the AC and DC campaign manifests.
+/// block shared by the tran, AC and DC campaign manifests.
 std::uint64_t chain_fault_manifest(std::uint64_t h,
                                    const lift::FaultList& faults);
 

@@ -9,18 +9,6 @@ namespace catlift::anafault {
 
 using netlist::Circuit;
 
-std::size_t DcScreenResult::detected() const {
-    return static_cast<std::size_t>(
-        std::count_if(results.begin(), results.end(),
-                      [](const DcFaultResult& r) { return r.detected; }));
-}
-
-double DcScreenResult::coverage() const {
-    if (results.empty()) return 0.0;
-    return 100.0 * static_cast<double>(detected()) /
-           static_cast<double>(results.size());
-}
-
 std::vector<int> DcScreenResult::undetected_ids() const {
     std::vector<int> out;
     for (const DcFaultResult& r : results)
@@ -28,85 +16,39 @@ std::vector<int> DcScreenResult::undetected_ids() const {
     return out;
 }
 
-std::size_t DcScreenResult::failed() const {
-    return static_cast<std::size_t>(std::count_if(
-        results.begin(), results.end(), [](const DcFaultResult& r) {
-            return !r.converged && !r.quarantined;
-        }));
-}
-
-std::size_t DcScreenResult::quarantined() const {
-    return static_cast<std::size_t>(
-        std::count_if(results.begin(), results.end(),
-                      [](const DcFaultResult& r) { return r.quarantined; }));
-}
-
 std::uint64_t dc_screen_manifest(const Circuit& ckt,
                                  const lift::FaultList& faults,
                                  const DcScreenOptions& opt) {
     std::uint64_t h =
         chain_fault_manifest(batch::fnv1a(netlist::write_spice(ckt)), faults);
-    std::string o = "dc";
+    std::string o = "dc|";
+    o += injection_signature(opt);
     const auto field = [&o](const std::string& v) {
         o += '|';
         o += v;
     };
-    field(to_string(opt.injection.model));
-    field(manifest_double(opt.injection.short_resistance));
-    field(manifest_double(opt.injection.open_resistance));
     field(manifest_double(opt.v_tol));
     for (const std::string& n : opt.observed) field(n);
-    o += sim_knob_signature(opt.sim);
-    o += opt.share_symbolic ? "|sharesym" : "|nosharesym";
-    o += opt.collapse ? "|collapse" : "|nocollapse";
-    o += opt.warm_start ? "|warm" : "|cold";
-    // The retry ladder can converge a fault the base config fails, so a
-    // store written under a different retry depth is foreign.
-    o += "|retries:" + std::to_string(opt.max_retries);
+    o += run_signature(opt, opt.warm_start ? "warm" : "cold");
     return batch::fnv1a(o, h);
 }
 
 batch::FaultSimResult dc_to_record(const DcFaultResult& r) {
     batch::FaultSimResult rec;
-    rec.fault_id = r.fault_id;
-    rec.description = r.description;
-    rec.probability = r.probability;
+    copy_outcome(r, rec);
     rec.simulated = r.converged;
     if (r.detected) rec.detect_time = 0.0;
     rec.metric = r.max_deviation;
-    rec.sim_seconds = r.sim_seconds;
-    rec.nr_iterations = static_cast<std::size_t>(
-        std::max(0, r.nr_iterations));
-    rec.symbolic_cache_hits = r.symbolic_cache_hits;
-    rec.ordering_seconds = r.ordering_seconds;
-    rec.numeric_seconds = r.numeric_seconds;
-    rec.carried = r.carried;
-    rec.error = r.error;
-    rec.attempts = r.attempts;
-    rec.quarantined = r.quarantined;
-    rec.retry_log = r.retry_log;
     return rec;
 }
 
 DcFaultResult dc_from_record(const batch::FaultSimResult& rec) {
     DcFaultResult r;
-    r.fault_id = rec.fault_id;
-    r.description = rec.description;
-    r.probability = rec.probability;
+    copy_outcome(rec, r);
     r.converged = rec.simulated;
     r.detected = rec.detect_time.has_value();
     r.max_deviation = rec.metric;
-    r.sim_seconds = rec.sim_seconds;
-    r.nr_iterations = static_cast<int>(rec.nr_iterations);
     r.strategy = rec.simulated ? "stored" : "";
-    r.symbolic_cache_hits = rec.symbolic_cache_hits;
-    r.ordering_seconds = rec.ordering_seconds;
-    r.numeric_seconds = rec.numeric_seconds;
-    r.carried = rec.carried;
-    r.error = rec.error;
-    r.attempts = rec.attempts;
-    r.quarantined = rec.quarantined;
-    r.retry_log = rec.retry_log;
     return r;
 }
 
@@ -149,7 +91,7 @@ Attempt DcPolicy::attempt(const Circuit& faulty,
     const spice::DcResult op =
         opt.warm_start ? sim.dc_op(nominal_res->nominal_op) : sim.dc_op();
     r.converged = op.converged;
-    r.nr_iterations = op.iterations;
+    r.nr_iterations = static_cast<std::size_t>(op.iterations);
     r.strategy = op.strategy;
     r.symbolic_cache_hits = sim.stats().symbolic_cache_hits;
     r.ordering_seconds = sim.stats().ordering_seconds;

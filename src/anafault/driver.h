@@ -29,11 +29,9 @@
 //   fold(Output&, r)            fold one result of this run into the
 //                               campaign counters
 //
-// Every per-fault result type shares the identity, containment and
-// common cost fields (fault_id, description, probability, error,
-// sim_seconds, nr_iterations, symbolic_cache_hits, ordering_seconds,
-// numeric_seconds, attempts, quarantined, retry_log), which the driver
-// handles itself.
+// Every per-fault result type carries the FaultOutcome fields (identity,
+// containment and common kernel cost; anafault/campaign.h), which the
+// driver handles itself, and answers is_detected(r) / ran(r).
 
 #pragma once
 
@@ -70,11 +68,21 @@ struct JobMeta {
 /// JobMeta of every fault of a LIFT list (signature: batch::effect_signature).
 std::vector<JobMeta> fault_metas(const lift::FaultList& faults);
 
-/// The verdict name of a store record; a per-fault result maps onto its
-/// record through P::to_record.
-inline const char* verdict_of(const batch::FaultSimResult& r) {
-    if (r.detect_time) return "detected";
-    if (r.simulated) return "undetected";
+/// Chain every fault's identity into a manifest hash (the loop behind
+/// chain_fault_manifest, also over parametric faults' metas).
+std::uint64_t chain_fault_metas(std::uint64_t h,
+                                const std::vector<JobMeta>& metas);
+
+/// The transient campaign's analysis grid: opt.tran, else the circuit's
+/// own .tran card.
+netlist::TranSpec resolve_tran(const netlist::Circuit& ckt,
+                               const CampaignOptions& opt);
+
+/// The verdict name of a per-fault result or a store record.
+template <class R>
+const char* verdict_of(const R& r) {
+    if (is_detected(r)) return "detected";
+    if (ran(r)) return "undetected";
     return r.quarantined ? "quarantined" : "failed";
 }
 
@@ -153,8 +161,7 @@ void publish(obs::Span& sp, const typename P::Result& r,
         sp.end();
         return;
     }
-    const batch::FaultSimResult& rec = P::to_record(r);
-    const std::string verdict = verdict_of(rec);
+    const std::string verdict = verdict_of(r);
     std::vector<obs::TraceArg> fields{obs::arg("fault_id", i64(r.fault_id)),
                                       obs::arg("verdict", verdict),
                                       obs::arg("sim_seconds", r.sim_seconds)};
@@ -170,7 +177,7 @@ void publish(obs::Span& sp, const typename P::Result& r,
     if (o.metrics) {
         obs::Registry& reg = obs::Registry::global();
         reg.counter("campaign.retired").add(1);
-        if (rec.detect_time) reg.counter("campaign.detected").add(1);
+        if (is_detected(r)) reg.counter("campaign.detected").add(1);
     }
     o.count("nr_iterations", static_cast<std::int64_t>(r.nr_iterations));
     o.count("symbolic_cache_hits", i64(r.symbolic_cache_hits));
@@ -379,8 +386,8 @@ typename P::Output drive(P& p, const std::vector<JobMeta>& metas, Make make,
                 obs::emit_event(
                     "fault_retired",
                     {obs::arg("fault_id", i64(metas[m].fault_id)),
-                     obs::arg("verdict", std::string(verdict_of(
-                                             P::to_record(res.results[m])))),
+                     obs::arg("verdict",
+                              std::string(verdict_of(res.results[m]))),
                      obs::arg("via", std::string("collapse"))});
         }
     };

@@ -157,13 +157,14 @@ void seed_merged_store(const std::string& path, std::uint64_t manifest,
 /// baseline store proves, run the remainder as a subset campaign into the
 /// merged store, and merge in revision order.  Nominal run, kernel-cost
 /// aggregates and batch counters describe the work this run performed.
-template <class P, class IncResult, class IncOptions>
-IncResult run_incremental(const Circuit& ckt, const lift::FaultList& baseline,
-                          const lift::FaultList& revision,
-                          const IncOptions& opt) {
+template <class P>
+IncrementalRunResult<typename P::Output> run_incremental(
+    const Circuit& ckt, const lift::FaultList& baseline,
+    const lift::FaultList& revision,
+    const IncrementalRunOptions<typename P::Options>& opt) {
     const std::string what =
         std::string("incremental ") + P::kAnalysis + " campaign";
-    IncResult res;
+    IncrementalRunResult<typename P::Output> res;
     require(!(opt.campaign.resume && opt.campaign.result_store.empty()),
             what + ": resume needs a merged result store path");
 
@@ -218,23 +219,20 @@ IncrementalResult run_incremental_campaign(const Circuit& ckt,
                                            const lift::FaultList& baseline,
                                            const lift::FaultList& revision,
                                            const IncrementalOptions& opt) {
-    return run_incremental<detail::TranPolicy, IncrementalResult>(
-        ckt, baseline, revision, opt);
+    return run_incremental<detail::TranPolicy>(ckt, baseline, revision, opt);
 }
 
 IncrementalAcResult run_incremental_ac_campaign(
     const Circuit& ckt, const lift::FaultList& baseline,
     const lift::FaultList& revision, const IncrementalAcOptions& opt) {
-    return run_incremental<detail::AcPolicy, IncrementalAcResult>(
-        ckt, baseline, revision, opt);
+    return run_incremental<detail::AcPolicy>(ckt, baseline, revision, opt);
 }
 
 IncrementalDcResult run_incremental_dc_screen(const Circuit& ckt,
                                               const lift::FaultList& baseline,
                                               const lift::FaultList& revision,
                                               const IncrementalDcOptions& opt) {
-    return run_incremental<detail::DcPolicy, IncrementalDcResult>(
-        ckt, baseline, revision, opt);
+    return run_incremental<detail::DcPolicy>(ckt, baseline, revision, opt);
 }
 
 std::string incremental_summary(const IncrementalStats& inc,

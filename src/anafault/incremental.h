@@ -15,7 +15,10 @@
 // (anafault/driver.h): run_incremental_campaign drives the transient
 // campaign, run_incremental_ac_campaign the AC sweep,
 // run_incremental_dc_screen the DC screen (each bound to its own manifest
-// hash, so a transient store can never feed an AC carry).
+// hash, so a transient store can never feed an AC carry).  Their options
+// and results are one template each, IncrementalRunOptions and
+// IncrementalRunResult, over the analysis' option and result types; the
+// Incremental{,Ac,Dc}{Options,Result} names are aliases of them.
 //
 // Carry-over safety: a baseline verdict is only reused when the baseline
 // store's manifest reproduces the baseline campaign's manifest hash --
@@ -35,12 +38,15 @@
 
 namespace catlift::anafault {
 
-struct IncrementalOptions {
+/// Options of an incremental run of one analysis (Options is
+/// CampaignOptions, AcCampaignOptions or DcScreenOptions).
+template <class Options>
+struct IncrementalRunOptions {
     /// Campaign configuration for the revision.  `result_store` names the
     /// *merged* store to emit ("" keeps the merge in memory only);
     /// `resume` additionally reuses records a previous -- possibly
     /// crashed -- incremental run already wrote into the merged store.
-    CampaignOptions campaign;
+    Options campaign;
     /// Result store of the baseline campaign (read-only; never modified).
     std::string baseline_store;
     /// Relative probability tolerance of the fault-list diff: a fault
@@ -48,19 +54,9 @@ struct IncrementalOptions {
     /// even though its electrical signature is unchanged.
     double rel_tol = 0.05;
 };
-
-/// AC / DC variants: the same diff + store machinery with the analysis'
-/// own campaign options and manifest.
-struct IncrementalAcOptions {
-    AcCampaignOptions campaign;
-    std::string baseline_store;
-    double rel_tol = 0.05;
-};
-struct IncrementalDcOptions {
-    DcScreenOptions campaign;
-    std::string baseline_store;
-    double rel_tol = 0.05;
-};
+using IncrementalOptions = IncrementalRunOptions<CampaignOptions>;
+using IncrementalAcOptions = IncrementalRunOptions<AcCampaignOptions>;
+using IncrementalDcOptions = IncrementalRunOptions<DcScreenOptions>;
 
 /// Per-class provenance counters of one incremental run.
 struct IncrementalStats {
@@ -81,21 +77,19 @@ struct IncrementalStats {
     std::string carry_block_reason;
 };
 
-struct IncrementalResult {
+/// Outcome of an incremental run of one analysis (Output is
+/// CampaignResult, AcCampaignResult or DcScreenResult).
+template <class Output>
+struct IncrementalRunResult {
     /// Merged outcome in revision fault-list order; verdicts identical to
-    /// a cold full campaign on the revision.  total_seconds / batch
+    /// a cold full campaign on the revision.  Kernel-time totals and batch
     /// counters cover only the kernel work this run actually performed.
-    CampaignResult campaign;
+    Output campaign;
     IncrementalStats inc;
 };
-struct IncrementalAcResult {
-    AcCampaignResult campaign;
-    IncrementalStats inc;
-};
-struct IncrementalDcResult {
-    DcScreenResult campaign;
-    IncrementalStats inc;
-};
+using IncrementalResult = IncrementalRunResult<CampaignResult>;
+using IncrementalAcResult = IncrementalRunResult<AcCampaignResult>;
+using IncrementalDcResult = IncrementalRunResult<DcScreenResult>;
 
 /// Run the revision campaign incrementally against a baseline.
 /// `baseline` must be the fault list the baseline store was written for.

@@ -27,7 +27,6 @@ CampaignResult run_worker_campaign(const netlist::Circuit& ckt,
 
     CampaignOptions wopt = opt;
     wopt.result_store = w.shard;
-    wopt.store_durability = opt.store_durability;
     wopt.resume = true;  // a respawn must skip its predecessor's records
     wopt.manifest_override = manifest;
 
@@ -63,10 +62,7 @@ CampaignResult load_campaign_result(const netlist::Circuit& ckt,
                 " identifies as a different campaign");
 
     CampaignResult res;
-    if (opt.tran)
-        res.tstop = opt.tran->tstop;
-    else if (ckt.tran)
-        res.tstop = ckt.tran->tstop;
+    res.tstop = detail::resolve_tran(ckt, opt).tstop;
     const std::vector<detail::JobMeta> metas = detail::fault_metas(faults);
     const std::vector<char> done =
         detail::load_slots<detail::TranPolicy>(snap->records, metas, res);

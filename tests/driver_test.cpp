@@ -131,6 +131,55 @@ TEST(DriverPins, VcoManifests) {
               0xbd4b28dfe652f458ull);
 }
 
+/// Which knobs move a manifest: flipping a hashed execution field changes
+/// it (a store written under the old value is foreign), flipping an
+/// exempt one leaves it unchanged (same campaign, same store).
+template <class Options, class Manifest>
+void expect_manifest_sensitivity(const char* analysis, const Options& base,
+                                 Manifest manifest) {
+    const std::uint64_t h0 = manifest(base);
+    const auto moved = [&](auto flip) {
+        Options o = base;
+        flip(o);
+        return manifest(o) != h0;
+    };
+    SCOPED_TRACE(analysis);
+    EXPECT_TRUE(moved([](Options& o) {
+        o.injection.model = HardFaultModel::Source;
+    })) << "injection.model";
+    EXPECT_TRUE(moved([](Options& o) { o.injection.short_resistance *= 2; }))
+        << "injection.short_resistance";
+    EXPECT_TRUE(moved([](Options& o) { o.sim.gmin *= 10; })) << "sim.gmin";
+    EXPECT_TRUE(moved([](Options& o) { o.collapse = !o.collapse; }))
+        << "collapse";
+    EXPECT_TRUE(moved([](Options& o) {
+        o.share_symbolic = !o.share_symbolic;
+    })) << "share_symbolic";
+    EXPECT_TRUE(moved([](Options& o) { ++o.max_retries; })) << "max_retries";
+
+    EXPECT_FALSE(moved([](Options& o) { o.threads = 7; })) << "threads";
+    EXPECT_FALSE(moved([](Options& o) { o.result_store = "elsewhere.store"; }))
+        << "result_store";
+    EXPECT_FALSE(moved([](Options& o) {
+        o.store_durability = batch::Durability::Fsync;
+    })) << "store_durability";
+    EXPECT_FALSE(moved([](Options& o) { o.resume = !o.resume; }))
+        << "resume";
+}
+
+TEST(DriverPins, OtaManifestSensitivity) {
+    const OtaCampaigns o = ota_campaigns();
+    expect_manifest_sensitivity("tran", o.tran, [&](const CampaignOptions& c) {
+        return campaign_manifest(o.tran_ckt, o.faults, c);
+    });
+    expect_manifest_sensitivity("ac", o.ac, [&](const AcCampaignOptions& c) {
+        return ac_campaign_manifest(o.ac_ckt, o.faults, c);
+    });
+    expect_manifest_sensitivity("dc", o.dc, [&](const DcScreenOptions& c) {
+        return dc_screen_manifest(o.dc_ckt, o.faults, c);
+    });
+}
+
 TEST(DriverPins, OtaVerdictDigests) {
     const OtaCampaigns o = ota_campaigns();
     const CampaignResult tr = run_campaign(o.tran_ckt, o.faults, o.tran);

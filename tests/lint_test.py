@@ -67,6 +67,12 @@ def _make_case(rule_id, name, mutator):
             self.assertEqual(
                 [rule_id], fired,
                 f"seeding '{name}' must trip only {rule_id}")
+            self.assertTrue(
+                catlift_lint.scenario_fired(
+                    name, [f for f in findings if f.rule == rule_id]),
+                f"seeding '{name}' must report "
+                f"{catlift_lint.EXPECTED_FINDINGS.get(name)!r}; "
+                f"findings: {[str(f) for f in findings]}")
     return test
 
 

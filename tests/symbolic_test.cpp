@@ -510,45 +510,69 @@ TEST(Symbolic, DcScreenStoreRoundTripAndIncrementalCarry) {
 // ---------------------------------------------------------------------------
 // Record round trips
 
+// Every field both result types share with the store record (identity,
+// containment, kernel cost, provenance) survives the round trip; a field
+// dropped from the converters fails here.
+template <class R>
+void set_shared_fields(R& r, int id) {
+    r.fault_id = id;
+    r.description = "short x|y #" + std::to_string(id);
+    r.probability = 3e-9;
+    r.error = "attempt 1 failed";
+    r.sim_seconds = 0.25;
+    r.nr_iterations = 42;
+    r.symbolic_cache_hits = 1;
+    r.ordering_seconds = 0.003;
+    r.numeric_seconds = 0.01;
+    r.carried = true;
+    r.attempts = 3;
+    r.quarantined = true;
+    r.retry_log = "attempt 1 [base]: x; attempt 2 [gmin]: y";
+}
+
+template <class R>
+void expect_shared_fields(const R& r, int id) {
+    EXPECT_EQ(r.fault_id, id);
+    EXPECT_EQ(r.description, "short x|y #" + std::to_string(id));
+    EXPECT_DOUBLE_EQ(r.probability, 3e-9);
+    EXPECT_EQ(r.error, "attempt 1 failed");
+    EXPECT_DOUBLE_EQ(r.sim_seconds, 0.25);
+    EXPECT_EQ(static_cast<long>(r.nr_iterations), 42L);
+    EXPECT_EQ(r.symbolic_cache_hits, 1u);
+    EXPECT_DOUBLE_EQ(r.ordering_seconds, 0.003);
+    EXPECT_DOUBLE_EQ(r.numeric_seconds, 0.01);
+    EXPECT_TRUE(r.carried);
+    EXPECT_EQ(r.attempts, 3u);
+    EXPECT_TRUE(r.quarantined);
+    EXPECT_EQ(r.retry_log, "attempt 1 [base]: x; attempt 2 [gmin]: y");
+}
+
 TEST(Symbolic, AcAndDcRecordRoundTrips) {
     anafault::AcFaultResult a;
-    a.fault_id = 7;
-    a.description = "short x|y";
-    a.probability = 3e-9;
+    set_shared_fields(a, 7);
     a.simulated = true;
     a.detected = true;
     a.detect_freq = 1.5e6;
     a.max_deviation_db = 12.5;
     a.points_saved = 17;
-    a.sim_seconds = 0.25;
-    a.nr_iterations = 42;
-    a.symbolic_cache_hits = 1;
-    a.ordering_seconds = 0.003;
-    a.numeric_seconds = 0.01;
     const auto ar = anafault::ac_from_record(anafault::ac_to_record(a));
-    EXPECT_EQ(ar.fault_id, a.fault_id);
-    EXPECT_EQ(ar.description, a.description);
+    expect_shared_fields(ar, 7);
+    EXPECT_TRUE(ar.simulated);
     EXPECT_TRUE(ar.detected);
     EXPECT_DOUBLE_EQ(*ar.detect_freq, 1.5e6);
     EXPECT_DOUBLE_EQ(ar.max_deviation_db, 12.5);
     EXPECT_EQ(ar.points_saved, 17u);
-    EXPECT_EQ(ar.nr_iterations, 42u);
-    EXPECT_EQ(ar.symbolic_cache_hits, 1u);
 
     anafault::DcFaultResult d;
-    d.fault_id = 9;
-    d.description = "open r2";
-    d.probability = 2e-9;
+    set_shared_fields(d, 9);
     d.converged = true;
     d.detected = true;
     d.max_deviation = 4.75;
-    d.nr_iterations = 11;
     const auto dr = anafault::dc_from_record(anafault::dc_to_record(d));
-    EXPECT_EQ(dr.fault_id, 9);
+    expect_shared_fields(dr, 9);
     EXPECT_TRUE(dr.converged);
     EXPECT_TRUE(dr.detected);
     EXPECT_DOUBLE_EQ(dr.max_deviation, 4.75);
-    EXPECT_EQ(dr.nr_iterations, 11);
     EXPECT_EQ(dr.strategy, "stored");
 
     // Undetected stays undetected through the round trip.

@@ -6,12 +6,14 @@ parses the sources and enforces the ones a silent violation would poison
 campaigns with:
 
   CL001 manifest-coverage
-      Every field of SimOptions / CampaignOptions / AcCampaignOptions /
-      DcScreenOptions is either referenced inside its campaign-manifest
-      hash region or carries a `manifest-exempt: <reason>` marker in the
-      doc comment above it.  A new verdict-affecting knob that skips the
-      manifest would let a foreign result store be resumed as if it were
-      the same campaign.
+      Every field of SimOptions / RunOptions / CampaignOptions /
+      AcCampaignOptions / DcScreenOptions is either referenced inside its
+      campaign-manifest hash region or carries a `manifest-exempt:
+      <reason>` marker in the doc comment above it.  RunOptions is the
+      base the three campaign option structs share; its region is the
+      shared manifest encoding (injection_signature / run_signature).  A
+      new verdict-affecting knob that skips the manifest would let a
+      foreign result store be resumed as if it were the same campaign.
 
   CL002 store-format-version
       The serialized record surface (FaultSimResult fields plus the
@@ -67,6 +69,14 @@ OPTION_STRUCTS = {
         "src/spice/engine.h",
         ["src/anafault/campaign.cpp"],
         ["sim_knob_signature"],
+    ),
+    # The execution options tran, AC and DC share: each struct below
+    # derives from it, and struct_fields() only sees a struct's own
+    # fields, so without this entry the shared fields go unchecked.
+    "RunOptions": (
+        "src/anafault/campaign.h",
+        ["src/anafault/campaign.cpp"],
+        ["injection_signature", "run_signature"],
     ),
     "CampaignOptions": (
         "src/anafault/campaign.h",
@@ -465,8 +475,15 @@ def _seed_unhashed_sim_field(fx):
 
 def _seed_unhashed_campaign_field(fx):
     mutate(fx / "src/anafault/campaign.h",
-           "struct CampaignOptions {",
-           "struct CampaignOptions {\n    bool sneaky_switch = false;\n")
+           "struct CampaignOptions : RunOptions {",
+           "struct CampaignOptions : RunOptions {\n"
+           "    bool sneaky_switch = false;\n")
+
+
+def _seed_unhashed_shared_field(fx):
+    mutate(fx / "src/anafault/campaign.h",
+           "struct RunOptions {",
+           "struct RunOptions {\n    bool sneaky_shared_knob = false;\n")
 
 
 def _seed_exempt_without_reason(fx):
@@ -526,6 +543,7 @@ SCENARIOS = [
     ("CL001", "unhashed SimOptions field", _seed_unhashed_sim_field),
     ("CL001", "unhashed CampaignOptions field",
      _seed_unhashed_campaign_field),
+    ("CL001", "unhashed RunOptions field", _seed_unhashed_shared_field),
     ("CL001", "manifest-exempt without reason", _seed_exempt_without_reason),
     ("CL002", "store record change without version bump",
      _seed_unbumped_store_change),
@@ -537,6 +555,23 @@ SCENARIOS = [
     ("CL005", "undocumented failpoint site", _seed_undocumented_failpoint),
     ("CL005", "undocumented event name", _seed_undocumented_event),
 ]
+
+
+# Scenarios whose finding must also name the offending field and region.
+EXPECTED_FINDINGS = {
+    "unhashed RunOptions field":
+        "RunOptions::sneaky_shared_knob is neither hashed in "
+        "injection_signature/run_signature",
+}
+
+
+def scenario_fired(name, findings):
+    """True when `findings` (of the scenario's rule) include the expected
+    message, if the scenario pins one."""
+    expected = EXPECTED_FINDINGS.get(name)
+    if expected is None:
+        return bool(findings)
+    return any(expected in f.message for f in findings)
 
 
 def run_scenario(root, rule_id, mutator):
@@ -556,7 +591,7 @@ def self_test(root):
         for f in baseline:
             print(f"  {f}")
     for rule_id, name, mutator in SCENARIOS:
-        fired = run_scenario(root, rule_id, mutator)
+        fired = scenario_fired(name, run_scenario(root, rule_id, mutator))
         status = "ok" if fired else "FAIL"
         if not fired:
             ok = False
