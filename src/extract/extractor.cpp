@@ -5,6 +5,7 @@
 #include "geom/spatial_index.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 
@@ -16,6 +17,11 @@ using layout::Layout;
 using layout::Technology;
 
 namespace {
+
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+/// Grid pitch of the extractor's spatial indexes (20 um).
+constexpr geom::Coord kIndexCell = 20 * 1000;
 
 /// Disjoint-set over fragment indices.
 class UnionFind {
@@ -68,155 +74,186 @@ int Extraction::net_id(const std::string& name) const {
     throw Error("Extraction: no net named " + name);
 }
 
-std::vector<std::size_t> Extraction::net_fragments(int net) const {
-    std::vector<std::size_t> out;
-    for (std::size_t i = 0; i < fragments.size(); ++i)
-        if (fragments[i].net == net) out.push_back(i);
-    return out;
-}
-
 Extraction extract(const Layout& lo, const Technology& tech,
                    const ExtractOptions& opt) {
     Extraction ex;
 
     // ---- 1. Gate regions -------------------------------------------------
+    // Each diffusion shape meets only the poly shapes a poly index returns;
+    // query() yields ascending shape ids, the order a full scan visits them.
     std::vector<GateRegion> gates;
-    const auto poly_ids = lo.on_layer(Layer::Poly);
-    for (Layer diff : {Layer::NDiff, Layer::PDiff}) {
-        for (std::size_t di : lo.on_layer(diff)) {
-            for (std::size_t pi : poly_ids) {
-                const auto ov =
-                    geom::intersection(lo.shapes[di].rect, lo.shapes[pi].rect);
-                if (!ov || ov->empty()) continue;
-                gates.push_back(GateRegion{*ov, pi, di, diff == Layer::NDiff,
-                                           lo.shapes[di].owner});
+    {
+        geom::SpatialIndex poly(kIndexCell);
+        for (std::size_t pi : lo.on_layer(Layer::Poly))
+            poly.insert(pi, lo.shapes[pi].rect);
+        for (Layer diff : {Layer::NDiff, Layer::PDiff}) {
+            for (std::size_t di : lo.on_layer(diff)) {
+                for (std::size_t pi : poly.query(lo.shapes[di].rect)) {
+                    const auto ov = geom::intersection(lo.shapes[di].rect,
+                                                       lo.shapes[pi].rect);
+                    if (!ov || ov->empty()) continue;
+                    gates.push_back(GateRegion{*ov, pi, di,
+                                               diff == Layer::NDiff,
+                                               lo.shapes[di].owner});
+                }
             }
         }
     }
 
     // ---- 2. Fragmentation -------------------------------------------------
-    for (std::size_t si = 0; si < lo.shapes.size(); ++si) {
-        const layout::Shape& s = lo.shapes[si];
-        if (!layout::is_conducting(s.layer)) continue;
-        if (s.layer == Layer::NDiff || s.layer == Layer::PDiff) {
-            // Clip the gate areas out of the diffusion.
-            std::vector<Rect> parts{s.rect};
-            for (const GateRegion& g : gates) {
-                if (!g.rect.overlaps(s.rect)) continue;
-                std::vector<Rect> next;
-                for (const Rect& p : parts) {
-                    auto cut = geom::subtract(p, g.rect);
-                    next.insert(next.end(), cut.begin(), cut.end());
+    // poly_frag: poly shape -> its fragment (poly is never clipped).
+    std::vector<std::size_t> poly_frag(lo.shapes.size(), kNone);
+    {
+        geom::SpatialIndex gate_idx(kIndexCell);
+        for (std::size_t gi = 0; gi < gates.size(); ++gi)
+            gate_idx.insert(gi, gates[gi].rect);
+        for (std::size_t si = 0; si < lo.shapes.size(); ++si) {
+            const layout::Shape& s = lo.shapes[si];
+            if (!layout::is_conducting(s.layer)) continue;
+            if (s.layer == Layer::NDiff || s.layer == Layer::PDiff) {
+                // Clip the gate areas out of the diffusion, in gate order.
+                std::vector<Rect> parts{s.rect};
+                for (std::size_t gi : gate_idx.query(s.rect)) {
+                    const GateRegion& g = gates[gi];
+                    if (!g.rect.overlaps(s.rect)) continue;
+                    std::vector<Rect> next;
+                    for (const Rect& p : parts) {
+                        auto cut = geom::subtract(p, g.rect);
+                        next.insert(next.end(), cut.begin(), cut.end());
+                    }
+                    parts = std::move(next);
                 }
-                parts = std::move(next);
+                for (const Rect& p : parts)
+                    ex.fragments.push_back(
+                        Fragment{s.layer, p, si, s.owner, -1});
+            } else {
+                if (s.layer == Layer::Poly) poly_frag[si] = ex.fragments.size();
+                ex.fragments.push_back(
+                    Fragment{s.layer, s.rect, si, s.owner, -1});
             }
-            for (const Rect& p : parts)
-                ex.fragments.push_back(Fragment{s.layer, p, si, s.owner, -1});
-        } else {
-            ex.fragments.push_back(Fragment{s.layer, s.rect, si, s.owner, -1});
         }
     }
+    std::array<std::vector<std::size_t>, layout::kLayerCount> by_layer;
+    for (std::size_t i = 0; i < ex.fragments.size(); ++i)
+        by_layer[static_cast<std::size_t>(ex.fragments[i].layer)].push_back(i);
 
     // ---- 3. Connectivity ---------------------------------------------------
-    UnionFind uf(ex.fragments.size());
-
-    // Same-layer touching fragments.
-    for (int li = 0; li < static_cast<int>(layout::kLayerCount); ++li) {
-        const Layer layer = static_cast<Layer>(li);
-        if (!layout::is_conducting(layer)) continue;
-        std::vector<std::size_t> ids;
-        for (std::size_t i = 0; i < ex.fragments.size(); ++i)
-            if (ex.fragments[i].layer == layer) ids.push_back(i);
-        if (ids.empty()) continue;
-        geom::SpatialIndex idx(20 * 1000);
-        for (std::size_t i : ids) idx.insert(i, ex.fragments[i].rect);
-        for (std::size_t i : ids) {
-            for (std::size_t j : idx.neighbours(ex.fragments[i].rect, 0)) {
-                if (j <= i) continue;
-                if (ex.fragments[j].layer != layer) continue;
-                if (ex.fragments[i].rect.touches(ex.fragments[j].rect))
-                    uf.unite(i, j);
-            }
-        }
-    }
-
-    // Cut stitches (and cluster bookkeeping).
+    // One layer at a time: index the layer's fragments, unite the touching
+    // pairs, and look up the cuts and labels that land on the layer.  Only
+    // one layer's index is alive at any time.
     struct RawCut {
         std::size_t shape;
         Layer layer;
-        std::size_t upper;  // metal1 (contact) / metal2 (via) fragment
-        std::size_t lower;  // poly-or-diff (contact) / metal1 (via) fragment
+        std::size_t upper;  // first (lowest-index) upper fragment
+        std::size_t lower;  // first lower fragment
     };
     std::vector<RawCut> raw_cuts;
-    auto frag_on = [&](const Rect& r, std::initializer_list<Layer> layers)
-        -> std::vector<std::size_t> {
-        std::vector<std::size_t> out;
-        for (std::size_t i = 0; i < ex.fragments.size(); ++i) {
-            const Fragment& f = ex.fragments[i];
-            for (Layer l : layers)
-                if (f.layer == l && f.rect.overlaps(r)) out.push_back(i);
+    UnionFind uf(ex.fragments.size());
+    {
+        struct Landing {
+            std::size_t shape;
+            Layer layer;                      // Contact or Via
+            std::vector<std::size_t> uppers;  // metal1 (contact) / metal2 (via)
+            std::vector<std::size_t> lowers;  // poly-or-diff (contact) / metal1
+        };
+        std::vector<Landing> landings;
+        for (std::size_t si = 0; si < lo.shapes.size(); ++si) {
+            const Layer l = lo.shapes[si].layer;
+            if (l == Layer::Contact || l == Layer::Via)
+                landings.push_back(Landing{si, l, {}, {}});
         }
-        return out;
-    };
-    for (std::size_t si = 0; si < lo.shapes.size(); ++si) {
-        const layout::Shape& s = lo.shapes[si];
-        if (s.layer == Layer::Contact) {
-            const auto uppers = frag_on(s.rect, {Layer::Metal1});
-            const auto lowers =
-                frag_on(s.rect, {Layer::Poly, Layer::NDiff, Layer::PDiff});
-            require(!uppers.empty() && !lowers.empty(),
-                    "extract: contact not joining metal1 to poly/diffusion "
-                    "(owner " + s.owner + ")");
-            // A contact bridging both poly and diffusion is a layout bug.
-            std::set<Layer> lower_layers;
-            for (std::size_t f : lowers)
-                lower_layers.insert(ex.fragments[f].layer);
-            require(!(lower_layers.count(Layer::Poly) &&
-                      (lower_layers.count(Layer::NDiff) ||
-                       lower_layers.count(Layer::PDiff))),
-                    "extract: contact bridges poly and diffusion (owner " +
-                        s.owner + ")");
-            for (std::size_t u : uppers)
-                for (std::size_t l : lowers) uf.unite(u, l);
-            raw_cuts.push_back(RawCut{si, Layer::Contact, uppers.front(),
-                                      lowers.front()});
-        } else if (s.layer == Layer::Via) {
-            const auto uppers = frag_on(s.rect, {Layer::Metal2});
-            const auto lowers = frag_on(s.rect, {Layer::Metal1});
-            require(!uppers.empty() && !lowers.empty(),
-                    "extract: via not joining metal1 to metal2 (owner " +
-                        s.owner + ")");
-            for (std::size_t u : uppers)
-                for (std::size_t l : lowers) uf.unite(u, l);
+        ex.label_fragments.assign(lo.labels.size(), kNone);
+        for (std::size_t li = 0; li < layout::kLayerCount; ++li) {
+            const Layer layer = static_cast<Layer>(li);
+            const std::vector<std::size_t>& ids = by_layer[li];
+            if (ids.empty()) continue;
+            geom::SpatialIndex idx(kIndexCell);
+            for (std::size_t i : ids) idx.insert(i, ex.fragments[i].rect);
+            for (std::size_t i : ids) {
+                for (std::size_t j : idx.neighbours(ex.fragments[i].rect, 0)) {
+                    if (j <= i) continue;
+                    if (ex.fragments[i].rect.touches(ex.fragments[j].rect)) {
+                        uf.unite(i, j);
+                        ex.touching.emplace_back(i, j);
+                    }
+                }
+            }
+            for (Landing& c : landings) {
+                const bool upper = layer == (c.layer == Layer::Contact
+                                                 ? Layer::Metal1
+                                                 : Layer::Metal2);
+                const bool lower = c.layer == Layer::Contact
+                                       ? (layer == Layer::Poly ||
+                                          layer == Layer::NDiff ||
+                                          layer == Layer::PDiff)
+                                       : layer == Layer::Metal1;
+                if (!upper && !lower) continue;
+                const Rect& r = lo.shapes[c.shape].rect;
+                for (std::size_t f : idx.query(r))
+                    if (ex.fragments[f].rect.overlaps(r))
+                        (upper ? c.uppers : c.lowers).push_back(f);
+            }
+            for (std::size_t l = 0; l < lo.labels.size(); ++l) {
+                const layout::Label& lb = lo.labels[l];
+                if (lb.layer != layer) continue;
+                const auto hits =
+                    idx.query(Rect(lb.at.x, lb.at.y, lb.at.x, lb.at.y));
+                if (!hits.empty()) ex.label_fragments[l] = hits.front();
+            }
+        }
+        std::sort(ex.touching.begin(), ex.touching.end());
+
+        // Cut stitches (and cluster bookkeeping), in shape order.
+        for (Landing& c : landings) {
+            const std::string& owner = lo.shapes[c.shape].owner;
+            if (c.layer == Layer::Contact) {
+                require(!c.uppers.empty() && !c.lowers.empty(),
+                        "extract: contact not joining metal1 to poly/diffusion "
+                        "(owner " + owner + ")");
+                // A contact bridging both poly and diffusion is a layout bug.
+                bool on_poly = false, on_diff = false;
+                for (std::size_t f : c.lowers)
+                    (ex.fragments[f].layer == Layer::Poly ? on_poly : on_diff) =
+                        true;
+                require(!(on_poly && on_diff),
+                        "extract: contact bridges poly and diffusion (owner " +
+                            owner + ")");
+                // Lower hits arrive layer by layer; the first is the lowest id.
+                std::sort(c.lowers.begin(), c.lowers.end());
+            } else {
+                require(!c.uppers.empty() && !c.lowers.empty(),
+                        "extract: via not joining metal1 to metal2 (owner " +
+                            owner + ")");
+            }
+            for (std::size_t u : c.uppers)
+                for (std::size_t l : c.lowers) uf.unite(u, l);
             raw_cuts.push_back(
-                RawCut{si, Layer::Via, uppers.front(), lowers.front()});
+                RawCut{c.shape, c.layer, c.uppers.front(), c.lowers.front()});
         }
     }
 
     // ---- 4. Net numbering + labels -----------------------------------------
-    std::map<std::size_t, int> root_to_net;
-    for (std::size_t i = 0; i < ex.fragments.size(); ++i) {
-        const std::size_t r = uf.find(i);
-        auto [it, inserted] =
-            root_to_net.emplace(r, static_cast<int>(root_to_net.size()));
-        ex.fragments[i].net = it->second;
-        (void)inserted;
-    }
-    ex.net_names.assign(root_to_net.size(), "");
-    for (const layout::Label& lb : lo.labels) {
-        bool hit = false;
-        for (const Fragment& f : ex.fragments) {
-            if (f.layer != lb.layer || !f.rect.contains(lb.at)) continue;
-            std::string& name =
-                ex.net_names[static_cast<std::size_t>(f.net)];
-            require(name.empty() || name == lb.text,
-                    "extract: conflicting labels '" + name + "' and '" +
-                        lb.text + "' on one net");
-            name = lb.text;
-            hit = true;
-            break;
+    // Nets are numbered in order of their lowest fragment.
+    {
+        std::vector<int> root_net(ex.fragments.size(), -1);
+        int n_nets = 0;
+        for (std::size_t i = 0; i < ex.fragments.size(); ++i) {
+            int& net = root_net[uf.find(i)];
+            if (net < 0) net = n_nets++;
+            ex.fragments[i].net = net;
         }
-        require(hit, "extract: label '" + lb.text + "' touches no conductor");
+        ex.net_names.assign(static_cast<std::size_t>(n_nets), "");
+    }
+    for (std::size_t l = 0; l < lo.labels.size(); ++l) {
+        const layout::Label& lb = lo.labels[l];
+        require(ex.label_fragments[l] != kNone,
+                "extract: label '" + lb.text + "' touches no conductor");
+        std::string& name = ex.net_names[static_cast<std::size_t>(
+            ex.fragments[ex.label_fragments[l]].net)];
+        require(name.empty() || name == lb.text,
+                "extract: conflicting labels '" + name + "' and '" +
+                    lb.text + "' on one net");
+        name = lb.text;
     }
     {
         int anon = 0;
@@ -232,33 +269,46 @@ Extraction extract(const Layout& lo, const Technology& tech,
 
     // ---- 5. Cut clusters -----------------------------------------------------
     // Redundant cuts implementing the same junction are grouped: same cut
-    // layer, same joined layers, and within one defect diameter of each
-    // other.  A cluster can only be opened by a defect spanning its whole
-    // bounding box.
+    // layer, same joined nets and lower layer, and within one defect
+    // diameter of each other.  A cluster can only be opened by a defect
+    // spanning its whole bounding box.  Candidates are compared only within
+    // their (cut layer, upper net, lower net, lower layer) bucket, by a
+    // sweep over x.
     {
         constexpr geom::Coord kClusterDist = 6 * 1000;  // 6 um
         UnionFind cuf(raw_cuts.size());
-        for (std::size_t i = 0; i < raw_cuts.size(); ++i) {
-            for (std::size_t j = i + 1; j < raw_cuts.size(); ++j) {
-                const RawCut& a = raw_cuts[i];
-                const RawCut& b = raw_cuts[j];
-                if (a.layer != b.layer) continue;
-                if (ex.fragments[a.upper].net != ex.fragments[b.upper].net ||
-                    ex.fragments[a.lower].net != ex.fragments[b.lower].net)
-                    continue;
-                if (ex.fragments[a.lower].layer != ex.fragments[b.lower].layer)
-                    continue;
-                if (geom::separation(lo.shapes[a.shape].rect,
-                                     lo.shapes[b.shape].rect) <= kClusterDist)
-                    cuf.unite(i, j);
-            }
-        }
-        std::map<std::size_t, std::size_t> root_to_cluster;
+        std::map<std::array<int, 4>, std::vector<std::size_t>> buckets;
         for (std::size_t i = 0; i < raw_cuts.size(); ++i) {
             const RawCut& rc = raw_cuts[i];
-            const std::size_t root = cuf.find(i);
-            auto [it, inserted] = root_to_cluster.emplace(root, ex.cuts.size());
-            if (inserted) {
+            buckets[{static_cast<int>(rc.layer), ex.fragments[rc.upper].net,
+                     ex.fragments[rc.lower].net,
+                     static_cast<int>(ex.fragments[rc.lower].layer)}]
+                .push_back(i);
+        }
+        auto rect_of = [&](std::size_t i) -> const Rect& {
+            return lo.shapes[raw_cuts[i].shape].rect;
+        };
+        for (auto& [key, members] : buckets) {
+            std::sort(members.begin(), members.end(),
+                      [&](std::size_t a, std::size_t b) {
+                          return rect_of(a).lo.x < rect_of(b).lo.x;
+                      });
+            for (std::size_t a = 0; a < members.size(); ++a) {
+                const Rect& ra = rect_of(members[a]);
+                for (std::size_t b = a + 1; b < members.size(); ++b) {
+                    const Rect& rb = rect_of(members[b]);
+                    if (rb.lo.x - ra.hi.x > kClusterDist) break;
+                    if (geom::separation(ra, rb) <= kClusterDist)
+                        cuf.unite(members[a], members[b]);
+                }
+            }
+        }
+        std::vector<std::size_t> root_cluster(raw_cuts.size(), kNone);
+        for (std::size_t i = 0; i < raw_cuts.size(); ++i) {
+            const RawCut& rc = raw_cuts[i];
+            std::size_t& cluster = root_cluster[cuf.find(i)];
+            if (cluster == kNone) {
+                cluster = ex.cuts.size();
                 CutCluster cc;
                 cc.layer = rc.layer;
                 cc.frag_a = rc.upper;
@@ -268,7 +318,7 @@ Extraction extract(const Layout& lo, const Technology& tech,
                 cc.cuts.push_back(rc.shape);
                 ex.cuts.push_back(std::move(cc));
             } else {
-                CutCluster& cc = ex.cuts[it->second];
+                CutCluster& cc = ex.cuts[cluster];
                 cc.cuts.push_back(rc.shape);
                 cc.bbox = cc.bbox.united(lo.shapes[rc.shape].rect);
             }
@@ -277,131 +327,140 @@ Extraction extract(const Layout& lo, const Technology& tech,
 
     // ---- 6. Device recognition ------------------------------------------------
     int anon_dev = 0;
-    for (const GateRegion& g : gates) {
-        ExtractedMos m;
-        m.is_nmos = g.is_nmos;
-        m.gate = g.rect;
-        const std::string dev = owner_device(g.owner);
-        m.name = !dev.empty() ? dev : ("MX" + std::to_string(anon_dev++));
+    {
+        // Source/drain candidates come from per-type diffusion indexes.
+        geom::SpatialIndex ndiff(kIndexCell), pdiff(kIndexCell);
+        for (std::size_t i : by_layer[static_cast<std::size_t>(Layer::NDiff)])
+            ndiff.insert(i, ex.fragments[i].rect);
+        for (std::size_t i : by_layer[static_cast<std::size_t>(Layer::PDiff)])
+            pdiff.insert(i, ex.fragments[i].rect);
+        for (const GateRegion& g : gates) {
+            ExtractedMos m;
+            m.is_nmos = g.is_nmos;
+            m.gate = g.rect;
+            const std::string dev = owner_device(g.owner);
+            m.name = !dev.empty() ? dev : ("MX" + std::to_string(anon_dev++));
 
-        // Gate fragment: the poly fragment of the gate strip.
-        bool found_gate = false;
-        for (std::size_t i = 0; i < ex.fragments.size(); ++i) {
-            const Fragment& f = ex.fragments[i];
-            if (f.layer == Layer::Poly && f.shape == g.poly_shape) {
-                m.frag_gate = i;
-                m.net_gate = f.net;
-                found_gate = true;
-                break;
+            // Gate fragment: the poly fragment of the gate strip.
+            m.frag_gate = poly_frag[g.poly_shape];
+            require(m.frag_gate != kNone,
+                    "extract: gate fragment missing for " + m.name);
+            m.net_gate = ex.fragments[m.frag_gate].net;
+
+            // Source/drain: diffusion fragments sharing a full edge with
+            // the channel.  Left/right if the diffusion abuts in x, else
+            // top/bottom.
+            std::vector<std::size_t> left, right, below, above;
+            for (std::size_t i : (g.is_nmos ? ndiff : pdiff).query(g.rect)) {
+                const Rect& r = ex.fragments[i].rect;
+                if (r.overlaps(g.rect)) continue;  // residual sliver
+                if (r.hi.x == g.rect.lo.x && geom::y_overlap(r, g.rect) > 0)
+                    left.push_back(i);
+                else if (r.lo.x == g.rect.hi.x &&
+                         geom::y_overlap(r, g.rect) > 0)
+                    right.push_back(i);
+                else if (r.hi.y == g.rect.lo.y &&
+                         geom::x_overlap(r, g.rect) > 0)
+                    below.push_back(i);
+                else if (r.lo.y == g.rect.hi.y &&
+                         geom::x_overlap(r, g.rect) > 0)
+                    above.push_back(i);
             }
-        }
-        require(found_gate, "extract: gate fragment missing for " + m.name);
+            bool horizontal;  // current flow along x (gate splits left/right)
+            std::size_t fa, fb;
+            if (!left.empty() && !right.empty()) {
+                horizontal = true;
+                fa = left.front();
+                fb = right.front();
+            } else if (!below.empty() && !above.empty()) {
+                horizontal = false;
+                fa = below.front();
+                fb = above.front();
+            } else {
+                throw Error("extract: gate of " + m.name +
+                            " lacks source/drain diffusion on opposite sides");
+            }
+            m.l = geom::to_um(horizontal ? g.rect.width() : g.rect.height()) *
+                  1e-6;
+            m.w = geom::to_um(horizontal ? g.rect.height() : g.rect.width()) *
+                  1e-6;
 
-        // Source/drain: diffusion fragments sharing a full edge with the
-        // channel.  Left/right if the diffusion abuts in x, else top/bottom.
-        const Layer diff = g.is_nmos ? Layer::NDiff : Layer::PDiff;
-        std::vector<std::size_t> left, right, below, above;
-        for (std::size_t i = 0; i < ex.fragments.size(); ++i) {
-            const Fragment& f = ex.fragments[i];
-            if (f.layer != diff || !f.rect.touches(g.rect)) continue;
-            if (f.rect.overlaps(g.rect)) continue;  // residual sliver
-            if (f.rect.hi.x == g.rect.lo.x && geom::y_overlap(f.rect, g.rect) > 0)
-                left.push_back(i);
-            else if (f.rect.lo.x == g.rect.hi.x &&
-                     geom::y_overlap(f.rect, g.rect) > 0)
-                right.push_back(i);
-            else if (f.rect.hi.y == g.rect.lo.y &&
-                     geom::x_overlap(f.rect, g.rect) > 0)
-                below.push_back(i);
-            else if (f.rect.lo.y == g.rect.hi.y &&
-                     geom::x_overlap(f.rect, g.rect) > 0)
-                above.push_back(i);
+            // Assign source/drain by provenance when available.
+            const Fragment& A = ex.fragments[fa];
+            if (owner_terminal(A.owner) == 's') {
+                m.frag_source = fa;
+                m.frag_drain = fb;
+            } else if (owner_terminal(A.owner) == 'd') {
+                m.frag_source = fb;
+                m.frag_drain = fa;
+            } else {
+                m.frag_drain = fa;
+                m.frag_source = fb;
+            }
+            m.net_source = ex.fragments[m.frag_source].net;
+            m.net_drain = ex.fragments[m.frag_drain].net;
+            ex.mosfets.push_back(std::move(m));
         }
-        bool horizontal;  // current flow along x (gate splits left/right)
-        std::size_t fa, fb;
-        if (!left.empty() && !right.empty()) {
-            horizontal = true;
-            fa = left.front();
-            fb = right.front();
-        } else if (!below.empty() && !above.empty()) {
-            horizontal = false;
-            fa = below.front();
-            fb = above.front();
-        } else {
-            throw Error("extract: gate of " + m.name +
-                        " lacks source/drain diffusion on opposite sides");
-        }
-        m.l = geom::to_um(horizontal ? g.rect.width() : g.rect.height()) * 1e-6;
-        m.w = geom::to_um(horizontal ? g.rect.height() : g.rect.width()) * 1e-6;
-
-        // Assign source/drain by provenance when available.
-        const Fragment& A = ex.fragments[fa];
-        if (owner_terminal(A.owner) == 's') {
-            m.frag_source = fa;
-            m.frag_drain = fb;
-        } else if (owner_terminal(A.owner) == 'd') {
-            m.frag_source = fb;
-            m.frag_drain = fa;
-        } else {
-            m.frag_drain = fa;
-            m.frag_source = fb;
-        }
-        m.net_source = ex.fragments[m.frag_source].net;
-        m.net_drain = ex.fragments[m.frag_drain].net;
-        ex.mosfets.push_back(std::move(m));
     }
 
     // ---- 7. Capacitor recognition ------------------------------------------
-    for (std::size_t si : lo.on_layer(Layer::CapMark)) {
-        const layout::Shape& mark = lo.shapes[si];
-        ExtractedCap cap;
-        cap.name = owner_device(mark.owner);
-        if (cap.name.empty()) cap.name = "CX" + std::to_string(anon_dev++);
-        // The plates are whatever metal1 / poly conductors overlap the
-        // recognition box; the electrode fragment with the largest marker
-        // overlap defines each plate's net, and the capacitance integrates
-        // the union of all metal1-over-poly overlap inside the marker.
-        double best_top = 0.0, best_bot = 0.0;
-        std::vector<std::size_t> tops, bots;
-        for (std::size_t i = 0; i < ex.fragments.size(); ++i) {
-            const Fragment& f = ex.fragments[i];
-            auto ov = geom::intersection(f.rect, mark.rect);
-            if (!ov || ov->empty()) continue;
-            if (f.layer == Layer::Metal1) {
-                tops.push_back(i);
-                if (ov->area() > best_top) {
-                    best_top = ov->area();
-                    cap.frag_top = i;
-                    cap.net_top = f.net;
+    const auto marks = lo.on_layer(Layer::CapMark);
+    if (!marks.empty()) {
+        geom::SpatialIndex metal1(kIndexCell), poly(kIndexCell);
+        for (std::size_t i : by_layer[static_cast<std::size_t>(Layer::Metal1)])
+            metal1.insert(i, ex.fragments[i].rect);
+        for (std::size_t i : by_layer[static_cast<std::size_t>(Layer::Poly)])
+            poly.insert(i, ex.fragments[i].rect);
+        for (std::size_t si : marks) {
+            const layout::Shape& mark = lo.shapes[si];
+            ExtractedCap cap;
+            cap.name = owner_device(mark.owner);
+            if (cap.name.empty()) cap.name = "CX" + std::to_string(anon_dev++);
+            // The plates are whatever metal1 / poly conductors overlap the
+            // recognition box; the electrode fragment with the largest
+            // marker overlap defines each plate's net, and the capacitance
+            // integrates the union of all metal1-over-poly overlap inside
+            // the marker.
+            auto plates = [&](const geom::SpatialIndex& idx, std::size_t& frag,
+                              int& net) {
+                std::vector<std::size_t> hits;
+                double best = 0.0;
+                for (std::size_t i : idx.query(mark.rect)) {
+                    auto ov =
+                        geom::intersection(ex.fragments[i].rect, mark.rect);
+                    if (!ov || ov->empty()) continue;
+                    hits.push_back(i);
+                    if (ov->area() > best) {
+                        best = ov->area();
+                        frag = i;
+                        net = ex.fragments[i].net;
+                    }
                 }
-            } else if (f.layer == Layer::Poly) {
-                bots.push_back(i);
-                if (ov->area() > best_bot) {
-                    best_bot = ov->area();
-                    cap.frag_bottom = i;
-                    cap.net_bottom = f.net;
+                return hits;
+            };
+            const auto tops = plates(metal1, cap.frag_top, cap.net_top);
+            const auto bots = plates(poly, cap.frag_bottom, cap.net_bottom);
+            require(!tops.empty() && !bots.empty(),
+                    "extract: capacitor marker without both plates: " +
+                        cap.name);
+            geom::Region overlap;
+            for (std::size_t ti : tops) {
+                if (ex.fragments[ti].net != cap.net_top) continue;
+                for (std::size_t bi : bots) {
+                    if (ex.fragments[bi].net != cap.net_bottom) continue;
+                    auto o1 = geom::intersection(ex.fragments[ti].rect,
+                                                 ex.fragments[bi].rect);
+                    if (!o1) continue;
+                    auto o2 = geom::intersection(*o1, mark.rect);
+                    if (o2 && !o2->empty()) overlap.add(*o2);
                 }
             }
+            require(!overlap.empty(),
+                    "extract: capacitor plates do not overlap inside marker");
+            const double area_m2 = geom::to_um2(overlap.union_area()) * 1e-12;
+            cap.value = area_m2 * tech.cap_per_area;
+            ex.caps.push_back(std::move(cap));
         }
-        require(best_top > 0 && best_bot > 0,
-                "extract: capacitor marker without both plates: " + cap.name);
-        geom::Region overlap;
-        for (std::size_t ti : tops) {
-            if (ex.fragments[ti].net != cap.net_top) continue;
-            for (std::size_t bi : bots) {
-                if (ex.fragments[bi].net != cap.net_bottom) continue;
-                auto o1 = geom::intersection(ex.fragments[ti].rect,
-                                             ex.fragments[bi].rect);
-                if (!o1) continue;
-                auto o2 = geom::intersection(*o1, mark.rect);
-                if (o2 && !o2->empty()) overlap.add(*o2);
-            }
-        }
-        require(!overlap.empty(),
-                "extract: capacitor plates do not overlap inside marker");
-        const double area_m2 = geom::to_um2(overlap.union_area()) * 1e-12;
-        cap.value = area_m2 * tech.cap_per_area;
-        ex.caps.push_back(std::move(cap));
     }
 
     // ---- 8. Netlist construction ---------------------------------------------

@@ -18,6 +18,18 @@
 //      fragments.  CapMark regions become capacitors (plate overlap area
 //      times the technology capacitance).
 //   4. Netlist construction + LVS against a golden schematic.
+//
+// Cost: no step scans the whole layout per site.  Gate regions come from a
+// poly index, diffusion is clipped only against the gates a gate index
+// returns, and devices find their anchors through a poly-shape -> fragment
+// map and per-type diffusion indexes.  Connectivity runs one conducting
+// layer at a time: one uniform-grid index (20 um pitch) per layer unites
+// touching fragments and lands every contact, via and label on that layer,
+// then is dropped, so the extra memory is one layer's index.  Cut clusters
+// are formed within (cut layer, upper net, lower net, lower layer) buckets
+// by a sweep over x.  SpatialIndex::query returns ascending ids, so every
+// "first fragment" choice and the fragment, net, cut and device order are
+// those of an exhaustive scan.
 
 #pragma once
 
@@ -28,6 +40,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace catlift::extract {
@@ -91,13 +104,17 @@ struct Extraction {
     std::vector<std::string> net_names;   ///< net id -> name
     netlist::Circuit circuit;             ///< extracted netlist
 
+    /// Same-layer touching fragment pairs (a < b) -- exactly the pairs the
+    /// connectivity pass unites -- sorted by (a, b).
+    std::vector<std::pair<std::size_t, std::size_t>> touching;
+    /// Per layout label: the lowest-index fragment on the label's layer
+    /// that contains its point (the fragment that names the net).
+    std::vector<std::size_t> label_fragments;
+
     int net_id(const std::string& name) const;
     const std::string& net_name(int id) const {
         return net_names.at(static_cast<std::size_t>(id));
     }
-
-    /// Fragment indices belonging to one net.
-    std::vector<std::size_t> net_fragments(int net) const;
 };
 
 /// Run the extraction.  Throws catlift::Error on inconsistent layouts

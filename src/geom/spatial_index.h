@@ -10,6 +10,7 @@
 #include "geom/rect.h"
 
 #include <cstddef>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -27,8 +28,9 @@ public:
     /// Insert a rectangle with caller-defined id (e.g. shape index).
     void insert(std::size_t id, const Rect& r);
 
-    /// Ids of all rects whose bounding boxes touch `window`.  Duplicates are
-    /// removed; order unspecified.
+    /// Ids of all rects whose bounding boxes touch `window`, ascending and
+    /// without duplicates (the extractor relies on the order to pick the
+    /// lowest-index hit, as an exhaustive scan would).
     std::vector<std::size_t> query(const Rect& window) const;
 
     /// Ids of all rects within edge separation <= `dist` of `r` (candidate
@@ -37,7 +39,7 @@ public:
         return query(r.expanded(dist));
     }
 
-    std::size_t size() const { return count_; }
+    std::size_t size() const { return ids_.size(); }
 
 private:
     struct CellKey {
@@ -63,10 +65,11 @@ private:
     }
 
     Coord cell_;
-    std::size_t count_ = 0;
-    std::unordered_map<CellKey, std::vector<std::pair<std::size_t, Rect>>,
-                       CellHash>
-        grid_;
+    // Each rect is stored once; a cell holds 4-byte slots into these, so a
+    // long shape spanning many cells costs 4 bytes per cell, not a copy.
+    std::vector<std::size_t> ids_;  ///< slot -> caller id
+    std::vector<Rect> rects_;       ///< slot -> rect
+    std::unordered_map<CellKey, std::vector<std::uint32_t>, CellHash> grid_;
 };
 
 } // namespace catlift::geom

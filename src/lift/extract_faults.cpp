@@ -3,9 +3,10 @@
 #include "geom/spatial_index.h"
 
 #include <algorithm>
-#include <functional>
+#include <array>
 #include <map>
 #include <set>
+#include <span>
 
 namespace catlift::lift {
 
@@ -20,118 +21,221 @@ using layout::Layer;
 
 namespace {
 
-/// One edge of a net's connectivity graph.
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+template <typename T>
+void sort_unique(std::vector<T>& v) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+}
+
+/// True if two sorted ranges share an element.
+bool intersects(const std::vector<std::size_t>& a,
+                const std::vector<std::size_t>& b) {
+    for (auto i = a.begin(), j = b.begin(); i != a.end() && j != b.end();) {
+        if (*i == *j) return true;
+        if (*i < *j)
+            ++i;
+        else
+            ++j;
+    }
+    return false;
+}
+
+/// One edge of a net's connectivity graph, in net-local fragment indices.
 struct NetEdge {
-    std::size_t a, b;   ///< fragment indices
+    std::size_t a, b;   ///< local indices of the joined fragments
     int cluster = -1;   ///< cut cluster index, -1 for same-layer touch
 };
 
-/// Everything the open/split analysis needs about the extracted circuit.
-struct NetGraph {
-    const Extraction* ex;
-    std::vector<std::vector<NetEdge>> edges;           // per net
-    std::vector<std::vector<std::size_t>> frags;       // per net
-    std::map<std::size_t, std::vector<TerminalRef>> anchors;  // frag -> terms
-    std::set<std::size_t> port_frags;                  // labelled fragments
+/// An edge seen from one of its fragments.
+struct Incidence {
+    std::size_t other;  ///< the fragment at the far end
+    int cluster;        ///< as NetEdge::cluster
+};
 
-    explicit NetGraph(const Extraction& e, const layout::Layout& lo)
-        : ex(&e) {
-        const std::size_t n_nets = e.net_names.size();
-        edges.resize(n_nets);
-        frags.resize(n_nets);
-        for (std::size_t i = 0; i < e.fragments.size(); ++i)
-            frags[static_cast<std::size_t>(e.fragments[i].net)].push_back(i);
+/// A device terminal anchored on a fragment.
+struct Anchor {
+    std::size_t device;  ///< index into Extraction::mosfets or ::caps
+    bool cap;
+    int terminal;
+};
 
-        // Same-layer touching pairs (within each net).
-        for (std::size_t net = 0; net < n_nets; ++net) {
-            const auto& fs = frags[net];
-            for (std::size_t i = 0; i < fs.size(); ++i) {
-                for (std::size_t j = i + 1; j < fs.size(); ++j) {
-                    const Fragment& fa = e.fragments[fs[i]];
-                    const Fragment& fb = e.fragments[fs[j]];
-                    if (fa.layer == fb.layer && fa.rect.touches(fb.rect))
-                        edges[net].push_back(NetEdge{fs[i], fs[j], -1});
-                }
-            }
-        }
-        // Cut cluster edges.
-        for (std::size_t c = 0; c < e.cuts.size(); ++c) {
-            const CutCluster& cc = e.cuts[c];
-            const int net = e.fragments[cc.frag_a].net;
-            edges[static_cast<std::size_t>(net)].push_back(
-                NetEdge{cc.frag_a, cc.frag_b, static_cast<int>(c)});
-        }
-        // Terminal anchors.
-        for (const auto& m : e.mosfets) {
-            anchors[m.frag_drain].push_back({m.name, 0});
-            anchors[m.frag_gate].push_back({m.name, 1});
-            anchors[m.frag_source].push_back({m.name, 2});
-        }
-        for (const auto& c : e.caps) {
-            anchors[c.frag_bottom].push_back({c.name, 0});
-            anchors[c.frag_top].push_back({c.name, 1});
-        }
-        // Port anchors (labels).
-        for (const layout::Label& lb : lo.labels) {
-            for (std::size_t i = 0; i < e.fragments.size(); ++i) {
-                const Fragment& f = e.fragments[i];
-                if (f.layer == lb.layer && f.rect.contains(lb.at)) {
-                    port_frags.insert(i);
-                    break;
-                }
-            }
-        }
+/// Per-fragment lists stored flat: the items of fragment f are
+/// items[start[f] .. start[f + 1]), in the order they were added.
+template <typename T>
+struct PerFragment {
+    std::vector<std::size_t> start;
+    std::vector<T> items;
+
+    PerFragment() = default;
+    /// Counting sort of (fragment, item) pairs; keeps the pair order within
+    /// each fragment.
+    PerFragment(std::size_t n_frags,
+                const std::vector<std::pair<std::size_t, T>>& pairs)
+        : start(n_frags + 1, 0), items(pairs.size()) {
+        for (const auto& p : pairs) ++start[p.first + 1];
+        for (std::size_t f = 0; f < n_frags; ++f) start[f + 1] += start[f];
+        std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+        for (const auto& p : pairs) items[fill[p.first]++] = p.second;
     }
+    std::span<const T> of(std::size_t f) const {
+        return {items.data() + start[f], start[f + 1] - start[f]};
+    }
+};
 
-    /// Connected components of one net's fragments with some edges removed.
-    /// `skip` returns true for edges to exclude.  Returns frag -> component.
-    template <typename Skip>
-    std::map<std::size_t, int> components(int net, Skip skip) const {
-        const auto& fs = frags[static_cast<std::size_t>(net)];
-        std::map<std::size_t, std::size_t> parent;
-        for (std::size_t f : fs) parent[f] = f;
-        std::function<std::size_t(std::size_t)> find =
-            [&](std::size_t x) -> std::size_t {
-            while (parent[x] != x) x = parent[x] = parent[parent[x]];
-            return x;
+/// Everything the open/split analysis needs about the extracted circuit,
+/// built once: per-net dense fragment indices and edge lists, and for each
+/// fragment its incident edges, anchored terminals and port labels.
+class NetGraph {
+public:
+    NetGraph(const Extraction& e, const layout::Layout& lo)
+        : ex_(e), frags_(e.net_names.size()), local_(e.fragments.size()),
+          edges_(e.net_names.size()), port_(e.fragments.size(), 0) {
+        for (std::size_t i = 0; i < e.fragments.size(); ++i) {
+            auto& fs = frags_[net_of(i)];
+            local_[i] = fs.size();
+            fs.push_back(i);
+        }
+        // Edge order: same-layer touches by (a, b), then cut clusters.
+        std::vector<std::pair<std::size_t, Incidence>> ends;
+        auto add = [&](std::size_t a, std::size_t b, int cluster) {
+            edges_[net_of(a)].push_back(NetEdge{local_[a], local_[b], cluster});
+            ends.push_back({a, Incidence{b, cluster}});
+            ends.push_back({b, Incidence{a, cluster}});
         };
-        for (const NetEdge& ed : edges[static_cast<std::size_t>(net)]) {
-            if (skip(ed)) continue;
-            parent[find(ed.a)] = find(ed.b);
+        for (const auto& [a, b] : e.touching) add(a, b, -1);
+        for (std::size_t c = 0; c < e.cuts.size(); ++c)
+            add(e.cuts[c].frag_a, e.cuts[c].frag_b, static_cast<int>(c));
+        incident_ = PerFragment<Incidence>(e.fragments.size(), ends);
+
+        std::vector<std::pair<std::size_t, Anchor>> anchors;
+        for (std::size_t i = 0; i < e.mosfets.size(); ++i) {
+            const auto& m = e.mosfets[i];
+            anchors.push_back({m.frag_drain, Anchor{i, false, 0}});
+            anchors.push_back({m.frag_gate, Anchor{i, false, 1}});
+            anchors.push_back({m.frag_source, Anchor{i, false, 2}});
         }
-        std::map<std::size_t, int> comp;
-        std::map<std::size_t, int> root_id;
-        for (std::size_t f : fs) {
-            const std::size_t r = find(f);
-            auto [it, ins] = root_id.emplace(r, static_cast<int>(root_id.size()));
-            (void)ins;
-            comp[f] = it->second;
+        for (std::size_t i = 0; i < e.caps.size(); ++i) {
+            anchors.push_back({e.caps[i].frag_bottom, Anchor{i, true, 0}});
+            anchors.push_back({e.caps[i].frag_top, Anchor{i, true, 1}});
         }
-        return comp;
+        anchors_ = PerFragment<Anchor>(e.fragments.size(), anchors);
+
+        // Every fragment containing a label's point lies on the label's
+        // layer and touches the naming fragment, so only that fragment's
+        // net is searched.
+        std::vector<std::pair<std::size_t, std::size_t>> on_label;
+        for (std::size_t l = 0; l < lo.labels.size(); ++l) {
+            const layout::Label& lb = lo.labels[l];
+            port_[e.label_fragments[l]] = 1;
+            for (std::size_t f : frags_[net_of(e.label_fragments[l])])
+                if (e.fragments[f].layer == lb.layer &&
+                    e.fragments[f].rect.contains(lb.at))
+                    on_label.emplace_back(f, l);
+        }
+        labels_ = PerFragment<std::size_t>(e.fragments.size(), on_label);
     }
 
-    /// Terminals anchored on any fragment of a component set.
-    std::vector<TerminalRef> terminals_in(
-        const std::map<std::size_t, int>& comp,
-        const std::set<int>& comps) const {
-        std::vector<TerminalRef> out;
-        for (const auto& [frag, c] : comp) {
-            if (!comps.count(c)) continue;
-            auto it = anchors.find(frag);
-            if (it == anchors.end()) continue;
-            out.insert(out.end(), it->second.begin(), it->second.end());
+    std::size_t net_of(std::size_t frag) const {
+        return static_cast<std::size_t>(ex_.fragments[frag].net);
+    }
+    std::size_t local(std::size_t frag) const { return local_[frag]; }
+    /// The edges touching `frag`, in edge order.
+    std::span<const Incidence> incident(std::size_t frag) const {
+        return incident_.of(frag);
+    }
+    /// Terminals anchored on `frag`: MOSFETs in extraction order, then caps.
+    std::span<const Anchor> anchors(std::size_t frag) const {
+        return anchors_.of(frag);
+    }
+    /// Labels whose point lies on `frag`, in label order.
+    std::span<const std::size_t> labels(std::size_t frag) const {
+        return labels_.of(frag);
+    }
+    /// True if `frag` is the fragment naming some label's net.
+    bool is_port(std::size_t frag) const { return port_[frag] != 0; }
+
+    TerminalRef terminal(const Anchor& a) const {
+        return TerminalRef{a.cap ? ex_.caps[a.device].name
+                                 : ex_.mosfets[a.device].name,
+                           a.terminal};
+    }
+
+    /// Connected components of one net's fragments with the edges `skip`
+    /// accepts removed, then the terminals and port flag of each component.
+    /// comp_of() reads a fragment's component.
+    template <typename Skip>
+    void components(std::size_t net, Skip skip) {
+        const std::size_t n = frags_[net].size();
+        parent_.resize(n);
+        for (std::size_t k = 0; k < n; ++k) parent_[k] = k;
+        for (const NetEdge& ed : edges_[net])
+            if (!skip(ed)) parent_[find(ed.a)] = find(ed.b);
+        // Number the roots, then bucket terminals per component.
+        root_comp_.assign(n, kNone);
+        comp_.resize(n);
+        std::size_t n_comps = 0;
+        for (std::size_t k = 0; k < n; ++k) {
+            std::size_t& c = root_comp_[find(k)];
+            if (c == kNone) c = n_comps++;
+            comp_[k] = c;
         }
-        std::sort(out.begin(), out.end());
-        out.erase(std::unique(out.begin(), out.end()), out.end());
+        comp_port_.assign(n_comps, 0);
+        comp_term_start_.assign(n_comps + 1, 0);
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::size_t f = frags_[net][k];
+            comp_term_start_[comp_[k] + 1] += anchors_.of(f).size();
+            if (port_[f]) comp_port_[comp_[k]] = 1;
+        }
+        for (std::size_t c = 0; c < n_comps; ++c)
+            comp_term_start_[c + 1] += comp_term_start_[c];
+        comp_terms_.resize(comp_term_start_[n_comps]);
+        fill_.assign(comp_term_start_.begin(), comp_term_start_.end() - 1);
+        for (std::size_t k = 0; k < n; ++k)
+            for (const Anchor& a : anchors_.of(frags_[net][k]))
+                comp_terms_[fill_[comp_[k]]++] = &a;
+    }
+    std::size_t comp_of(std::size_t frag) const { return comp_[local_[frag]]; }
+
+    /// Sorted, de-duplicated terminals of a set of components.
+    std::vector<TerminalRef> terminals_in(
+        const std::vector<std::size_t>& comps) const {
+        std::vector<TerminalRef> out;
+        for (std::size_t c : comps)
+            for (std::size_t t = comp_term_start_[c];
+                 t < comp_term_start_[c + 1]; ++t)
+                out.push_back(terminal(*comp_terms_[t]));
+        sort_unique(out);
         return out;
     }
 
-    bool ports_in(const std::map<std::size_t, int>& comp,
-                  const std::set<int>& comps) const {
-        for (const auto& [frag, c] : comp)
-            if (comps.count(c) && port_frags.count(frag)) return true;
+    bool ports_in(const std::vector<std::size_t>& comps) const {
+        for (std::size_t c : comps)
+            if (comp_port_[c]) return true;
         return false;
     }
+
+private:
+    std::size_t find(std::size_t x) {
+        while (parent_[x] != x) x = parent_[x] = parent_[parent_[x]];
+        return x;
+    }
+
+    const Extraction& ex_;
+    std::vector<std::vector<std::size_t>> frags_;  // net -> fragments
+    std::vector<std::size_t> local_;               // fragment -> local index
+    std::vector<std::vector<NetEdge>> edges_;      // net -> edges
+    std::vector<char> port_;                       // fragment names a net
+    PerFragment<Incidence> incident_;
+    PerFragment<Anchor> anchors_;
+    PerFragment<std::size_t> labels_;
+
+    // Buffers reused by components().
+    std::vector<std::size_t> parent_, root_comp_, comp_, comp_term_start_,
+        fill_;
+    std::vector<char> comp_port_;
+    std::vector<const Anchor*> comp_terms_;
 };
 
 /// Attachment of something to a fragment, projected on its long axis.
@@ -203,23 +307,31 @@ LiftResult extract_faults(const layout::Layout& lo,
     // Classify an open by the terminals it isolates: one MOS terminal is a
     // transistor stuck-open regardless of whether the failing site was a
     // contact cluster or a line span.
+    std::set<std::string> mos_names;
+    for (const auto& m : ex.mosfets) mos_names.insert(m.name);
     auto classify_open = [&](Fault& f) {
         if (f.group_b.size() == 1) {
-            const TerminalRef& t = f.group_b[0];
-            for (const auto& m : ex.mosfets) {
-                if (m.name == t.device) {
-                    f.kind = FaultKind::StuckOpen;
-                    f.victim = t;
-                    return;
-                }
+            if (mos_names.count(f.group_b[0].device)) {
+                f.kind = FaultKind::StuckOpen;
+                f.victim = f.group_b[0];
+            } else {
+                f.kind = FaultKind::LineOpen;
             }
-            f.kind = FaultKind::LineOpen;
         } else {
             f.kind = FaultKind::SplitNode;
         }
     };
 
-    // Classification helper for shorts.
+    // Net pairs (a <= b) that share a device, for the short fallback.
+    std::set<std::pair<std::string, std::string>> device_pairs;
+    if (opt.net_blocks.empty()) {
+        for (const auto& d : ex.circuit.devices)
+            for (const std::string& a : d.nodes)
+                for (const std::string& b : d.nodes)
+                    if (a <= b) device_pairs.emplace(a, b);
+    }
+
+    // Classification helper for shorts (a <= b).
     auto short_kind = [&](const std::string& a, const std::string& b) {
         if (!opt.net_blocks.empty()) {
             auto ba = opt.net_blocks.find(a);
@@ -234,25 +346,19 @@ LiftResult extract_faults(const layout::Layout& lo,
                                       : FaultKind::GlobalShort;
         }
         // Fallback: a bridge is local iff the nets share a device.
-        for (const auto& d : ex.circuit.devices) {
-            bool hit_a = false, hit_b = false;
-            for (const std::string& n : d.nodes) {
-                hit_a |= n == a;
-                hit_b |= n == b;
-            }
-            if (hit_a && hit_b) return FaultKind::LocalShort;
-        }
-        return FaultKind::GlobalShort;
+        return device_pairs.count({a, b}) ? FaultKind::LocalShort
+                                          : FaultKind::GlobalShort;
     };
 
     // ---- Bridges -------------------------------------------------------
-    for (int li = 0; li < static_cast<int>(layout::kLayerCount); ++li) {
+    std::array<std::vector<std::size_t>, layout::kLayerCount> by_layer;
+    for (std::size_t i = 0; i < ex.fragments.size(); ++i)
+        by_layer[static_cast<std::size_t>(ex.fragments[i].layer)].push_back(i);
+    for (std::size_t li = 0; li < layout::kLayerCount; ++li) {
         const Layer layer = static_cast<Layer>(li);
         const Mechanism* mech = stats.find(layer, FailureMode::Short);
         if (!mech) continue;
-        std::vector<std::size_t> ids;
-        for (std::size_t i = 0; i < ex.fragments.size(); ++i)
-            if (ex.fragments[i].layer == layer) ids.push_back(i);
+        const std::vector<std::size_t>& ids = by_layer[li];
         geom::SpatialIndex idx(std::max<Coord>(xmax, 1000));
         for (std::size_t i : ids) idx.insert(i, ex.fragments[i].rect);
         for (std::size_t i : ids) {
@@ -260,7 +366,7 @@ LiftResult extract_faults(const layout::Layout& lo,
             for (std::size_t j : idx.neighbours(fa.rect, xmax)) {
                 if (j <= i) continue;
                 const Fragment& fb = ex.fragments[j];
-                if (fb.layer != layer || fb.net == fa.net) continue;
+                if (fb.net == fa.net) continue;
                 const geom::Point gaps = geom::axis_gaps(fa.rect, fb.rect);
                 if (gaps.x > 0 && gaps.y > 0) continue;  // diagonal
                 const Coord spacing = std::max(gaps.x, gaps.y);
@@ -301,55 +407,32 @@ LiftResult extract_faults(const layout::Layout& lo,
                     std::min(r.hi.y, f.rect.hi.y)};
         };
 
-        // Collect attachments.
+        // Collect attachments: the fragment's own edges, anchored
+        // terminals and port labels.
         std::vector<Attachment> att;
-        for (const NetEdge& ed :
-             graph.edges[static_cast<std::size_t>(f.net)]) {
-            std::size_t other;
-            Rect where;
-            if (ed.a == fi) {
-                other = ed.b;
-            } else if (ed.b == fi) {
-                other = ed.a;
-            } else {
-                continue;
-            }
-            where = ed.cluster >= 0
-                        ? ex.cuts[static_cast<std::size_t>(ed.cluster)].bbox
-                        : ex.fragments[other].rect;
+        for (const Incidence& in : graph.incident(fi)) {
+            const Rect& where =
+                in.cluster >= 0
+                    ? ex.cuts[static_cast<std::size_t>(in.cluster)].bbox
+                    : ex.fragments[in.other].rect;
             auto [lo_p, hi_p] = project(where);
             if (lo_p > hi_p) std::swap(lo_p, hi_p);
-            att.push_back(
-                {lo_p, hi_p, Attachment::Kind::Frag, other, TerminalRef{}});
+            att.push_back({lo_p, hi_p, Attachment::Kind::Frag, in.other,
+                           TerminalRef{}});
         }
-        // Device terminals anchored on this fragment (at the gate position).
-        for (const auto& m : ex.mosfets) {
-            if (m.frag_drain == fi || m.frag_gate == fi ||
-                m.frag_source == fi) {
-                auto [lo_p, hi_p] = project(m.gate);
-                int term = m.frag_gate == fi ? 1 : (m.frag_drain == fi ? 0 : 2);
-                att.push_back({lo_p, hi_p, Attachment::Kind::Terminal, 0,
-                               TerminalRef{m.name, term}});
-            }
+        for (const Anchor& an : graph.anchors(fi)) {
+            // A MOSFET terminal sits at the gate position; a capacitor plate
+            // is anchored over the whole fragment so the plate body never
+            // ends up "cut off" from itself.
+            const auto [lo_p, hi_p] =
+                project(an.cap ? f.rect : ex.mosfets[an.device].gate);
+            att.push_back({lo_p, hi_p, Attachment::Kind::Terminal, 0,
+                           graph.terminal(an)});
         }
-        for (const auto& c : ex.caps) {
-            if (c.frag_bottom == fi || c.frag_top == fi) {
-                // The plate is the anchor: use the whole fragment extent so
-                // the plate body never ends up "cut off" from itself.
-                att.push_back({project(f.rect).first, project(f.rect).second,
-                               Attachment::Kind::Terminal, 0,
-                               TerminalRef{c.name,
-                                           c.frag_bottom == fi ? 0 : 1}});
-            }
-        }
-        // Ports.
-        if (graph.port_frags.count(fi)) {
-            for (const layout::Label& lb : lo.labels) {
-                if (lb.layer == f.layer && f.rect.contains(lb.at)) {
-                    const Coord p = along_x ? lb.at.x : lb.at.y;
-                    att.push_back({p, p, Attachment::Kind::Port, 0,
-                                   TerminalRef{}});
-                }
+        if (graph.is_port(fi)) {
+            for (std::size_t l : graph.labels(fi)) {
+                const Coord p = along_x ? lo.labels[l].at.x : lo.labels[l].at.y;
+                att.push_back({p, p, Attachment::Kind::Port, 0, TerminalRef{}});
             }
         }
         if (att.size() < 2) continue;
@@ -358,34 +441,37 @@ LiftResult extract_faults(const layout::Layout& lo,
                       return a.lo < b.lo || (a.lo == b.lo && a.hi < b.hi);
                   });
 
-        // Components of the net without this fragment.
-        auto comp = graph.components(f.net, [&](const NetEdge& ed) {
-            return ed.a == fi || ed.b == fi;
-        });
-        comp.erase(fi);
-
-        // Examine each free span between consecutive attachments.
+        // Examine each free span between consecutive attachments.  The
+        // components of the net without this fragment are computed at the
+        // first span; the fragment itself is then isolated, so its own
+        // component is on neither side.
+        const std::size_t self = graph.local(fi);
+        bool split = false;
         Coord covered_hi = att.front().hi;
         for (std::size_t i = 0; i + 1 < att.size(); ++i) {
             covered_hi = std::max(covered_hi, att[i].hi);
             const Coord gap = att[i + 1].lo - covered_hi;
             if (gap <= 0) continue;
             ++res.stats.open_sites;
+            if (!split) {
+                graph.components(graph.net_of(fi), [&](const NetEdge& ed) {
+                    return ed.a == self || ed.b == self;
+                });
+                split = true;
+            }
 
             // Side assignment by sort order.
-            std::set<int> comps_a, comps_b;
+            std::vector<std::size_t> comps_a, comps_b;
             std::vector<TerminalRef> term_a, term_b;
             bool port_a = false, port_b = false;
-            bool redundant = false;
             for (std::size_t k = 0; k < att.size(); ++k) {
                 const bool side_a = k <= i;
                 const Attachment& a = att[k];
                 switch (a.kind) {
-                    case Attachment::Kind::Frag: {
-                        const int c = comp.at(a.frag);
-                        (side_a ? comps_a : comps_b).insert(c);
+                    case Attachment::Kind::Frag:
+                        (side_a ? comps_a : comps_b)
+                            .push_back(graph.comp_of(a.frag));
                         break;
-                    }
                     case Attachment::Kind::Terminal:
                         (side_a ? term_a : term_b).push_back(a.term);
                         break;
@@ -394,19 +480,19 @@ LiftResult extract_faults(const layout::Layout& lo,
                         break;
                 }
             }
+            sort_unique(comps_a);
+            sort_unique(comps_b);
             // A component attached on both sides bypasses the cut.
-            for (int c : comps_a)
-                if (comps_b.count(c)) redundant = true;
-            if (redundant) {
+            if (intersects(comps_a, comps_b)) {
                 ++res.stats.redundant_opens;
                 continue;
             }
-            auto ta = graph.terminals_in(comp, comps_a);
-            auto tb = graph.terminals_in(comp, comps_b);
+            auto ta = graph.terminals_in(comps_a);
+            auto tb = graph.terminals_in(comps_b);
             term_a.insert(term_a.end(), ta.begin(), ta.end());
             term_b.insert(term_b.end(), tb.begin(), tb.end());
-            port_a = port_a || graph.ports_in(comp, comps_a);
-            port_b = port_b || graph.ports_in(comp, comps_b);
+            port_a = port_a || graph.ports_in(comps_a);
+            port_b = port_b || graph.ports_in(comps_b);
             if (term_a.empty() && !port_a) {
                 ++res.stats.dangling_opens;
                 continue;
@@ -427,9 +513,7 @@ LiftResult extract_faults(const layout::Layout& lo,
                 ++res.stats.dangling_opens;
                 continue;
             }
-            std::sort(term_b.begin(), term_b.end());
-            term_b.erase(std::unique(term_b.begin(), term_b.end()),
-                         term_b.end());
+            sort_unique(term_b);
 
             Fault flt;
             flt.mechanism = mech->name;
@@ -453,20 +537,20 @@ LiftResult extract_faults(const layout::Layout& lo,
         if (!mech) continue;
         ++res.stats.cut_sites;
 
-        const int net = ex.fragments[cc.frag_a].net;
-        auto comp = graph.components(net, [&](const NetEdge& ed) {
+        const std::size_t net = graph.net_of(cc.frag_a);
+        graph.components(net, [&](const NetEdge& ed) {
             return ed.cluster == static_cast<int>(ci);
         });
-        if (comp.at(cc.frag_a) == comp.at(cc.frag_b)) {
+        const std::vector<std::size_t> comps_a{graph.comp_of(cc.frag_a)};
+        const std::vector<std::size_t> comps_b{graph.comp_of(cc.frag_b)};
+        if (comps_a == comps_b) {
             ++res.stats.redundant_opens;
             continue;  // another path keeps the net together
         }
-        const std::set<int> comps_a{comp.at(cc.frag_a)};
-        const std::set<int> comps_b{comp.at(cc.frag_b)};
-        auto term_a = graph.terminals_in(comp, comps_a);
-        auto term_b = graph.terminals_in(comp, comps_b);
-        bool port_a = graph.ports_in(comp, comps_a);
-        bool port_b = graph.ports_in(comp, comps_b);
+        auto term_a = graph.terminals_in(comps_a);
+        auto term_b = graph.terminals_in(comps_b);
+        bool port_a = graph.ports_in(comps_a);
+        bool port_b = graph.ports_in(comps_b);
         if ((term_a.empty() && !port_a) || (term_b.empty() && !port_b)) {
             ++res.stats.dangling_opens;
             continue;
@@ -484,7 +568,7 @@ LiftResult extract_faults(const layout::Layout& lo,
 
         Fault flt;
         flt.mechanism = mech->name;
-        flt.net = ex.net_name(net);
+        flt.net = ex.net_name(static_cast<int>(net));
         flt.group_b = term_b;
         classify_open(flt);
         flt.probability = model.cut_probability(

@@ -19,6 +19,17 @@
 //    change and are discarded (counted in the statistics);
 //  * cut opens -- contact/via clusters; a cluster whose loss disconnects
 //    exactly one transistor terminal becomes a transistor stuck-open.
+//
+// Cost: bridges come from a per-layer spatial index.  For the opens, each
+// net gets dense local fragment indices and its edge list (the extractor's
+// same-layer touching pairs, then its cut clusters), and each fragment its
+// incident edges, anchored device terminals and port labels, all built
+// once.  A line-open fragment reads only its own attachments; a site runs
+// one vector union-find over its own net (O(net fragments + edges)), after
+// which each side's terminals are gathered per component.  Sites are
+// enumerated in a fixed order -- bridges by layer then fragment, line opens
+// by fragment, cut opens by cluster -- because merged fault probabilities
+// are floating-point sums taken in that order.
 
 #pragma once
 

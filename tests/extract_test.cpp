@@ -5,8 +5,13 @@
 #include "extract/extractor.h"
 #include "layout/cellgen.h"
 #include "layout/drc.h"
+#include "netlist/writer.h"
+#include "pin_layouts.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <sstream>
 
 using namespace catlift;
 namespace xt = catlift::extract;
@@ -95,6 +100,48 @@ TEST(Extract, FloatingContactRejected) {
     Layout lo = one_nmos();
     lo.add(Layer::Contact, Rect::um(100, 100, 102, 102), "stray");
     EXPECT_THROW(xt::extract(lo, kTech), Error);
+}
+
+namespace {
+
+/// The message of the catlift::Error `extract` throws, or "" if none.
+std::string extract_error(const Layout& lo) {
+    try {
+        xt::extract(lo, kTech);
+    } catch (const Error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(Extract, ContactOnPolyAndDiffusionRejected) {
+    Layout lo = one_nmos();
+    // Straddles the source diffusion (x < 8) and the poly gate (x >= 8).
+    lo.add(Layer::Contact, Rect::um(7, 1, 9, 3), "stray");
+    lo.add(Layer::Metal1, Rect::um(6.5, 0.5, 9.5, 3.5), "stray");
+    EXPECT_NE(extract_error(lo).find("contact bridges poly and diffusion"),
+              std::string::npos)
+        << extract_error(lo);
+}
+
+TEST(Extract, ViaWithoutMetal2Rejected) {
+    Layout lo = one_nmos();
+    lo.add(Layer::Via, Rect::um(2, 1.5, 3, 2.5), "stray");  // on the s pad
+    EXPECT_NE(extract_error(lo).find("via not joining metal1 to metal2"),
+              std::string::npos)
+        << extract_error(lo);
+}
+
+TEST(Extract, GateWithoutOppositeDiffusionRejected) {
+    Layout lo = one_nmos();
+    // Poly crossing the end of a diffusion strip: diffusion on one side only.
+    lo.add(Layer::NDiff, Rect::um(30, 0, 38, 10), "M2:chan");
+    lo.add(Layer::Poly, Rect::um(37, -2, 39, 12), "M2:g");
+    const std::string msg = extract_error(lo);
+    EXPECT_NE(msg.find("gate of M2 lacks source/drain"), std::string::npos)
+        << msg;
 }
 
 TEST(Extract, CutClustersGroupRedundantContacts) {
@@ -211,4 +258,64 @@ TEST_F(VcoLayout, LayoutFileRoundTrip) {
     EXPECT_EQ(back.shapes.size(), layout_->shapes.size());
     xt::Extraction ex = xt::extract(back, kTech);
     EXPECT_EQ(ex.mosfets.size(), 26u);
+}
+
+// ---------------------------------------------------------------------------
+// Pins: digests of every extraction artefact, recorded from the exhaustive
+// whole-layout scans; the indexed lookups must reproduce them.  Fragment,
+// cut, device and net order are part of the contract (LIFT's site
+// enumeration and its floating-point probability sums follow them).
+
+namespace {
+
+std::string extraction_text(const xt::Extraction& ex) {
+    std::ostringstream os;
+    os << std::hexfloat;
+    auto rect = [&](const Rect& r) {
+        os << r.lo.x << ',' << r.lo.y << ',' << r.hi.x << ',' << r.hi.y;
+    };
+    for (const xt::Fragment& f : ex.fragments) {
+        os << "F " << static_cast<int>(f.layer) << ' ';
+        rect(f.rect);
+        os << ' ' << f.shape << ' ' << f.owner << ' ' << f.net << '\n';
+    }
+    for (const xt::CutCluster& c : ex.cuts) {
+        os << "C " << static_cast<int>(c.layer) << " [";
+        for (std::size_t s : c.cuts) os << s << ',';
+        os << "] " << c.frag_a << ' ' << c.frag_b << ' ';
+        rect(c.bbox);
+        os << ' ' << c.owner << '\n';
+    }
+    for (const xt::ExtractedMos& m : ex.mosfets) {
+        os << "M " << m.name << ' ' << m.is_nmos << ' ';
+        rect(m.gate);
+        os << ' ' << m.w << ' ' << m.l << ' ' << m.net_gate << ' '
+           << m.net_source << ' ' << m.net_drain << ' ' << m.frag_gate << ' '
+           << m.frag_source << ' ' << m.frag_drain << '\n';
+    }
+    for (const xt::ExtractedCap& c : ex.caps)
+        os << "K " << c.name << ' ' << c.value << ' ' << c.net_top << ' '
+           << c.net_bottom << ' ' << c.frag_top << ' ' << c.frag_bottom
+           << '\n';
+    for (const std::string& n : ex.net_names) os << "N " << n << '\n';
+    os << netlist::write_spice(ex.circuit);
+    return os.str();
+}
+
+} // namespace
+
+TEST(ExtractPins, ArtefactDigestsUnchanged) {
+    const std::map<std::string, std::string> expected = {
+        {"vco", "1d1bece31ddad74e"},
+        {"chain16", "3b9b974b7ada639f"},
+        {"chain64", "108c4034ec13bd38"},
+        {"chain128", "7ae596eeff36be10"},
+        {"chain24_shuffled", "46c210ba221a5407"},
+    };
+    for (const pins::PinLayout& p : pins::pin_layouts()) {
+        const xt::Extraction ex = xt::extract(p.layout, kTech);
+        EXPECT_EQ(pins::hex64(batch::fnv1a(extraction_text(ex))),
+                  expected.at(p.name))
+            << p.name;
+    }
 }

@@ -152,6 +152,20 @@ TEST(SpatialIndex, NegativeCoordinates) {
     EXPECT_TRUE(idx.query(g::Rect(100, 100, 120, 120)).empty());
 }
 
+TEST(SpatialIndex, QueryReturnsAscendingUniqueIds) {
+    // The extractor takes the first hit as the lowest-index fragment, so the
+    // order is part of the contract, whatever the insertion order and
+    // however many cells a rect spans.
+    g::SpatialIndex idx(100);
+    idx.insert(9, g::Rect(0, 0, 950, 10));  // spans ten cells
+    idx.insert(2, g::Rect(420, 0, 430, 10));
+    idx.insert(5, g::Rect(120, 0, 130, 10));
+    idx.insert(0, g::Rect(2000, 0, 2010, 10));
+    EXPECT_EQ(idx.query(g::Rect(0, 0, 500, 10)),
+              (std::vector<std::size_t>{2, 5, 9}));
+    EXPECT_EQ(idx.size(), 4u);
+}
+
 TEST(SpatialIndex, RejectsBadCell) {
     EXPECT_THROW(g::SpatialIndex(0), catlift::Error);
 }

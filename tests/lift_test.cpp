@@ -5,10 +5,13 @@
 #include "layout/cellgen.h"
 #include "lift/extract_faults.h"
 #include "lift/schematic_faults.h"
+#include "pin_layouts.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <sstream>
 
 using namespace catlift;
 using namespace catlift::lift;
@@ -264,5 +267,38 @@ TEST_F(Glrfm, ThresholdMonotonicity) {
             lo, layout::Technology::single_poly_double_metal(), opt);
         EXPECT_LE(r.faults.size(), prev);
         prev = r.faults.size();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Pins: digests of the written fault list, its exact probabilities and
+// every LiftStats field, recorded from the exhaustive whole-net analysis;
+// the indexed one must reproduce them.  Site enumeration order is part of
+// the contract: merged probabilities are floating-point sums taken in that
+// order.
+
+TEST(LiftPins, FaultListAndStatsDigestsUnchanged) {
+    const std::map<std::string, std::string> expected = {
+        {"vco", "8719426cf6437ea4"},
+        {"chain16", "225ba3dd0e039f48"},
+        {"chain64", "ef8e00e2e66c0618"},
+        {"chain128", "3d09254cdda78ef4"},
+        {"chain24_shuffled", "116772dc3a8de2c9"},
+    };
+    for (const pins::PinLayout& p : pins::pin_layouts()) {
+        LiftOptions opt;
+        if (p.vco) opt.net_blocks = circuits::vco_net_blocks();
+        const LiftResult r = extract_faults(
+            p.layout, layout::Technology::single_poly_double_metal(), opt);
+        const LiftStats& st = r.stats;
+        std::ostringstream os;
+        os << write_faultlist(r.faults) << st.bridge_sites << ' '
+           << st.open_sites << ' ' << st.cut_sites << ' '
+           << st.redundant_opens << ' ' << st.dangling_opens << ' '
+           << st.dropped << ' ' << std::hexfloat << st.dropped_probability;
+        // write_faultlist rounds to six digits; pin the exact sums too.
+        for (const Fault& f : r.faults.faults) os << ' ' << f.probability;
+        EXPECT_EQ(pins::hex64(batch::fnv1a(os.str())), expected.at(p.name))
+            << p.name;
     }
 }

@@ -48,6 +48,13 @@ class RepoMapTest(unittest.TestCase):
         self.assertEqual({"driver.h": 1},
                          {k: v for k, v in bodies.items() if v})
 
+    def test_determinism_rule_covers_the_fault_list_path(self):
+        # The fault list LIFT extracts feeds every verdict, so the layout
+        # half is held to the kernel's bit-reproducibility rule.
+        for d in ("src/spice", "src/anafault", "src/geom", "src/extract",
+                  "src/lift"):
+            self.assertIn(d, catlift_lint.DETERMINISM_DIRS)
+
 
 class SeededViolationTest(unittest.TestCase):
     """One test per scenario: the violation fires its rule and no other."""

@@ -99,7 +99,10 @@ STORE_HEADER = "src/batch/result_store.h"
 STORE_IMPL = "src/batch/result_store.cpp"
 STORE_LOCK = "tools/store_format.lock"
 
-DETERMINISM_DIRS = ["src/spice", "src/anafault"]
+# Verdict paths: the kernel and the campaigns, plus the layout half
+# (geometry, extraction, LIFT) whose fault list feeds every verdict.
+DETERMINISM_DIRS = ["src/spice", "src/anafault", "src/extract", "src/lift",
+                    "src/geom"]
 
 # The one campaign driver: tran, AC and DC are policies plugged into its
 # single run_class body.
