@@ -15,6 +15,17 @@ void SpatialIndex::insert(std::size_t id, const Rect& r) {
     rects_.push_back(r);
     const std::int64_t cx0 = cell_of(r.lo.x), cx1 = cell_of(r.hi.x);
     const std::int64_t cy0 = cell_of(r.lo.y), cy1 = cell_of(r.hi.y);
+    const std::int64_t span_x = cx1 - cx0 + 1, span_y = cy1 - cy0 + 1;
+    if (span_x > kLongSpan && span_y <= kThinSpan) {
+        strips_[0].by_lo.emplace(r.lo.y, slot);
+        strips_[0].thickness = std::max(strips_[0].thickness, r.height());
+        return;
+    }
+    if (span_y > kLongSpan && span_x <= kThinSpan) {
+        strips_[1].by_lo.emplace(r.lo.x, slot);
+        strips_[1].thickness = std::max(strips_[1].thickness, r.width());
+        return;
+    }
     for (std::int64_t cx = cx0; cx <= cx1; ++cx)
         for (std::int64_t cy = cy0; cy <= cy1; ++cy)
             grid_[CellKey{cx, cy}].push_back(slot);
@@ -31,6 +42,18 @@ std::vector<std::size_t> SpatialIndex::query(const Rect& window) const {
             for (std::uint32_t slot : it->second)
                 if (rects_[slot].touches(window)) out.push_back(ids_[slot]);
         }
+    }
+    // A strip rect touching the window starts across the axis no lower than
+    // the window's low edge minus the strip's thickness.
+    const std::array<std::pair<Coord, Coord>, 2> across{
+        std::pair{window.lo.y, window.hi.y}, std::pair{window.lo.x, window.hi.x}};
+    for (std::size_t a = 0; a < 2; ++a) {
+        const Strip& s = strips_[a];
+        const auto [lo, hi] = across[a];
+        for (auto it = s.by_lo.lower_bound(lo - s.thickness);
+             it != s.by_lo.end() && it->first <= hi; ++it)
+            if (rects_[it->second].touches(window))
+                out.push_back(ids_[it->second]);
     }
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());

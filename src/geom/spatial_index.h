@@ -1,26 +1,38 @@
 // catlift/geom/spatial_index.h
 //
-// Uniform-grid spatial index over rectangles.  The defect analysis needs
-// "which shapes lie within distance d of this shape" queries for every shape
-// on a layer; a bucket grid sized to the maximum defect diameter makes the
-// whole neighbour enumeration O(shapes x local density).
+// Spatial index over rectangles.  The defect analysis needs "which shapes
+// lie within distance d of this shape" queries for every shape on a layer;
+// a bucket grid sized to the maximum defect diameter makes the whole
+// neighbour enumeration O(shapes x local density).  Long thin shapes -- a
+// full-width metal2 track, a metal1 stub climbing to it -- would cover
+// O(length) grid cells each, so they are kept out of the grid, in one list
+// per axis sorted across it.
 
 #pragma once
 
 #include "geom/rect.h"
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
 namespace catlift::geom {
 
-/// Spatial index mapping rectangles (with opaque payload ids) to grid
-/// buckets.  Query returns candidate ids whose rects touch an expanded
-/// window; the caller applies its own exact predicate.
+/// Spatial index over rectangles with opaque payload ids.  A rect spanning
+/// more than kLongSpan grid cells along one axis and at most kThinSpan
+/// across it is long: it goes into that axis's strip, a list ordered by
+/// its low coordinate across the axis, found by binary search.  Every
+/// other rect is listed in each grid cell it covers.  Query returns the
+/// ids whose rects touch a window; the caller applies its own exact
+/// predicate.
 class SpatialIndex {
 public:
+    static constexpr std::int64_t kLongSpan = 4;
+    static constexpr std::int64_t kThinSpan = 2;
+
     /// `cell` is the grid pitch in nm; choose >= the largest query radius
     /// plus typical shape size for best performance.  Must be positive.
     explicit SpatialIndex(Coord cell);
@@ -30,7 +42,8 @@ public:
 
     /// Ids of all rects whose bounding boxes touch `window`, ascending and
     /// without duplicates (the extractor relies on the order to pick the
-    /// lowest-index hit, as an exhaustive scan would).
+    /// lowest-index hit, as an exhaustive scan would).  Reads only, so
+    /// concurrent queries are safe.
     std::vector<std::size_t> query(const Rect& window) const;
 
     /// Ids of all rects within edge separation <= `dist` of `r` (candidate
@@ -64,12 +77,21 @@ private:
         return q;
     }
 
+    /// Long rects along one axis, keyed by their low coordinate across it;
+    /// `thickness` (their largest extent across it) bounds how far below a
+    /// window the search must start.
+    struct Strip {
+        std::multimap<Coord, std::uint32_t> by_lo;
+        Coord thickness = 0;
+    };
+
     Coord cell_;
-    // Each rect is stored once; a cell holds 4-byte slots into these, so a
-    // long shape spanning many cells costs 4 bytes per cell, not a copy.
+    // Each rect is stored once; a cell or strip holds 4-byte slots into
+    // these.
     std::vector<std::size_t> ids_;  ///< slot -> caller id
     std::vector<Rect> rects_;       ///< slot -> rect
     std::unordered_map<CellKey, std::vector<std::uint32_t>, CellHash> grid_;
+    std::array<Strip, 2> strips_;   ///< [0] along x (by lo.y), [1] along y
 };
 
 } // namespace catlift::geom

@@ -6,10 +6,21 @@
 // fault extraction *simultaneously with circuit extraction* (paper, ch. IV),
 // so a mismatching extraction would invalidate the fault mapping.
 //
-// The comparison is name-agnostic: nets are matched by iterative
-// Weisfeiler-Leman style refinement over the bipartite device/net graph,
-// with device signatures (kind, model, W/L, value class) as seeds.  MOS
-// drain/source symmetry and R/C terminal symmetry are honoured.
+// The comparison is name-agnostic.  Both circuits become one bipartite
+// device/net incidence graph whose edges carry the terminal role: MOS
+// drain and source share a role, as do the two R/C terminals, while source
+// polarity and the MOS gate and bulk are roles of their own.  Devices are
+// seeded into classes by their signature (kind, polarity, W/L or value
+// bucket), nets by whether they are ground.  Partition refinement then
+// splits classes until stable -- any two members of a class have, per role,
+// equally many edges into every class -- the partition colour refinement
+// (1-dimensional Weisfeiler-Leman) reaches at its fixpoint.  A worklist of
+// splitter classes, re-enqueuing all pieces of a split but the largest
+// (Hopcroft's rule), visits each terminal O(log V) times for V devices
+// plus nets: near-linear, where synchronous rounds would visit every
+// terminal once per round and a chain needs one round per stage.  There is
+// no round cap, so deep circuits are refined as fully as shallow ones.  The circuits match when
+// every class holds as many golden as candidate members.
 
 #pragma once
 
@@ -25,7 +36,9 @@ struct CompareResult {
     bool equivalent = false;
     /// Human-readable differences (empty when equivalent).
     std::vector<std::string> diffs;
-    /// Net correspondence found (schematic net -> layout net), best effort.
+    /// Net correspondence (schematic net -> layout net): every class that
+    /// holds exactly one net on each side.  Nets tied by a symmetry of the
+    /// circuit share a class and stay unmapped.
     std::map<std::string, std::string> net_map;
 };
 

@@ -3,8 +3,8 @@
 #include "geom/base.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -65,24 +65,85 @@ std::pair<double, std::size_t> suffix_multiplier(std::string_view s) {
     }
 }
 
+bool is_space(char c) {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+           c == '\r';
+}
+
+bool is_hex_digit(char c) {
+    return (c >= '0' && c <= '9') || (lower(c) >= 'a' && lower(c) <= 'f');
+}
+
+/// Whether `s` opens with a hexadecimal float ("0x1p4", "0X.8"): what
+/// strtod would have read as one, and what a SPICE value field rejects.
+bool is_hex_literal(std::string_view s) {
+    if (s.size() < 3 || s[0] != '0' || lower(s[1]) != 'x') return false;
+    if (is_hex_digit(s[2])) return true;
+    return s[2] == '.' && s.size() > 3 && is_hex_digit(s[3]);
+}
+
+/// Whether a decimal literal that std::from_chars found out of range
+/// overflowed rather than underflowed: |value| lies in
+/// [10^(p+e-1), 10^(p+e)), where p is the decimal place of its leading
+/// nonzero digit and e its exponent, so the sign of p+e tells.
+bool overflowed(std::string_view lit) {
+    long long place = 0;
+    bool leading = true, fraction = false;
+    std::size_t i = 0;
+    for (; i < lit.size() && lower(lit[i]) != 'e'; ++i) {
+        if (lit[i] == '.') {
+            fraction = true;
+        } else if (leading && lit[i] == '0') {
+            if (fraction) --place;
+        } else {
+            leading = false;
+            if (!fraction) ++place;
+        }
+    }
+    long long exp = 0;
+    if (i + 1 < lit.size()) {
+        std::string_view e = lit.substr(i + 1);
+        if (e[0] == '+') e.remove_prefix(1);
+        if (std::from_chars(e.data(), e.data() + e.size(), exp).ec ==
+            std::errc::result_out_of_range)
+            exp = e[0] == '-' ? -(1LL << 60) : (1LL << 60);
+    }
+    return place + exp > 0;
+}
+
 } // namespace
 
 double parse_value(std::string_view text) {
     if (text.empty()) throw Error("parse_value: empty numeric field");
-    std::string buf(text);
-    char* end = nullptr;
-    const double base = std::strtod(buf.c_str(), &end);
-    if (end == buf.c_str())
+    const std::string buf(text);
+    // The C grammar strtod reads, minus its locale: leading white space, an
+    // optional sign, then a decimal number, "inf" or "nan".  from_chars
+    // takes no '+', so a leading one is skipped here -- but not "+-5".
+    std::size_t start = 0;
+    while (start < text.size() && is_space(text[start])) ++start;
+    const bool plus = start < text.size() && text[start] == '+';
+    if (plus) ++start;
+    const std::string_view num = text.substr(start);
+    const bool minus = !num.empty() && num[0] == '-';
+    double base = 0.0;
+    const auto [end, ec] =
+        std::from_chars(num.data(), num.data() + num.size(), base);
+    if (ec == std::errc::invalid_argument || (plus && minus))
         throw Error("parse_value: not a number: '" + buf + "'");
-    // strtod is more liberal than a SPICE value field: it accepts "inf",
-    // "nan" and hex floats ("0x1p4"), none of which belong in a netlist.
+    const std::string_view lit = num.substr(0, end - num.data());
+    // Out of range leaves `base` unset; strtod gave +-HUGE_VAL or zero.
+    if (ec == std::errc::result_out_of_range)
+        base = std::copysign(overflowed(lit.substr(minus ? 1 : 0))
+                                 ? std::numeric_limits<double>::infinity()
+                                 : 0.0,
+                             minus ? -1.0 : 1.0);
     if (!std::isfinite(base))
         throw Error("parse_value: non-finite value: '" + buf + "'");
-    for (const char* p = buf.c_str(); p != end; ++p)
-        if (*p == 'x' || *p == 'X')
-            throw Error("parse_value: hex literal rejected: '" + buf + "'");
+    // SPICE has no hex floats; from_chars stopped at the 'x' of one.
+    if (is_hex_literal(num.substr(minus ? 1 : 0)))
+        throw Error("parse_value: hex literal rejected: '" + buf + "'");
 
-    std::string_view rest(end);
+    const std::string_view rest = num.substr(lit.size());
     const auto [mult, consumed] = suffix_multiplier(rest);
     std::string_view tail = rest.substr(consumed);
     // Whatever follows the (optional) multiplier must be a purely

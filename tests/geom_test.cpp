@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 namespace g = catlift::geom;
 
 TEST(Units, MicronRoundTrip) {
@@ -169,6 +174,92 @@ TEST(SpatialIndex, QueryReturnsAscendingUniqueIds) {
 TEST(SpatialIndex, RejectsBadCell) {
     EXPECT_THROW(g::SpatialIndex(0), catlift::Error);
 }
+
+// Property sweep: whatever mix of shapes is inserted -- short ones in the
+// grid, long horizontal and vertical ones in the strips, large ones in
+// many cells, rects exactly at the long/thin span thresholds, negative
+// coordinates -- query() and neighbours() return exactly the ascending,
+// unique ids a brute-force scan finds.
+class SpatialIndexProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(SpatialIndexProperty, MatchesBruteForce) {
+    std::uint64_t s = static_cast<std::uint64_t>(GetParam()) * 0x9E3779B97F4A7C15ull + 7;
+    auto pick = [&](std::int64_t n) {
+        s = s * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<std::int64_t>((s >> 33) % static_cast<std::uint64_t>(n));
+    };
+    const g::Coord cell = 100 + 50 * pick(4);
+    const std::int64_t long_cells = g::SpatialIndex::kLongSpan;
+    const std::int64_t thin_cells = g::SpatialIndex::kThinSpan;
+    // The extent of a rect that starts on a cell boundary and covers
+    // exactly `cells` grid cells.
+    auto span = [&](std::int64_t cells) { return cells * cell - 1; };
+    // A coordinate on a cell boundary or anywhere inside a cell.
+    auto origin = [&] { return (pick(60) - 30) * cell + (pick(2) ? 0 : pick(cell)); };
+
+    g::SpatialIndex idx(cell);
+    std::vector<std::pair<std::size_t, g::Rect>> rects;
+    const int n = 300;
+    std::vector<std::size_t> ids(n);
+    for (int i = 0; i < n; ++i) ids[i] = static_cast<std::size_t>(i);
+    for (int i = n; i > 1; --i) std::swap(ids[i - 1], ids[pick(i)]);
+    for (int i = 0; i < n; ++i) {
+        const g::Coord x = origin(), y = origin();
+        g::Coord w = 0, h = 0;
+        switch (pick(6)) {
+            case 0:  // short
+                w = pick(2 * cell);
+                h = pick(2 * cell);
+                break;
+            case 1:  // long horizontal
+                w = (long_cells + 1 + pick(40)) * cell + pick(cell);
+                h = pick(thin_cells * cell / 2);
+                break;
+            case 2:  // long vertical
+                w = pick(thin_cells * cell / 2);
+                h = (long_cells + 1 + pick(40)) * cell + pick(cell);
+                break;
+            case 3:  // large
+                w = (thin_cells + pick(10)) * cell + pick(cell);
+                h = (thin_cells + pick(10)) * cell + pick(cell);
+                break;
+            default: {  // at the thresholds, from a cell boundary
+                const std::int64_t along = long_cells + pick(2);
+                const std::int64_t across = thin_cells + pick(2);
+                const g::Coord x0 = (pick(60) - 30) * cell, y0 = (pick(60) - 30) * cell;
+                const bool horizontal = pick(2) == 0;
+                const g::Rect r(x0, y0, x0 + span(horizontal ? along : across),
+                                y0 + span(horizontal ? across : along));
+                rects.emplace_back(ids[i], r);
+                idx.insert(ids[i], r);
+                continue;
+            }
+        }
+        const g::Rect r(x, y, x + w, y + h);
+        rects.emplace_back(ids[i], r);
+        idx.insert(ids[i], r);
+    }
+    EXPECT_EQ(idx.size(), static_cast<std::size_t>(n));
+
+    auto brute = [&](const g::Rect& window) {
+        std::vector<std::size_t> out;
+        for (const auto& [id, r] : rects)
+            if (r.touches(window)) out.push_back(id);
+        std::sort(out.begin(), out.end());
+        return out;
+    };
+    for (int q = 0; q < 300; ++q) {
+        const g::Coord x = origin(), y = origin();
+        const g::Rect window(x, y, x + pick(6 * cell), y + pick(6 * cell));
+        EXPECT_EQ(idx.query(window), brute(window));
+        const auto& [id, r] = rects[static_cast<std::size_t>(pick(n))];
+        const g::Coord d = pick(3 * cell);
+        EXPECT_EQ(idx.neighbours(r, d), brute(r.expanded(d))) << id;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SpatialIndexProperty,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 // Property sweep: separation() is symmetric and consistent with expansion:
 // two rects are within distance d iff expanding one by d makes them touch.

@@ -55,6 +55,15 @@ class RepoMapTest(unittest.TestCase):
                   "src/lift"):
             self.assertIn(d, catlift_lint.DETERMINISM_DIRS)
 
+    def test_determinism_rule_covers_the_deck_parser_and_lvs(self):
+        # Every deck value goes through src/netlist's parser and every
+        # fault list through its LVS, so a locale-dependent strtod there
+        # would make a verdict depend on the host's locale.
+        self.assertIn("src/netlist", catlift_lint.DETERMINISM_DIRS)
+        self.assertEqual(
+            [], [str(f) for f in catlift_lint.rule_determinism(REPO)
+                 if f.path.startswith("src/netlist/")])
+
 
 class SeededViolationTest(unittest.TestCase):
     """One test per scenario: the violation fires its rule and no other."""

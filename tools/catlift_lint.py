@@ -25,10 +25,12 @@ campaigns with:
       (`--update-store-lock`), making the bump reviewable.
 
   CL003 determinism
-      No rand()/time()/locale-dependent calls in the src/spice and
-      src/anafault verdict paths.  Verdicts must be bit-reproducible
-      across runs, machines and locales; wall-clock reads are confined
-      to std::chrono, randomness to src/defects' seeded generators.
+      No rand()/time()/locale-dependent calls in the verdict paths:
+      src/spice, src/anafault, the layout half (src/geom, src/extract,
+      src/lift) and src/netlist, whose parser reads every deck value.
+      Verdicts must be bit-reproducible across runs, machines and
+      locales; wall-clock reads are confined to std::chrono, randomness
+      to src/defects' seeded generators.
       Suppress a deliberate use with `// lint-allow(CL003): <reason>`.
 
   CL004 fault-containment
@@ -99,10 +101,11 @@ STORE_HEADER = "src/batch/result_store.h"
 STORE_IMPL = "src/batch/result_store.cpp"
 STORE_LOCK = "tools/store_format.lock"
 
-# Verdict paths: the kernel and the campaigns, plus the layout half
-# (geometry, extraction, LIFT) whose fault list feeds every verdict.
+# Verdict paths: the kernel and the campaigns, the layout half (geometry,
+# extraction, LIFT) whose fault list feeds every verdict, and the netlist
+# layer whose parser reads every deck value and whose LVS gates the list.
 DETERMINISM_DIRS = ["src/spice", "src/anafault", "src/extract", "src/lift",
-                    "src/geom"]
+                    "src/geom", "src/netlist"]
 
 # The one campaign driver: tran, AC and DC are policies plugged into its
 # single run_class body.
@@ -524,6 +527,13 @@ def _seed_time_in_runner(fx):
            "static long stamp() { return time(nullptr); }\n")
 
 
+def _seed_strtod_in_parser(fx):
+    mutate(fx / "src/netlist/units.cpp",
+           "namespace catlift::netlist {",
+           "namespace catlift::netlist {\n"
+           "static double lenient(const char* s) { return strtod(s, 0); }\n")
+
+
 def _seed_missing_catch(fx):
     mutate(fx / "src/anafault/driver.h",
            "catch (const std::exception", "catch (const catlift::Error",
@@ -554,6 +564,7 @@ SCENARIOS = [
      _seed_version_bump_without_lock),
     ("CL003", "rand() in spice kernel", _seed_rand_in_kernel),
     ("CL003", "time() in campaign runner", _seed_time_in_runner),
+    ("CL003", "strtod in deck value parser", _seed_strtod_in_parser),
     ("CL004", "per-fault catch narrowed", _seed_missing_catch),
     ("CL005", "undocumented failpoint site", _seed_undocumented_failpoint),
     ("CL005", "undocumented event name", _seed_undocumented_event),
