@@ -51,21 +51,63 @@ AcFaultResult ac_from_record(const batch::FaultSimResult& rec) {
 
 namespace detail {
 
-spice::SimOptions AcPolicy::nominal(AcCampaignResult& res) {
+spice::SimOptions AcPolicy::nominal(AcCampaignResult& res, obs::Span&) {
     spice::SimOptions fault_sim = opt.sim;
-    {
-        obs::Span nsp(obs::Phase::Nominal);
-        spice::Simulator sim(ckt, opt.sim);
-        res.nominal = sim.ac(opt.sweep);
-        res.batch.ordering_seconds = sim.stats().ordering_seconds;
-        res.batch.numeric_seconds = sim.stats().numeric_seconds;
-        if (opt.share_symbolic) fault_sim.symbolic_cache = sim.symbolic_cache();
-    }
+    spice::Simulator sim(ckt, opt.sim);
+    res.nominal = sim.ac(opt.sweep);
+    res.batch.ordering_seconds = sim.stats().ordering_seconds;
+    res.batch.numeric_seconds = sim.stats().numeric_seconds;
+    if (opt.share_symbolic) fault_sim.symbolic_cache = sim.symbolic_cache();
+    observe(res);
+    return fault_sim;
+}
+
+void AcPolicy::observe(AcCampaignResult& res) {
     for (const std::string& node : opt.observed)
         require(res.nominal.has(node),
                 "ac campaign: observed node missing: " + node);
     nominal_ac = &res.nominal;
-    return fault_sim;
+}
+
+/// The sweep as the frequency axis followed by one vector per node of
+/// interleaved (re, im) pairs, in registration order.
+batch::NominalRecord AcPolicy::to_nominal(const AcCampaignResult& res) {
+    batch::NominalRecord rec;
+    rec.vectors.emplace_back("freq", res.nominal.freq());
+    for (const std::string& node : res.nominal.node_names()) {
+        const std::vector<std::complex<double>>& h = res.nominal.response(node);
+        std::vector<double> v;
+        v.reserve(2 * h.size());
+        for (const std::complex<double>& z : h) {
+            v.push_back(z.real());
+            v.push_back(z.imag());
+        }
+        rec.vectors.emplace_back(node, std::move(v));
+    }
+    return rec;
+}
+
+void AcPolicy::from_nominal(const batch::NominalRecord& rec,
+                            AcCampaignResult& res) {
+    require(!rec.vectors.empty() && rec.vectors[0].first == "freq",
+            "nominal record: no frequency axis");
+    const std::vector<double>& freq = rec.vectors[0].second;
+    spice::AcResult ac;
+    for (std::size_t j = 1; j < rec.vectors.size(); ++j) {
+        require(rec.vectors[j].second.size() == 2 * freq.size(),
+                "nominal record: response length differs from the sweep");
+        ac.add_node(rec.vectors[j].first);
+    }
+    std::vector<std::complex<double>> row(rec.vectors.size() - 1);
+    for (std::size_t k = 0; k < freq.size(); ++k) {
+        for (std::size_t j = 0; j < row.size(); ++j) {
+            const std::vector<double>& v = rec.vectors[j + 1].second;
+            row[j] = {v[2 * k], v[2 * k + 1]};
+        }
+        ac.append(freq[k], row);
+    }
+    res.nominal = std::move(ac);
+    observe(res);
 }
 
 /// One faulty sweep, streamed through the detector so it can stop at the

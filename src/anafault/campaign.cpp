@@ -14,13 +14,6 @@ using spice::Waveforms;
 
 namespace {
 
-double seconds_since(
-    const std::chrono::steady_clock::time_point& t0) {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
 std::string hexd(double v) {
     char buf[40];
     std::snprintf(buf, sizeof buf, "%a", v);
@@ -156,15 +149,28 @@ std::vector<JobMeta> fault_metas(const lift::FaultList& faults) {
     return metas;
 }
 
-spice::SimOptions TranPolicy::nominal(CampaignResult& res) {
+void put_rank(batch::NominalRecord& rec, const spice::SymbolicCache* cache) {
+    if (!cache) return;
+    for (const auto& [name, rank] : cache->rank)
+        rec.scalars.emplace_back("rank:" + name, rank);
+}
+
+std::shared_ptr<const spice::SymbolicCache> get_rank(
+    const batch::NominalRecord& rec) {
+    auto cache = std::make_shared<spice::SymbolicCache>();
+    for (const auto& [key, rank] : rec.scalars)
+        if (key.rfind("rank:", 0) == 0)
+            cache->rank[key.substr(5)] = static_cast<int>(rank);
+    if (cache->rank.empty()) return nullptr;
+    return cache;
+}
+
+spice::SimOptions TranPolicy::nominal(CampaignResult& res, obs::Span& sp) {
     res.tstop = ts.tstop;
     spice::SimOptions fault_sim = opt.sim;
-    obs::Span nsp(obs::Phase::Nominal);
-    const auto t0 = std::chrono::steady_clock::now();
     Simulator sim(ckt, opt.sim);
-    nsp.arg("unknowns", static_cast<std::int64_t>(sim.unknowns()));
+    sp.arg("unknowns", static_cast<std::int64_t>(sim.unknowns()));
     res.nominal = sim.tran(ts);
-    res.nominal_seconds = seconds_since(t0);
     res.batch.steps_integrated = sim.stats().tran_steps;
     res.batch.steps_interpolated = sim.stats().grid_points_interpolated;
     res.batch.bypass_solves = sim.stats().bypass_solves;
@@ -177,6 +183,38 @@ spice::SimOptions TranPolicy::nominal(CampaignResult& res) {
     if (opt.share_symbolic) fault_sim.symbolic_cache = sim.symbolic_cache();
     nominal_wf = &res.nominal;
     return fault_sim;
+}
+
+/// The waveforms as the time axis followed by one vector per trace, in
+/// registration order.
+batch::NominalRecord TranPolicy::to_nominal(const CampaignResult& res) {
+    batch::NominalRecord rec;
+    rec.vectors.emplace_back("time", res.nominal.time());
+    for (const std::string& name : res.nominal.trace_names())
+        rec.vectors.emplace_back(name, res.nominal.trace(name));
+    return rec;
+}
+
+void TranPolicy::from_nominal(const batch::NominalRecord& rec,
+                              CampaignResult& res) {
+    require(!rec.vectors.empty() && rec.vectors[0].first == "time",
+            "nominal record: no time axis");
+    const std::vector<double>& time = rec.vectors[0].second;
+    Waveforms wf;
+    for (std::size_t j = 1; j < rec.vectors.size(); ++j) {
+        require(rec.vectors[j].second.size() == time.size(),
+                "nominal record: trace length differs from the time axis");
+        wf.add_trace(rec.vectors[j].first);
+    }
+    std::vector<double> row(rec.vectors.size() - 1);
+    for (std::size_t k = 0; k < time.size(); ++k) {
+        for (std::size_t j = 0; j < row.size(); ++j)
+            row[j] = rec.vectors[j + 1].second[k];
+        wf.append(time[k], row);
+    }
+    res.nominal = std::move(wf);
+    res.tstop = ts.tstop;
+    nominal_wf = &res.nominal;
 }
 
 /// Run one mutated circuit against the shared nominal baseline, streaming

@@ -182,6 +182,10 @@ template <class R>
 struct CampaignOutput {
     std::vector<R> results;
     batch::BatchStats batch;  ///< scheduler / collapse / abort counters
+    /// Wall time this run spent obtaining the nominal analysis: the
+    /// simulation, or the load from the result store when an earlier run
+    /// persisted it (batch.nominal_resumed).
+    double nominal_seconds = 0.0;
 
     std::size_t detected() const {
         return count([](const R& r) { return is_detected(r); });
@@ -225,7 +229,6 @@ private:
 /// behind the paper's Fig. 5.
 struct CampaignResult : CampaignOutput<FaultSimResult> {
     spice::Waveforms nominal;
-    double nominal_seconds = 0.0;
     double total_seconds = 0.0;  ///< kernel time this run spent on faults
                                  ///< (store-resumed results excluded; their
                                  ///< original cost stays on each result)

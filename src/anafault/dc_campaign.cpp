@@ -54,25 +54,50 @@ DcFaultResult dc_from_record(const batch::FaultSimResult& rec) {
 
 namespace detail {
 
-spice::SimOptions DcPolicy::nominal(DcScreenResult& res) {
+spice::SimOptions DcPolicy::nominal(DcScreenResult& res, obs::Span&) {
     spice::SimOptions fault_sim = opt.sim;
-    {
-        obs::Span nsp(obs::Phase::Nominal);
-        spice::Simulator nominal(ckt, opt.sim);
-        const spice::DcResult nom_op = nominal.dc_op();
-        require(nom_op.converged, "dc screen: nominal operating point failed");
-        res.nominal_op = nom_op.voltages;
-        res.nominal_iterations = nom_op.iterations;
-        res.batch.ordering_seconds = nominal.stats().ordering_seconds;
-        res.batch.numeric_seconds = nominal.stats().numeric_seconds;
-        if (opt.share_symbolic)
-            fault_sim.symbolic_cache = nominal.symbolic_cache();
-    }
+    spice::Simulator nominal(ckt, opt.sim);
+    const spice::DcResult nom_op = nominal.dc_op();
+    require(nom_op.converged, "dc screen: nominal operating point failed");
+    res.nominal_op = nom_op.voltages;
+    res.nominal_iterations = nom_op.iterations;
+    res.batch.ordering_seconds = nominal.stats().ordering_seconds;
+    res.batch.numeric_seconds = nominal.stats().numeric_seconds;
+    if (opt.share_symbolic)
+        fault_sim.symbolic_cache = nominal.symbolic_cache();
+    observe(res);
+    return fault_sim;
+}
+
+void DcPolicy::observe(DcScreenResult& res) {
     for (const std::string& n : opt.observed)
         require(res.nominal_op.count(n) > 0,
                 "dc screen: observed node missing: " + n);
     nominal_res = &res;
-    return fault_sim;
+}
+
+/// One single-value vector per node plus the cold solve's NR count.
+batch::NominalRecord DcPolicy::to_nominal(const DcScreenResult& res) {
+    batch::NominalRecord rec;
+    for (const auto& [node, v] : res.nominal_op)
+        rec.vectors.emplace_back(node, std::vector<double>{v});
+    rec.scalars.emplace_back("nominal_iterations", res.nominal_iterations);
+    return rec;
+}
+
+void DcPolicy::from_nominal(const batch::NominalRecord& rec,
+                            DcScreenResult& res) {
+    std::map<std::string, double> op;
+    for (const auto& [node, v] : rec.vectors) {
+        require(v.size() == 1, "nominal record: malformed operating point");
+        op[node] = v[0];
+    }
+    require(!rec.scalars.empty() &&
+                rec.scalars[0].first == "nominal_iterations",
+            "nominal record: no nominal iteration count");
+    res.nominal_op = std::move(op);
+    res.nominal_iterations = static_cast<int>(rec.scalars[0].second);
+    observe(res);
 }
 
 /// One faulty operating point.  The deviation measurement validates the

@@ -6,10 +6,11 @@
 // post-process (compare, statistics).  That cycle does not depend on the
 // analysis, so it is written once here:
 //
-//   nominal first -> open the result store and load finished records
-//   -> collapse into equivalence classes -> one scheduler job per
-//   unfinished class: inject the representative, run the retry ladder,
-//   publish, fan the verdict out -> fold the counters of this run.
+//   open the result store and load finished records -> the nominal,
+//   loaded from the store or simulated and persisted -> collapse into
+//   equivalence classes -> one scheduler job per unfinished class:
+//   inject the representative, run the retry ladder, publish, fan the
+//   verdict out -> fold the counters of this run.
 //
 // Each analysis is a policy P:
 //
@@ -18,9 +19,12 @@
 //   kAnalysis                   "tran" | "ac" | "dc" (campaign_start)
 //   manifest / run              the public manifest function and runner
 //                               (the incremental engine is written over P)
-//   nominal(Output&)            run the nominal analysis, fill the result,
+//   nominal(Output&, Span&)     run the nominal analysis, fill the result,
 //                               return the fault SimOptions (carrying the
 //                               campaign-shared symbolic cache)
+//   to_nominal / from_nominal   the nominal's analysis data to / from the
+//                               store's nominal record (from_nominal
+//                               throws on a record it cannot use)
 //   attempt(faulty, sim, r)     one kernel attempt -> ok / retryable
 //   to_record / from_record     store round trip (identity for tran)
 //   publish(r, FaultObs)        span args / counters beyond the common set
@@ -50,6 +54,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -88,6 +93,12 @@ const char* verdict_of(const R& r) {
 
 inline std::int64_t i64(std::size_t v) { return static_cast<std::int64_t>(v); }
 
+inline double seconds_since(std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+}
+
 /// Where one retired representative's observability lands.  Every
 /// `count` goes to the span arg and the `campaign.<key>` registry counter
 /// with the same value, so registry totals equal the sum over fault spans.
@@ -116,6 +127,33 @@ struct FaultObs {
         if (event) event->push_back(obs::arg(key, v));
     }
 };
+
+/// The campaign-shared symbolic order rides in the nominal record as one
+/// "rank:<unknown>" scalar per unknown (none when the nominal kernel was
+/// dense or sharing is off).
+void put_rank(batch::NominalRecord& rec, const spice::SymbolicCache* cache);
+std::shared_ptr<const spice::SymbolicCache> get_rank(
+    const batch::NominalRecord& rec);
+
+/// Fill `res` with the nominal of `rec` when it is a usable record of P's
+/// analysis; returns the fault SimOptions then, std::nullopt otherwise
+/// (no record, another analysis, or one from_nominal rejects -- the
+/// caller simulates instead).
+template <class P>
+std::optional<spice::SimOptions> load_nominal(
+    P& p, const std::optional<batch::NominalRecord>& rec,
+    typename P::Output& res) {
+    if (!rec || rec->analysis != P::kAnalysis) return std::nullopt;
+    try {
+        p.from_nominal(*rec, res);
+    } catch (const std::exception&) {
+        return std::nullopt;
+    }
+    spice::SimOptions fault_sim = p.opt.sim;
+    if (p.opt.share_symbolic) fault_sim.symbolic_cache = get_rank(*rec);
+    res.batch.nominal_resumed = 1;
+    return fault_sim;
+}
 
 /// Store-to-slots loader: fill the slot of every fault with a record (the
 /// first record per fault id wins) and split the provenance -- a record
@@ -223,13 +261,8 @@ typename P::Output drive(P& p, const std::vector<JobMeta>& metas, Make make,
                          obs::arg("faults", i64(n)),
                          obs::arg("threads", i64(res.batch.threads))});
 
-    // Nominal analysis first (paper, ch. V); its result is shared
-    // read-only by every worker, and its kernel's elimination order is
-    // the campaign-shared symbolic analysis every faulty variant adopts.
-    const spice::SimOptions fault_sim = p.nominal(res);
-
-    // Result store: load whatever a previous run of this exact campaign
-    // already finished.
+    // Result store first: load whatever a previous run of this exact
+    // campaign already finished, its nominal included.
     res.results.resize(n);
     std::vector<char> done(n, 0);
     std::unique_ptr<batch::ResultStore> store;
@@ -244,6 +277,53 @@ typename P::Output drive(P& p, const std::vector<JobMeta>& metas, Make make,
                                                      opt.store_durability);
         done = load_slots<P>(store->loaded(), metas, res);
     }
+
+    std::atomic<std::size_t> store_errors{0};
+    // Contained store append: an I/O failure (disk full, injected torn
+    // write) must not fail the campaign -- what was computed stays in
+    // memory; it is merely not persisted, so a later resume re-simulates
+    // it.  The failure is counted and published (fault_id -1: the
+    // nominal record).
+    auto contained = [&](std::int64_t fault_id, auto&& append) {
+        if (!store) return;
+        try {
+            append();
+        } catch (const std::exception& e) {
+            store_errors.fetch_add(1, std::memory_order_relaxed);
+            if (obs::metrics_enabled())
+                obs::Registry::global().counter("store.append_errors").add(1);
+            if (obs::events_enabled())
+                obs::emit_event("store_error",
+                                {obs::arg("fault_id", fault_id),
+                                 obs::arg("error", std::string(e.what()))});
+        }
+    };
+    auto safe_append = [&](const Result& r) {
+        contained(r.fault_id, [&] { store->append(P::to_record(r)); });
+    };
+
+    // The nominal analysis (paper, ch. V), simulated once per store: an
+    // earlier run's record is loaded, otherwise it is simulated and
+    // persisted before any fault record.  Its result is shared read-only
+    // by every worker, and its kernel's elimination order is the
+    // campaign-shared symbolic analysis every faulty variant adopts.
+    spice::SimOptions fault_sim;
+    std::optional<spice::SimOptions> loaded;
+    {
+        obs::Span nsp(obs::Phase::Nominal);
+        const auto t0 = std::chrono::steady_clock::now();
+        if (store) loaded = load_nominal(p, store->loaded_nominal(), res);
+        fault_sim = loaded ? std::move(*loaded) : p.nominal(res, nsp);
+        nsp.arg("source", std::string(loaded ? "store" : "kernel"));
+        res.nominal_seconds = seconds_since(t0);
+    }
+    if (!loaded)
+        contained(-1, [&] {
+            batch::NominalRecord rec = P::to_nominal(res);
+            rec.analysis = P::kAnalysis;
+            put_rank(rec, fault_sim.symbolic_cache.get());
+            store->append_nominal(rec);
+        });
 
     // Snapshot of which slots were filled from the store, before workers
     // start marking their own slots done.
@@ -287,25 +367,6 @@ typename P::Output drive(P& p, const std::vector<JobMeta>& metas, Make make,
 
     std::atomic<std::size_t> kernel_runs{0};
     std::atomic<std::size_t> retries{0};
-    std::atomic<std::size_t> store_errors{0};
-    // Contained store append: an I/O failure (disk full, injected torn
-    // write) must not fail the fault -- its verdict is already computed
-    // and stays in memory; it is merely not persisted, so a later resume
-    // re-simulates it.  The failure is counted and published.
-    auto safe_append = [&](const Result& r) {
-        if (!store) return;
-        try {
-            store->append(P::to_record(r));
-        } catch (const std::exception& e) {
-            store_errors.fetch_add(1, std::memory_order_relaxed);
-            if (obs::metrics_enabled())
-                obs::Registry::global().counter("store.append_errors").add(1);
-            if (obs::events_enabled())
-                obs::emit_event("store_error",
-                                {obs::arg("fault_id", i64(r.fault_id)),
-                                 obs::arg("error", std::string(e.what()))});
-        }
-    };
     auto run_class = [&](std::size_t c) {
         const std::vector<std::size_t>& members = classes[c].members;
 
@@ -350,9 +411,7 @@ typename P::Output drive(P& p, const std::vector<JobMeta>& metas, Make make,
                         error = r.error;
                         return a;
                     });
-                r.sim_seconds = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - t0)
-                                    .count();
+                r.sim_seconds = seconds_since(t0);
                 r.attempts = ladder.attempts;
                 r.quarantined = ladder.quarantined;
                 r.retry_log = std::move(ladder.retry_log);
@@ -460,7 +519,9 @@ struct TranPolicy {
     netlist::TranSpec ts;
     const spice::Waveforms* nominal_wf = nullptr;
 
-    spice::SimOptions nominal(Output& res);
+    spice::SimOptions nominal(Output& res, obs::Span& sp);
+    static batch::NominalRecord to_nominal(const Output& res);
+    void from_nominal(const batch::NominalRecord& rec, Output& res);
     Attempt attempt(const netlist::Circuit& faulty,
                     const spice::SimOptions& sim, Result& r) const;
     static const Result& to_record(const Result& r) { return r; }
@@ -484,7 +545,9 @@ struct AcPolicy {
     const Options& opt;
     const spice::AcResult* nominal_ac = nullptr;
 
-    spice::SimOptions nominal(Output& res);
+    spice::SimOptions nominal(Output& res, obs::Span& sp);
+    static batch::NominalRecord to_nominal(const Output& res);
+    void from_nominal(const batch::NominalRecord& rec, Output& res);
     Attempt attempt(const netlist::Circuit& faulty,
                     const spice::SimOptions& sim, Result& r) const;
     static batch::FaultSimResult to_record(const Result& r) {
@@ -496,6 +559,8 @@ struct AcPolicy {
     static void publish(const Result& r, const FaultObs& o);
     static void clear_cost(Result& r) { r.points_saved = 0; }
     static void fold(Output& res, const Result& r);
+    /// Check the observed nodes against the nominal and bind it.
+    void observe(Output& res);
 };
 
 struct DcPolicy {
@@ -514,7 +579,9 @@ struct DcPolicy {
     std::atomic<std::size_t> warm_hits{0};
     std::atomic<std::size_t> nr_saved{0};
 
-    spice::SimOptions nominal(Output& res);
+    spice::SimOptions nominal(Output& res, obs::Span& sp);
+    static batch::NominalRecord to_nominal(const Output& res);
+    void from_nominal(const batch::NominalRecord& rec, Output& res);
     Attempt attempt(const netlist::Circuit& faulty,
                     const spice::SimOptions& sim, Result& r);
     static batch::FaultSimResult to_record(const Result& r) {
@@ -526,6 +593,8 @@ struct DcPolicy {
     static void publish(const Result& r, const FaultObs& o);
     static void clear_cost(Result&) {}
     static void fold(Output&, const Result&) {}
+    /// Check the observed nodes against the nominal and bind it.
+    void observe(Output& res);
 };
 
 } // namespace catlift::anafault::detail

@@ -50,6 +50,9 @@ struct CarrySplit {
     std::map<int, batch::FaultSimResult> carried_by_id;
     lift::FaultList subset;
     IncrementalStats inc;
+    /// The baseline's nominal record when its manifest matched: same
+    /// circuit, analysis spec and knobs, hence the revision's nominal.
+    std::optional<batch::NominalRecord> nominal;
 };
 
 CarrySplit split_for_carry(const lift::FaultList& baseline,
@@ -88,6 +91,7 @@ CarrySplit split_for_carry(const lift::FaultList& baseline,
     } else {
         out.inc.baseline_manifest_matched = true;
         by_sig = baseline_by_signature(baseline, *snap);
+        out.nominal = snap->nominal;
     }
 
     // Split the revision: carried verdicts vs the subset to simulate.
@@ -133,30 +137,34 @@ CarrySplit split_for_carry(const lift::FaultList& baseline,
     return out;
 }
 
-/// Seed the merged store with the carried records, bound to the revision
-/// manifest, so a crash mid-subset never costs them and the merged store
-/// resumes -- and serves as the next revision's baseline -- as if a cold
-/// full campaign had written it.
+/// Seed the merged store with the baseline's nominal record and the
+/// carried records, bound to the revision manifest, so the subset
+/// campaign loads the nominal instead of simulating it, a crash
+/// mid-subset never costs a carried verdict, and the merged store resumes
+/// -- and serves as the next revision's baseline -- as if a cold full
+/// campaign had written it.
 void seed_merged_store(const std::string& path, std::uint64_t manifest,
-                       bool resume,
-                       const std::map<int, batch::FaultSimResult>& carried,
+                       bool resume, const CarrySplit& split,
                        batch::Durability durability) {
     if (!resume) {
         std::error_code ec;
         std::filesystem::remove(path, ec);
     }
     batch::ResultStore store(path, manifest, durability);
+    if (split.nominal && !store.loaded_nominal())
+        store.append_nominal(*split.nominal);
     std::set<int> present;
     for (const batch::FaultSimResult& r : store.loaded())
         present.insert(r.fault_id);
-    for (const auto& [id, r] : carried)
+    for (const auto& [id, r] : split.carried_by_id)
         if (!present.count(id)) store.append(r);
 }
 
 /// The incremental engine over one analysis policy: carry what the
-/// baseline store proves, run the remainder as a subset campaign into the
-/// merged store, and merge in revision order.  Nominal run, kernel-cost
-/// aggregates and batch counters describe the work this run performed.
+/// baseline store proves (its nominal included), run the remainder as a
+/// subset campaign into the merged store, and merge in revision order.
+/// Kernel-cost aggregates and batch counters describe the work this run
+/// performed.
 template <class P>
 IncrementalRunResult<typename P::Output> run_incremental(
     const Circuit& ckt, const lift::FaultList& baseline,
@@ -178,7 +186,7 @@ IncrementalRunResult<typename P::Output> run_incremental(
         const std::uint64_t manifest =
             P::manifest(ckt, revision, opt.campaign);
         seed_merged_store(copt.result_store, manifest, opt.campaign.resume,
-                          split.carried_by_id, copt.store_durability);
+                          split, copt.store_durability);
         // The subset campaign reopens the merged store under the revision
         // manifest: its own finished records resume, carried ids (not in
         // the subset) pass through untouched.

@@ -93,10 +93,11 @@ using IncrementalDcResult = IncrementalRunResult<DcScreenResult>;
 
 /// Run the revision campaign incrementally against a baseline.
 /// `baseline` must be the fault list the baseline store was written for.
-/// The nominal analysis always runs, even when every fault carries: the
-/// merged result keeps the full contract (nominal waveforms / sweep /
-/// operating point, coverage) of a cold run, and one nominal per revision
-/// is the irreducible sanity baseline.  Throws catlift::Error on
+/// The merged result keeps the full contract (nominal waveforms / sweep /
+/// operating point, coverage) of a cold run.  When the baseline store's
+/// manifest matches and a merged store path is set, the baseline's
+/// nominal record is copied into the merged store and loaded, not
+/// simulated; otherwise the nominal runs.  Throws catlift::Error on
 /// inconsistent configuration (e.g. resume requested without a merged
 /// store path).
 IncrementalResult run_incremental_campaign(const netlist::Circuit& ckt,

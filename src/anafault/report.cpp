@@ -55,7 +55,8 @@ std::string campaign_summary(const CampaignResult& res) {
         os << buf;
     }
     std::snprintf(buf, sizeof buf,
-                  "kernel time: nominal %.3fs, faults %.3fs total\n",
+                  "kernel time: nominal %s%.3fs, faults %.3fs total\n",
+                  res.batch.nominal_resumed ? "loaded from store in " : "",
                   res.nominal_seconds, res.total_seconds);
     os << buf;
     std::snprintf(buf, sizeof buf,

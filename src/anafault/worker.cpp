@@ -62,7 +62,9 @@ CampaignResult load_campaign_result(const netlist::Circuit& ckt,
                 " identifies as a different campaign");
 
     CampaignResult res;
-    res.tstop = detail::resolve_tran(ckt, opt).tstop;
+    detail::TranPolicy p{ckt, opt, detail::resolve_tran(ckt, opt)};
+    res.tstop = p.ts.tstop;
+    detail::load_nominal(p, snap->nominal, res);
     const std::vector<detail::JobMeta> metas = detail::fault_metas(faults);
     const std::vector<char> done =
         detail::load_slots<detail::TranPolicy>(snap->records, metas, res);

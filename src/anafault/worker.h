@@ -7,8 +7,8 @@
 // exactly the mechanism the incremental engine already uses to run a
 // subset campaign against a full store.  The supervisor then folds the
 // shards back together (batch::merge_shards) and reassembles the final
-// CampaignResult straight from the canonical store, so the parent never
-// re-runs the nominal simulation.
+// CampaignResult straight from the canonical store -- the nominal
+// included -- so the parent never re-runs the nominal simulation.
 
 #pragma once
 
@@ -42,10 +42,10 @@ CampaignResult run_worker_campaign(const netlist::Circuit& ckt,
 /// Assemble a CampaignResult for (ckt, faults, opt) from the canonical
 /// merged store at `store_path` without simulating anything: every fault
 /// must already have a record (a fault missing from the store comes back
-/// `failed` with a diagnostic error).  nominal/nominal_seconds stay
-/// empty/zero -- the workers ran the nominal sim; the parent only
-/// aggregates.  Throws catlift::Error when the store is unreadable or
-/// bound to a different manifest.
+/// `failed` with a diagnostic error).  The nominal comes from the
+/// store's nominal record (batch.nominal_resumed = 1); it stays empty
+/// when the store holds none.  Throws catlift::Error when the store is
+/// unreadable or bound to a different manifest.
 CampaignResult load_campaign_result(const netlist::Circuit& ckt,
                                     const lift::FaultList& faults,
                                     const CampaignOptions& opt,

@@ -41,9 +41,14 @@ constexpr std::uint32_t kMagic = 0x42544143u;  // "CATB"
 // v6: attempts + quarantined + retry_log (the failure-containment
 // layer's retry/degradation ladder provenance; `quarantined` is a
 // verdict and must survive store round-trips and incremental carry).
+// v7: a record-kind tag leads every payload, and one optional nominal
+// record (the campaign's fault-free analysis) joins the fault records.
 // Any older-version store is treated as foreign and restarted, like any
 // other manifest mismatch.
-constexpr std::uint32_t kVersion = 6;
+constexpr std::uint32_t kVersion = 7;
+
+/// First payload byte: which record the rest of the payload encodes.
+enum RecordKind : std::uint8_t { kFaultRecord = 1, kNominalRecord = 2 };
 
 template <typename T>
 void put(std::string& buf, const T& v) {
@@ -81,8 +86,18 @@ struct Reader {
     }
 };
 
+/// Length + payload + checksum: one record as the log stores it.
+std::string frame(const std::string& payload) {
+    std::string rec;
+    put(rec, static_cast<std::uint32_t>(payload.size()));
+    rec.append(payload);
+    put(rec, fnv1a(payload));
+    return rec;
+}
+
 std::string encode(const FaultSimResult& r) {
     std::string p;
+    put(p, kFaultRecord);
     put(p, static_cast<std::int32_t>(r.fault_id));
     put(p, static_cast<std::uint8_t>(r.simulated ? 1 : 0));
     put(p, static_cast<std::uint8_t>(r.detect_time ? 1 : 0));
@@ -112,13 +127,15 @@ std::string encode(const FaultSimResult& r) {
 
 bool decode(const std::string& payload, FaultSimResult& r) {
     Reader rd{payload};
+    std::uint8_t kind = 0;
     std::int32_t id = 0;
     std::uint8_t simulated = 0, has_detect = 0, carried = 0;
     double detect = 0.0;
     std::uint64_t nr = 0, msize = 0, saved = 0, integrated = 0, interp = 0;
     std::uint64_t bypass = 0, refactors = 0, dskips = 0, cache_hits = 0;
     std::uint8_t quarantined = 0;
-    if (!rd.get(id) || !rd.get(simulated) || !rd.get(has_detect) ||
+    if (!rd.get(kind) || kind != kFaultRecord || !rd.get(id) ||
+        !rd.get(simulated) || !rd.get(has_detect) ||
         !rd.get(detect) || !rd.get(r.probability) || !rd.get(r.sim_seconds) ||
         !rd.get(nr) || !rd.get(msize) || !rd.get(saved) ||
         !rd.get(integrated) || !rd.get(interp) || !rd.get(bypass) ||
@@ -146,6 +163,57 @@ bool decode(const std::string& payload, FaultSimResult& r) {
     return rd.pos == payload.size();
 }
 
+std::string encode_nominal(const NominalRecord& n) {
+    std::string p;
+    put(p, kNominalRecord);
+    put_str(p, n.analysis);
+    put(p, static_cast<std::uint32_t>(n.vectors.size()));
+    for (const auto& [name, v] : n.vectors) {
+        put_str(p, name);
+        put(p, static_cast<std::uint32_t>(v.size()));
+        p.append(reinterpret_cast<const char*>(v.data()),
+                 v.size() * sizeof(double));
+    }
+    put(p, static_cast<std::uint32_t>(n.scalars.size()));
+    for (const auto& [name, x] : n.scalars) {
+        put_str(p, name);
+        put(p, x);
+    }
+    return p;
+}
+
+/// Every count is checked against the bytes left before anything is
+/// sized from it, so a damaged payload is rejected, never over-allocated.
+bool decode_nominal(const std::string& payload, NominalRecord& n) {
+    Reader rd{payload};
+    std::uint8_t kind = 0;
+    std::uint32_t count = 0;
+    if (!rd.get(kind) || kind != kNominalRecord || !rd.get_str(n.analysis) ||
+        !rd.get(count))
+        return false;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        std::string name;
+        std::uint32_t len = 0;
+        if (!rd.get_str(name) || !rd.get(len) ||
+            (payload.size() - rd.pos) / sizeof(double) < len)
+            return false;
+        std::vector<double> v(len);
+        if (len > 0)
+            std::memcpy(v.data(), payload.data() + rd.pos,
+                        len * sizeof(double));
+        rd.pos += len * sizeof(double);
+        n.vectors.emplace_back(std::move(name), std::move(v));
+    }
+    if (!rd.get(count)) return false;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        std::string name;
+        std::int64_t x = 0;
+        if (!rd.get_str(name) || !rd.get(x)) return false;
+        n.scalars.emplace_back(std::move(name), x);
+    }
+    return rd.pos == payload.size();
+}
+
 /// Scan a store image: header + every intact record.  Returns the byte
 /// offset just past the last good record (0 when the header is absent,
 /// foreign or of another version) -- the single decoding path shared by
@@ -159,6 +227,7 @@ struct ScanResult {
     std::uint64_t manifest = 0;
     std::size_t good_end = 0;
     std::vector<FaultSimResult> records;
+    std::optional<NominalRecord> nominal;
 };
 
 ScanResult scan_store(const std::string& bytes,
@@ -185,9 +254,17 @@ ScanResult scan_store(const std::string& bytes,
         std::uint64_t check = 0;
         if (!rd.get(check)) break;
         if (check != fnv1a(payload)) break;
-        FaultSimResult r;
-        if (!decode(payload, r)) break;
-        out.records.push_back(std::move(r));
+        if (!payload.empty() &&
+            payload[0] == static_cast<char>(kNominalRecord)) {
+            // The first nominal record wins, like the first per fault id.
+            NominalRecord n;
+            if (!decode_nominal(payload, n)) break;
+            if (!out.nominal) out.nominal = std::move(n);
+        } else {
+            FaultSimResult r;
+            if (!decode(payload, r)) break;
+            out.records.push_back(std::move(r));
+        }
         out.good_end = rd.pos;
     }
     return out;
@@ -213,13 +290,10 @@ std::string store_header(std::uint64_t manifest) {
     return hdr;
 }
 
-std::string encode_record(const FaultSimResult& r) {
-    const std::string payload = encode(r);
-    std::string rec;
-    put(rec, static_cast<std::uint32_t>(payload.size()));
-    rec.append(payload);
-    put(rec, fnv1a(payload));
-    return rec;
+std::string encode_record(const FaultSimResult& r) { return frame(encode(r)); }
+
+std::string encode_record(const NominalRecord& n) {
+    return frame(encode_nominal(n));
 }
 
 void sync_parent_directory(const std::string& path) {
@@ -246,6 +320,7 @@ ResultStore::ResultStore(std::string path, std::uint64_t manifest,
 
     if (scan.header_ok && scan.manifest == manifest_) {
         loaded_ = std::move(scan.records);
+        loaded_nominal_ = std::move(scan.nominal);
         // Trim any partial tail, then continue appending after it.
         if (scan.good_end < bytes.size())
             std::filesystem::resize_file(path_, scan.good_end);
@@ -294,10 +369,28 @@ void ResultStore::sync_to_disk() {
 void ResultStore::append(const FaultSimResult& r) {
     obs::Span sp(obs::Phase::StoreAppend);
     const std::string rec = encode_record(r);
+    write(rec, false);
+    if (obs::events_enabled())
+        obs::emit_event(
+            "store_flush",
+            {obs::arg("fault_id", static_cast<std::int64_t>(r.fault_id)),
+             obs::arg("bytes", static_cast<std::int64_t>(rec.size())),
+             obs::arg("carried", static_cast<std::int64_t>(r.carried))});
+}
 
+void ResultStore::append_nominal(const NominalRecord& n) {
+    obs::Span sp(obs::Phase::StoreAppend);
+    write(encode_record(n), true);
+}
+
+void ResultStore::write(const std::string& rec, bool nominal) {
     {
         MutexLock lk(mu_);
-        if (auto fp = robust::hit("store.append")) {
+        // The nominal record has its own site, so a fault-append window
+        // (`store.append=torn@N`) keeps counting fault records only.
+        auto fp = nominal ? robust::hit("store.append_nominal")
+                          : robust::hit("store.append");
+        if (fp) {
             // Torn-write injection: half the record reaches the kernel,
             // then the append dies -- by exception (`torn`, the contained
             // I/O-error path) or with the process (`torn_crash`, the
@@ -310,8 +403,7 @@ void ResultStore::append(const FaultSimResult& r) {
                 out_.flush();
                 if (fp->action == robust::FailAction::TornCrash)
                     std::_Exit(137);
-                throw Error("failpoint 'store.append': torn write in " +
-                            path_);
+                throw Error("failpoint: torn write in " + path_);
             }
         }
         out_.write(rec.data(), static_cast<std::streamsize>(rec.size()));
@@ -324,12 +416,6 @@ void ResultStore::append(const FaultSimResult& r) {
         reg.counter("store.appends").add(1);
         reg.counter("store.bytes").add(rec.size());
     }
-    if (obs::events_enabled())
-        obs::emit_event(
-            "store_flush",
-            {obs::arg("fault_id", static_cast<std::int64_t>(r.fault_id)),
-             obs::arg("bytes", static_cast<std::int64_t>(rec.size())),
-             obs::arg("carried", static_cast<std::int64_t>(r.carried))});
 }
 
 std::optional<StoreSnapshot> load_store(const std::string& path) {
@@ -339,6 +425,7 @@ std::optional<StoreSnapshot> load_store(const std::string& path) {
     StoreSnapshot snap;
     snap.manifest = scan.manifest;
     snap.records = std::move(scan.records);
+    snap.nominal = std::move(scan.nominal);
     return snap;
 }
 

@@ -9,10 +9,16 @@
 // simulated.  A store whose manifest does not match (the circuit or the
 // options changed) is discarded and restarted, never silently reused.
 //
+// Besides the per-fault records the log holds at most one *nominal*
+// record: the campaign's fault-free analysis, written once before the
+// first fault record, so a resume, a fabric worker or an incremental
+// revision loads it instead of simulating it again.
+//
 // The log tolerates truncation anywhere: each record carries its payload
 // length and an FNV-1a checksum, and loading stops at the first short or
 // corrupt record, trimming the file back to the last good byte.  Killing
-// a campaign mid-write therefore costs at most one fault's result.
+// a campaign mid-write therefore costs at most one fault's result (or
+// the nominal record, which the next run simulates again).
 
 #pragma once
 
@@ -24,6 +30,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace catlift::batch {
@@ -79,6 +86,20 @@ struct FaultSimResult {
     std::string retry_log;
 };
 
+/// The campaign's nominal (fault-free) analysis as the store persists it
+/// (v7): named double vectors plus named integer scalars, each stored bit
+/// for bit, so the batch layer stays free of simulator types.  The
+/// campaign layer maps its tran waveforms, AC sweep or DC operating point
+/// and the campaign-shared symbolic order onto them (anafault/driver.h).
+/// The store's manifest already hashes the circuit text, the analysis
+/// spec and every sim knob, so the record is valid for exactly the store
+/// that holds it.
+struct NominalRecord {
+    std::string analysis;  ///< "tran" | "ac" | "dc"
+    std::vector<std::pair<std::string, std::vector<double>>> vectors;
+    std::vector<std::pair<std::string, std::int64_t>> scalars;
+};
+
 inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
 
 /// FNV-1a 64-bit rolling hash (pass the previous result as `h` to chain).
@@ -117,18 +138,28 @@ public:
 
     /// Records recovered from disk at open (file order).
     const std::vector<FaultSimResult>& loaded() const { return loaded_; }
+    /// The nominal record recovered at open (the first one in the file).
+    const std::optional<NominalRecord>& loaded_nominal() const {
+        return loaded_nominal_;
+    }
 
     /// Append one result and flush (and, under Durability::Fsync, sync)
     /// it to disk.  Failpoint site `store.append` (torn / torn_crash /
     /// generic actions) injects the I/O failures the containment tests
     /// exercise.
     void append(const FaultSimResult& r);
+    /// Append the nominal record with append()'s flush and durability;
+    /// failpoint site `store.append_nominal` (same actions).  The campaign
+    /// writes it before its first fault record.
+    void append_nominal(const NominalRecord& n);
 
     const std::string& path() const { return path_; }
     std::uint64_t manifest() const { return manifest_; }
 
 private:
     void sync_to_disk();  ///< fsync the file (Durability::Fsync only)
+    /// Write one encoded record (`nominal` picks the failpoint site).
+    void write(const std::string& rec, bool nominal);
 
     // path_/manifest_/durability_/loaded_ are immutable after the
     // constructor; only the append path is concurrent, so the log stream
@@ -138,6 +169,7 @@ private:
     std::uint64_t manifest_ = 0;
     Durability durability_ = Durability::Flush;
     std::vector<FaultSimResult> loaded_;
+    std::optional<NominalRecord> loaded_nominal_;
     Mutex mu_;
     std::ofstream out_ CATLIFT_GUARDED_BY(mu_);
 };
@@ -150,6 +182,7 @@ private:
 struct StoreSnapshot {
     std::uint64_t manifest = 0;
     std::vector<FaultSimResult> records;
+    std::optional<NominalRecord> nominal;  ///< first nominal record, if any
 };
 
 /// Load a snapshot of the store at `path`.  Returns std::nullopt when the
@@ -166,6 +199,7 @@ std::string store_header(std::uint64_t manifest);
 /// `store.append` failpoint site) so a merge can never be torn by an
 /// injection aimed at a worker.
 std::string encode_record(const FaultSimResult& r);
+std::string encode_record(const NominalRecord& n);
 
 /// fsync the directory containing `path`, so a freshly created file's
 /// directory entry itself survives power loss (fsync on the file alone

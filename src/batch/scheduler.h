@@ -84,6 +84,9 @@ struct BatchStats {
                                         ///< verdict was carried from a
                                         ///< baseline revision (incremental)
     std::size_t scheduled = 0;   ///< kernel simulations actually run
+    std::size_t nominal_resumed = 0; ///< 1 when the nominal analysis was
+                                     ///< loaded from the result store
+                                     ///< instead of simulated, else 0
     std::size_t early_aborts = 0; ///< runs stopped early by detection
     std::size_t steps_saved = 0;  ///< tran: user-grid steps never integrated
     std::size_t steals = 0;       ///< cross-worker job steals

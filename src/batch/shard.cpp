@@ -53,13 +53,17 @@ ShardMergeReport merge_shards(const std::string& dest, std::uint64_t manifest,
 
     // First record per fault id wins; canonical store before any shard so
     // a fault already merged keeps its original record forever.
+    // The nominal record follows the same rule: the canonical store's,
+    // else the first shard's that has one.
     std::map<int, FaultSimResult> by_id;
-    auto take = [&](std::vector<FaultSimResult>&& records) {
-        for (auto& r : records) {
+    std::optional<NominalRecord> nominal;
+    auto take = [&](StoreSnapshot&& snap) {
+        for (auto& r : snap.records) {
             ++rep.records_in;
             if (!by_id.emplace(r.fault_id, std::move(r)).second)
                 ++rep.duplicates;
         }
+        if (!nominal) nominal = std::move(snap.nominal);
     };
 
     std::string existing;
@@ -73,7 +77,7 @@ ShardMergeReport merge_shards(const std::string& dest, std::uint64_t manifest,
         auto snap = load_store(dest);
         // A canonical store from another campaign is restarted, the same
         // treatment ResultStore gives a foreign file on open.
-        if (snap && snap->manifest == manifest) take(std::move(snap->records));
+        if (snap && snap->manifest == manifest) take(std::move(*snap));
     }
 
     for (const std::string& path : shards) {
@@ -83,15 +87,16 @@ ShardMergeReport merge_shards(const std::string& dest, std::uint64_t manifest,
         require(snap->manifest == manifest,
                 "merge-shards: shard " + path +
                     " was written under a different campaign manifest");
-        take(std::move(snap->records));
+        take(std::move(*snap));
         ++rep.shards_merged;
     }
     rep.records_kept = by_id.size();
 
-    // Compose the merged image: header + records sorted by fault id (the
-    // std::map iteration order), which is what makes a re-merge of the
-    // same inputs byte-identical.
+    // Compose the merged image: header + the nominal record + records
+    // sorted by fault id (the std::map iteration order), which is what
+    // makes a re-merge of the same inputs byte-identical.
     std::string image = store_header(manifest);
+    if (nominal) image += encode_record(*nominal);
     for (const auto& [id, r] : by_id) image += encode_record(r);
 
     if (image == existing) return rep;  // no-op: leave dest untouched

@@ -12,7 +12,8 @@
 // Merge semantics (the properties tests/fabric_test.cpp pins):
 //  * idempotent -- records are deduped by fault id (canonical store
 //    first, then shards in the given order) and written sorted by fault
-//    id, so re-merging the same inputs leaves the canonical store
+//    id after exactly one nominal record (the first found in that same
+//    order), so re-merging the same inputs leaves the canonical store
 //    byte-identical;
 //  * torn-tolerant -- a shard whose writer died mid-append contributes
 //    every record before the tear, exactly as a resume would see it;

@@ -38,6 +38,8 @@ public:
     const std::vector<double>& freq() const { return freq_; }
     std::size_t points() const { return freq_.size(); }
     bool has(const std::string& node) const { return index_.count(node) > 0; }
+    /// Node names in registration order.
+    const std::vector<std::string>& node_names() const { return names_; }
     const std::vector<std::complex<double>>& response(
         const std::string& node) const;
 

@@ -5,6 +5,7 @@
 
 #include "anafault/campaign.h"
 #include "anafault/comparator.h"
+#include "anafault/driver.h"
 #include "batch/collapse.h"
 #include "batch/result_store.h"
 #include "batch/scheduler.h"
@@ -15,8 +16,10 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 
 using namespace catlift;
@@ -519,6 +522,195 @@ TEST(ResultStore, TruncationAtEveryByteOffsetOfTheFinalRecord) {
 }
 
 // ---------------------------------------------------------------------------
+// The nominal record (store v7): bit-exact doubles, whatever their value.
+
+namespace {
+
+/// Values a text or rounding round trip would lose: signed zero,
+/// subnormals, a NaN payload, infinities and the extremes.
+std::vector<double> awkward_doubles(std::size_t salt) {
+    std::uint64_t nan_bits = 0x7ff8000000000123ull + salt;
+    double nan_payload = 0.0;
+    std::memcpy(&nan_payload, &nan_bits, sizeof nan_payload);
+    const double sub = std::numeric_limits<double>::denorm_min();
+    return {-0.0,
+            0.0,
+            sub,
+            -sub * static_cast<double>(salt + 3),
+            std::numeric_limits<double>::min() / 3.0,
+            nan_payload,
+            std::numeric_limits<double>::infinity(),
+            -std::numeric_limits<double>::infinity(),
+            std::numeric_limits<double>::max(),
+            1.0 / 3.0 + static_cast<double>(salt)};
+}
+
+/// "<prefix><i>" (appended, not operator+: GCC 12 -Wrestrict noise).
+std::string numbered(const char* prefix, std::size_t i) {
+    std::string s = prefix;
+    s += std::to_string(i);
+    return s;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Write `rec` (and one fault record after it) into a fresh store, reopen
+/// it and return what the store and the read-only snapshot loaded.
+std::pair<batch::NominalRecord, batch::NominalRecord> store_round_trip(
+    const batch::NominalRecord& rec, const std::string& tag) {
+    const std::string path = temp_store_path(tag);
+    std::filesystem::remove(path);
+    {
+        batch::ResultStore store(path, 0x5EEDu);
+        store.append_nominal(rec);
+        FaultSimResult r;
+        r.fault_id = 1;
+        store.append(r);
+    }
+    batch::ResultStore store(path, 0x5EEDu);
+    EXPECT_EQ(store.loaded().size(), 1u);
+    const auto snap = batch::load_store(path);
+    std::filesystem::remove(path);
+    if (!store.loaded_nominal() || !snap || !snap->nominal) {
+        ADD_FAILURE() << "nominal record not loaded";
+        return {};
+    }
+    return {*store.loaded_nominal(), *snap->nominal};
+}
+
+void expect_same_record(const batch::NominalRecord& a,
+                        const batch::NominalRecord& b) {
+    EXPECT_EQ(a.analysis, b.analysis);
+    ASSERT_EQ(a.vectors.size(), b.vectors.size());
+    for (std::size_t i = 0; i < a.vectors.size(); ++i) {
+        EXPECT_EQ(a.vectors[i].first, b.vectors[i].first);
+        EXPECT_TRUE(same_bits(a.vectors[i].second, b.vectors[i].second))
+            << "vector " << a.vectors[i].first;
+    }
+    EXPECT_EQ(a.scalars, b.scalars);
+    EXPECT_EQ(batch::encode_record(a), batch::encode_record(b));
+}
+
+} // namespace
+
+TEST(ResultStore, NominalRecordRoundTripsBitExactly) {
+    batch::NominalRecord rec;
+    rec.analysis = "tran";
+    for (std::size_t i = 0; i < 1200; ++i)
+        rec.vectors.emplace_back(numbered("v", i),
+                                 awkward_doubles(i));
+    rec.vectors.emplace_back("empty", std::vector<double>{});
+    for (std::size_t i = 0; i < 1200; ++i)
+        rec.scalars.emplace_back(numbered("rank:n", i),
+                                 static_cast<std::int64_t>(1199 - i));
+    rec.scalars.emplace_back("lo", std::numeric_limits<std::int64_t>::min());
+    rec.scalars.emplace_back("hi", std::numeric_limits<std::int64_t>::max());
+    const auto [loaded, snapped] = store_round_trip(rec, "nominal_bits");
+    expect_same_record(rec, loaded);
+    expect_same_record(rec, snapped);
+}
+
+TEST(ResultStore, TranAcDcNominalsRoundTripThroughTheirPolicies) {
+    const Circuit c = divider_fixture();
+
+    // Transient: 1000+ traces on one time axis, plus a rank map.
+    {
+        CampaignOptions opt = divider_options();
+        detail::TranPolicy p{c, opt, *c.tran};
+        CampaignResult res;
+        for (std::size_t j = 0; j < 1100; ++j)
+            res.nominal.add_trace(numbered("n", static_cast<std::size_t>(j)));
+        for (std::size_t k = 0; k < 10; ++k) {
+            std::vector<double> row(1100);
+            for (std::size_t j = 0; j < row.size(); ++j)
+                row[j] = awkward_doubles(j)[k];
+            res.nominal.append(1e-9 * static_cast<double>(k), row);
+        }
+        spice::SymbolicCache cache;
+        for (int j = 0; j < 1100; ++j)
+            cache.rank[numbered("n", static_cast<std::size_t>(j))] = 1099 - j;
+        batch::NominalRecord rec = detail::TranPolicy::to_nominal(res);
+        rec.analysis = "tran";
+        detail::put_rank(rec, &cache);
+        const batch::NominalRecord back = store_round_trip(rec, "tran").first;
+
+        CampaignResult loaded;
+        p.from_nominal(back, loaded);
+        EXPECT_TRUE(same_bits(loaded.nominal.time(), res.nominal.time()));
+        ASSERT_EQ(loaded.nominal.trace_names(), res.nominal.trace_names());
+        for (const std::string& n : res.nominal.trace_names())
+            EXPECT_TRUE(same_bits(loaded.nominal.trace(n),
+                                  res.nominal.trace(n)))
+                << n;
+        const auto rank = detail::get_rank(back);
+        ASSERT_NE(rank, nullptr);
+        EXPECT_EQ(rank->rank, cache.rank);
+    }
+
+    // AC: complex responses with signed zeros and subnormals in both parts.
+    {
+        AcCampaignOptions opt;
+        opt.observed = {"n0"};
+        detail::AcPolicy p{c, opt};
+        AcCampaignResult res;
+        for (std::size_t j = 0; j < 1100; ++j)
+            res.nominal.add_node(numbered("n", static_cast<std::size_t>(j)));
+        for (std::size_t k = 0; k < 10; ++k) {
+            std::vector<std::complex<double>> row(1100);
+            for (std::size_t j = 0; j < row.size(); ++j)
+                row[j] = {awkward_doubles(j)[k], awkward_doubles(j + 1)[9 - k]};
+            res.nominal.append(1e3 * static_cast<double>(k + 1), row);
+        }
+        batch::NominalRecord rec = detail::AcPolicy::to_nominal(res);
+        rec.analysis = "ac";
+        const batch::NominalRecord back = store_round_trip(rec, "ac").first;
+
+        AcCampaignResult loaded;
+        p.from_nominal(back, loaded);
+        EXPECT_TRUE(same_bits(loaded.nominal.freq(), res.nominal.freq()));
+        ASSERT_EQ(loaded.nominal.node_names(), res.nominal.node_names());
+        for (const std::string& n : res.nominal.node_names()) {
+            const auto& a = loaded.nominal.response(n);
+            const auto& b = res.nominal.response(n);
+            ASSERT_EQ(a.size(), b.size());
+            EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                                  a.size() * sizeof(std::complex<double>)),
+                      0)
+                << n;
+        }
+        EXPECT_EQ(detail::get_rank(back), nullptr);  // none was put
+    }
+
+    // DC: the operating point map and the cold solve's iteration count.
+    {
+        DcScreenOptions opt;
+        opt.observed = {"n7"};
+        detail::DcPolicy p{c, opt};
+        DcScreenResult res;
+        const std::vector<double> vals = awkward_doubles(0);
+        for (std::size_t j = 0; j < 1100; ++j)
+            res.nominal_op[numbered("n", static_cast<std::size_t>(j))] = vals[j % vals.size()];
+        res.nominal_iterations = 17;
+        batch::NominalRecord rec = detail::DcPolicy::to_nominal(res);
+        rec.analysis = "dc";
+        const batch::NominalRecord back = store_round_trip(rec, "dc").first;
+
+        DcScreenResult loaded;
+        p.from_nominal(back, loaded);
+        EXPECT_EQ(loaded.nominal_iterations, 17);
+        ASSERT_EQ(loaded.nominal_op.size(), res.nominal_op.size());
+        for (const auto& [node, v] : res.nominal_op)
+            EXPECT_EQ(std::memcmp(&loaded.nominal_op.at(node), &v, sizeof v),
+                      0)
+                << node;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Crash-resume (acceptance: a killed campaign completes without
 // re-simulating finished faults)
 
@@ -533,9 +725,13 @@ TEST(Campaign, ResumesAfterTruncatedStore) {
     const auto reference = run_campaign(c, fl, opt);
     EXPECT_EQ(reference.batch.resumed, 0u);
 
-    // Simulate a crash mid-write: drop the tail of the log.
+    // Simulate a crash mid-write: drop the last third of the fault
+    // records (the nominal record ahead of them stays intact).
+    std::uintmax_t fault_bytes = 0;
+    for (const FaultSimResult& r : reference.results)
+        fault_bytes += batch::encode_record(r).size();
     const auto full_size = std::filesystem::file_size(path);
-    std::filesystem::resize_file(path, full_size - full_size / 3);
+    std::filesystem::resize_file(path, full_size - fault_bytes / 3);
 
     CampaignOptions resume_opt = opt;
     resume_opt.resume = true;

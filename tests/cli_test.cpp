@@ -192,3 +192,27 @@ TEST_F(CliTest, FabricWorkersGetTheCampaignFlags) {
               anafault::campaign_manifest(circuit(), faults(), opt));
     EXPECT_EQ(snap->records.size(), faults().size());
 }
+
+TEST_F(CliTest, ResumeOfAFinishedStoreLoadsTheNominal) {
+    const std::string store = path("finished.store");
+    const CliRun cold = anafaultc({"--v-tol", "0.4", "--store", store,
+                                   "--table"});
+    ASSERT_EQ(cold.status, 0) << cold.err;
+
+    // Any Newton solve would now throw: the resume must take the nominal
+    // and every verdict from the store.
+    const CliRun warm =
+        anafaultc({"--v-tol", "0.4", "--store", store, "--resume", "--table",
+                   "--failpoints", "kernel.newton=error@1"});
+    ASSERT_EQ(warm.status, 0) << warm.err;
+    const auto table = [](const std::string& out) {
+        const std::size_t at = out.find("  id  fault");
+        return at == std::string::npos ? std::string() : out.substr(at);
+    };
+    ASSERT_FALSE(table(cold.out).empty()) << cold.out;
+    EXPECT_EQ(table(warm.out), table(cold.out));
+    EXPECT_NE(warm.out.find("nominal loaded from store"), std::string::npos)
+        << warm.out;
+    EXPECT_EQ(cold.out.find("nominal loaded from store"), std::string::npos)
+        << cold.out;
+}

@@ -239,6 +239,13 @@ Circuit divider(const SourceSpec& v1) {
     return c;
 }
 
+/// The bytes of a vector's elements, for bit-for-bit comparisons.
+template <class T>
+std::string raw(const std::vector<T>& v) {
+    return std::string(reinterpret_cast<const char*>(v.data()),
+                       v.size() * sizeof(T));
+}
+
 struct TranCase {
     using Options = CampaignOptions;
     static Circuit circuit() {
@@ -256,6 +263,12 @@ struct TranCase {
     }
     static batch::FaultSimResult record(const FaultSimResult& r) {
         return r;
+    }
+    static std::string nominal_bits(const CampaignResult& r) {
+        std::string b = raw(r.nominal.time());
+        for (const std::string& n : r.nominal.trace_names())
+            b += n + raw(r.nominal.trace(n));
+        return b;
     }
 };
 
@@ -280,6 +293,12 @@ struct AcCase {
     static batch::FaultSimResult record(const AcFaultResult& r) {
         return ac_to_record(r);
     }
+    static std::string nominal_bits(const AcCampaignResult& r) {
+        std::string b = raw(r.nominal.freq());
+        for (const std::string& n : r.nominal.node_names())
+            b += n + raw(r.nominal.response(n));
+        return b;
+    }
 };
 
 struct DcCase {
@@ -297,6 +316,12 @@ struct DcCase {
     }
     static batch::FaultSimResult record(const DcFaultResult& r) {
         return dc_to_record(r);
+    }
+    static std::string nominal_bits(const DcScreenResult& r) {
+        std::string b = std::to_string(r.nominal_iterations);
+        for (const auto& [n, v] : r.nominal_op)
+            b += n + raw(std::vector<double>{v});
+        return b;
     }
 };
 
@@ -508,6 +533,55 @@ TYPED_TEST(DriverContract, TruncatedStoreResumesToIdenticalVerdicts) {
     EXPECT_EQ(warm.batch.resumed, 3u);
     EXPECT_EQ(warm.batch.scheduled, 0u);
     EXPECT_EQ(this->digest(warm), this->digest(ref));
+    std::filesystem::remove(opt.result_store);
+}
+
+TYPED_TEST(DriverContract, FinishedStoreResumesWithoutTheKernel) {
+    using Case = TypeParam;
+    typename Case::Options opt = Case::options();
+    opt.result_store = temp_store("finished");
+    std::filesystem::remove(opt.result_store);
+    const lift::FaultList fl = divider_faults();
+    const auto cold = Case::run(Case::circuit(), fl, opt);
+    EXPECT_EQ(cold.batch.nominal_resumed, 0u);
+
+    // Any Newton solve -- the nominal's or a fault's -- would throw.
+    opt.resume = true;
+    robust::arm("kernel.newton=error@1");
+    const auto warm = Case::run(Case::circuit(), fl, opt);
+    const std::uint64_t hits = hits_of("kernel.newton");
+    robust::disarm_all();
+    EXPECT_EQ(hits, 0u);
+    EXPECT_EQ(warm.batch.nominal_resumed, 1u);
+    EXPECT_EQ(warm.batch.scheduled, 0u);
+    EXPECT_EQ(warm.batch.resumed, fl.size());
+    EXPECT_EQ(this->digest(warm), this->digest(cold));
+    EXPECT_EQ(Case::nominal_bits(warm), Case::nominal_bits(cold));
+    std::filesystem::remove(opt.result_store);
+}
+
+TYPED_TEST(DriverContract, StoredSymbolicOrderServesResimulatedFaults) {
+    using Case = TypeParam;
+    typename Case::Options opt = Case::options();
+    opt.threads = 1;
+    opt.sim.sparse_threshold = 1;  // sparse kernel: the order is persisted
+    opt.result_store = temp_store("symbolic");
+    std::filesystem::remove(opt.result_store);
+    const lift::FaultList fl = divider_faults();
+    const auto cold = Case::run(Case::circuit(), fl, opt);
+    ASSERT_EQ(cold.batch.symbolic_cache_hits, cold.batch.scheduled);
+
+    // Tear the last fault record: its class is simulated again, under the
+    // elimination order loaded with the nominal.
+    std::filesystem::resize_file(
+        opt.result_store, std::filesystem::file_size(opt.result_store) - 9);
+    opt.resume = true;
+    const auto resumed = Case::run(Case::circuit(), fl, opt);
+    EXPECT_EQ(resumed.batch.nominal_resumed, 1u);
+    EXPECT_EQ(resumed.batch.scheduled, 1u);
+    EXPECT_EQ(resumed.batch.symbolic_cache_hits, 1u);
+    EXPECT_EQ(this->digest(resumed), this->digest(cold));
+    EXPECT_EQ(Case::nominal_bits(resumed), Case::nominal_bits(cold));
     std::filesystem::remove(opt.result_store);
 }
 

@@ -6,7 +6,11 @@
 // abandonment, and the `fabric.heartbeat` / `worker.spawn` failpoints.
 // Supervisor tests drive /bin/sh one-liners as workers; the real
 // campaign-runner integration is crash_resume_smoke's `fabric` mode.
+// The worker-side campaign entry points are covered for the nominal
+// record: shards keep it, the merge keeps exactly one, and the result
+// loaded from the merged store carries it.
 
+#include "anafault/worker.h"
 #include "batch/fabric.h"
 #include "batch/result_store.h"
 #include "batch/shard.h"
@@ -15,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
@@ -213,6 +218,172 @@ TEST(MergeShards, ExistingCanonicalRecordWins) {
     batch::ResultStore canon(base, manifest);
     ASSERT_EQ(canon.loaded().size(), 1u);
     EXPECT_EQ(canon.loaded()[0].detect_time, 1e-6);
+    remove_with_shards(base);
+}
+
+namespace {
+
+batch::NominalRecord make_nominal(double v) {
+    batch::NominalRecord n;
+    n.analysis = "tran";
+    n.vectors.emplace_back("time", std::vector<double>{0.0, 1e-9});
+    n.vectors.emplace_back("out", std::vector<double>{v, -0.0});
+    return n;
+}
+
+} // namespace
+
+TEST(MergeShards, KeepsExactlyOneNominalRecord) {
+    const std::string base = temp_path("nominal");
+    remove_with_shards(base);
+    const std::uint64_t manifest = 0x44u;
+    {
+        batch::ResultStore s0(batch::shard_path(base, 0), manifest);
+        s0.append(make_result(1));  // no nominal: died before writing it
+        batch::ResultStore s1(batch::shard_path(base, 1), manifest);
+        s1.append_nominal(make_nominal(1.0));
+        s1.append(make_result(2));
+        batch::ResultStore s2(batch::shard_path(base, 2), manifest);
+        s2.append_nominal(make_nominal(2.0));
+        s2.append(make_result(3));
+    }
+    batch::merge_shards(base, manifest, batch::list_shards(base));
+
+    // The first shard (in shard order) that has one supplies the nominal;
+    // the image is header + that one record + the sorted fault records.
+    std::string image = batch::store_header(manifest) +
+                        batch::encode_record(make_nominal(1.0));
+    for (int id = 1; id <= 3; ++id)
+        image += batch::encode_record(make_result(id));
+    EXPECT_EQ(read_file(base), image);
+
+    // Re-merging is a byte-identical no-op.
+    const auto rep =
+        batch::merge_shards(base, manifest, batch::list_shards(base));
+    EXPECT_FALSE(rep.changed);
+    EXPECT_EQ(read_file(base), image);
+
+    // A canonical store's own nominal outranks every shard's.
+    remove_with_shards(base);
+    {
+        batch::ResultStore canon(base, manifest);
+        canon.append_nominal(make_nominal(3.0));
+        batch::ResultStore s0(batch::shard_path(base, 0), manifest);
+        s0.append_nominal(make_nominal(1.0));
+    }
+    batch::merge_shards(base, manifest, batch::list_shards(base));
+    const auto snap = batch::load_store(base);
+    ASSERT_TRUE(snap && snap->nominal);
+    EXPECT_EQ(batch::encode_record(*snap->nominal),
+              batch::encode_record(make_nominal(3.0)));
+    remove_with_shards(base);
+}
+
+namespace {
+
+netlist::Circuit divider() {
+    netlist::Circuit c;
+    c.title = "divider";
+    c.add_vsource("V1", "in", "0",
+                  netlist::SourceSpec::make_pulse(0, 5, 0, 1e-9, 1e-9, 1e-6,
+                                                  2e-6));
+    c.add_resistor("R1", "in", "out", 1e3);
+    c.add_resistor("R2", "out", "0", 1e3);
+    c.add_capacitor("C1", "out", "0", 1e-10);
+    c.tran = netlist::TranSpec{1e-8, 4e-6, 0.0};
+    return c;
+}
+
+lift::FaultList divider_shorts() {
+    lift::FaultList fl;
+    fl.circuit = "divider";
+    const char* nets[][2] = {{"out", "0"}, {"in", "out"}, {"in", "0"}};
+    for (int i = 0; i < 3; ++i) {
+        lift::Fault f;
+        f.id = i + 1;
+        f.kind = lift::FaultKind::LocalShort;
+        f.mechanism = "m1_short";
+        f.probability = 1e-3 * (4 - i);
+        f.net_a = nets[i][0];
+        f.net_b = nets[i][1];
+        fl.faults.push_back(f);
+    }
+    return fl;
+}
+
+std::uint64_t newton_hits() {
+    for (const robust::FailpointStatus& s : robust::status())
+        if (s.name == "kernel.newton") return s.hits;
+    return 0;
+}
+
+bool same_waveforms(const spice::Waveforms& a, const spice::Waveforms& b) {
+    const auto bits = [](const std::vector<double>& v) {
+        return std::string(reinterpret_cast<const char*>(v.data()),
+                           v.size() * sizeof(double));
+    };
+    if (a.trace_names() != b.trace_names() ||
+        bits(a.time()) != bits(b.time()))
+        return false;
+    for (const std::string& n : a.trace_names())
+        if (bits(a.trace(n)) != bits(b.trace(n))) return false;
+    return true;
+}
+
+} // namespace
+
+TEST_F(FabricFailpoints, WorkersPersistTheNominalAndTheMergeCarriesIt) {
+    const netlist::Circuit c = divider();
+    const lift::FaultList fl = divider_shorts();
+    anafault::CampaignOptions opt;
+    opt.detection.observed = {"out"};
+    const anafault::CampaignResult ref = anafault::run_campaign(c, fl, opt);
+
+    const std::string base = temp_path("worker_nominal");
+    remove_with_shards(base);
+    opt.result_store = base;
+    anafault::WorkerOptions w0{1, 2, batch::shard_path(base, 0)};
+    anafault::WorkerOptions w1{3, 3, batch::shard_path(base, 1)};
+    anafault::run_worker_campaign(c, fl, opt, w0);
+    anafault::run_worker_campaign(c, fl, opt, w1);
+
+    // A respawned worker -- its predecessor killed mid-append -- resumes
+    // its shard's nominal: only the torn fault reaches the kernel.
+    std::filesystem::resize_file(
+        w0.shard, std::filesystem::file_size(w0.shard) - 4);
+    anafault::CampaignOptions alone = opt;
+    alone.result_store.clear();
+    const auto hits_of = [](auto run) {
+        robust::arm("kernel.newton=error@1000000000");
+        run();
+        const std::uint64_t h = newton_hits();
+        robust::disarm_all();
+        return h;
+    };
+    const std::uint64_t torn_hits =
+        hits_of([&] {
+            anafault::run_campaign(c, {fl.circuit, {fl.faults[1]}}, alone);
+        }) -
+        hits_of([&] { anafault::run_campaign(c, {fl.circuit, {}}, alone); });
+    anafault::CampaignResult respawn;
+    EXPECT_EQ(hits_of([&] {
+                  respawn = anafault::run_worker_campaign(c, fl, opt, w0);
+              }),
+              torn_hits);
+    EXPECT_EQ(respawn.batch.nominal_resumed, 1u);
+    EXPECT_EQ(respawn.batch.scheduled, 1u);
+
+    // The merged store holds one nominal, and the result assembled from
+    // it carries the in-process run's nominal bit for bit.
+    const std::uint64_t manifest = anafault::campaign_manifest(c, fl, opt);
+    batch::merge_shards(base, manifest, batch::list_shards(base));
+    const anafault::CampaignResult merged =
+        anafault::load_campaign_result(c, fl, opt, base);
+    EXPECT_EQ(merged.batch.nominal_resumed, 1u);
+    EXPECT_TRUE(same_waveforms(merged.nominal, ref.nominal));
+    ASSERT_EQ(merged.results.size(), ref.results.size());
+    for (std::size_t i = 0; i < ref.results.size(); ++i)
+        EXPECT_EQ(merged.results[i].detect_time, ref.results[i].detect_time);
     remove_with_shards(base);
 }
 

@@ -8,6 +8,7 @@
 #include "core/cat.h"
 #include "layout/revise.h"
 #include "lift/extract_faults.h"
+#include "robust/failpoint.h"
 
 #include <gtest/gtest.h>
 
@@ -308,16 +309,20 @@ TEST(Incremental, KnobChangeBlocksCarrying) {
     run_campaign(c, base, copt);
 
     // A solver knob differing from the one the baseline store was written
-    // under changes waveforms -> nothing may carry.
+    // under changes waveforms -> nothing may carry, the baseline's
+    // nominal included: the merged store gets a freshly simulated one.
     IncrementalOptions iopt;
     iopt.campaign = divider_options();
     iopt.campaign.sim.reltol = 1e-4;
+    iopt.campaign.result_store = temp_path("div_knob_merged");
     iopt.baseline_store = bpath;
     const auto inc = run_incremental_campaign(c, base, rev, iopt);
     EXPECT_FALSE(inc.inc.baseline_manifest_matched);
     EXPECT_FALSE(inc.inc.carry_block_reason.empty());
     EXPECT_EQ(inc.inc.carried, 0u);
     EXPECT_EQ(inc.inc.resimulated, rev.size());
+    EXPECT_EQ(inc.campaign.batch.nominal_resumed, 0u);
+    std::filesystem::remove(iopt.campaign.result_store);
 
     // Verdicts still equal a cold run under the *new* knobs.
     CampaignOptions cold_opt = divider_options();
@@ -325,6 +330,77 @@ TEST(Incremental, KnobChangeBlocksCarrying) {
     const auto cold = run_campaign(c, rev, cold_opt);
     expect_same_verdicts(cold, inc.campaign);
     std::filesystem::remove(bpath);
+}
+
+namespace {
+
+/// kernel.newton hits of `run`, counted with a never-firing window.
+template <class Run>
+std::uint64_t newton_hits(Run run) {
+    robust::arm("kernel.newton=error@1000000000");
+    run();
+    std::uint64_t hits = 0;
+    for (const robust::FailpointStatus& s : robust::status())
+        if (s.name == "kernel.newton") hits = s.hits;
+    robust::disarm_all();
+    return hits;
+}
+
+} // namespace
+
+TEST(Incremental, MatchedBaselineReachesTheKernelOnlyForResimulatedFaults) {
+    const Circuit c = divider_fixture();
+    const auto base = divider_baseline();
+    const auto rev = divider_revision();
+    const std::string bpath = temp_path("div_nominal_base");
+    std::filesystem::remove(bpath);
+    CampaignOptions copt = divider_options();
+    copt.result_store = bpath;
+    run_campaign(c, base, copt);
+
+    // What the two resimulated faults (#2, #7) cost on their own: a cold
+    // campaign over just them, minus its nominal.
+    lift::FaultList resim{rev.circuit, {rev.faults[1], rev.faults[5]}};
+    const std::uint64_t nominal = newton_hits(
+        [&] { run_campaign(c, {rev.circuit, {}}, divider_options()); });
+    const std::uint64_t faults = newton_hits(
+        [&] { run_campaign(c, resim, divider_options()); }) - nominal;
+    ASSERT_GT(nominal, 0u);
+    ASSERT_GT(faults, 0u);
+
+    // The merged store is seeded with the baseline's nominal, so the
+    // revision's kernel work is exactly the resimulated faults'.
+    IncrementalOptions iopt;
+    iopt.campaign = divider_options();
+    iopt.campaign.result_store = temp_path("div_nominal_merged");
+    iopt.baseline_store = bpath;
+    IncrementalResult inc;
+    EXPECT_EQ(newton_hits([&] {
+                  inc = run_incremental_campaign(c, base, rev, iopt);
+              }),
+              faults);
+    EXPECT_TRUE(inc.inc.baseline_manifest_matched);
+    EXPECT_EQ(inc.inc.resimulated, 2u);
+    EXPECT_EQ(inc.campaign.batch.nominal_resumed, 1u);
+    expect_same_verdicts(run_campaign(c, rev, divider_options()),
+                         inc.campaign);
+
+    // The merged store keeps the nominal: as the next revision's baseline
+    // it carries everything, and nothing at all reaches the kernel.
+    const auto merged = batch::load_store(iopt.campaign.result_store);
+    ASSERT_TRUE(merged && merged->nominal);
+    IncrementalOptions next = iopt;
+    next.baseline_store = iopt.campaign.result_store;
+    next.campaign.result_store = temp_path("div_nominal_next");
+    EXPECT_EQ(newton_hits([&] {
+                  inc = run_incremental_campaign(c, rev, rev, next);
+              }),
+              0u);
+    EXPECT_EQ(inc.inc.carried, rev.size());
+    EXPECT_EQ(inc.campaign.batch.nominal_resumed, 1u);
+    for (const std::string& p : {bpath, iopt.campaign.result_store,
+                                 next.campaign.result_store})
+        std::filesystem::remove(p);
 }
 
 TEST(Incremental, MissingBaselineStoreResimulatesEverything) {

@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <type_traits>
@@ -477,4 +479,210 @@ TEST(RepairStore, TrimsToLastGoodRecordAndReports) {
 
     EXPECT_THROW(batch::repair_store(path + ".does-not-exist"), Error);
     std::filesystem::remove(path);
+}
+
+// ---------------------------------------------------------------------------
+// The nominal record: torn, failed or damaged, it costs a re-simulation of
+// the nominal at most -- never a verdict, never the process.
+
+namespace {
+
+lift::FaultList three_fault_list() {
+    lift::FaultList fl;
+    fl.circuit = "divider";
+    fl.faults.push_back(make_short(1, "out", "0", 4e-3));
+    fl.faults.push_back(make_short(2, "in", "out", 3e-3));
+    fl.faults.push_back(make_short(3, "in", "0", 2e-3));
+    return fl;
+}
+
+std::string read_bytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void expect_same_verdicts(const CampaignResult& a, const CampaignResult& b) {
+    ASSERT_EQ(a.results.size(), b.results.size());
+    for (std::size_t i = 0; i < a.results.size(); ++i) {
+        EXPECT_EQ(a.results[i].fault_id, b.results[i].fault_id);
+        EXPECT_EQ(a.results[i].simulated, b.results[i].simulated);
+        EXPECT_EQ(a.results[i].detect_time, b.results[i].detect_time);
+    }
+}
+
+/// A finished three-fault store: its bytes, and where its nominal record
+/// (written right after the header) ends.
+struct FinishedStore {
+    CampaignResult ref;
+    std::string bytes;
+    std::size_t header_end = 0;
+    std::size_t nominal_end = 0;
+};
+
+FinishedStore finished_store(const std::string& path,
+                             const CampaignOptions& opt) {
+    FinishedStore s;
+    std::filesystem::remove(path);
+    s.ref = run_campaign(divider_fixture(), three_fault_list(), opt);
+    s.bytes = read_bytes(path);
+    const auto snap = batch::load_store(path);
+    EXPECT_TRUE(snap && snap->nominal);
+    s.header_end = batch::store_header(snap->manifest).size();
+    const std::string rec = batch::encode_record(*snap->nominal);
+    EXPECT_EQ(s.bytes.substr(s.header_end, rec.size()), rec);
+    s.nominal_end = s.header_end + rec.size();
+    return s;
+}
+
+} // namespace
+
+TEST(NominalRecord, TornAtEveryByteOffsetTrimsAndResimulates) {
+    CampaignOptions opt = divider_options();
+    opt.threads = 1;
+    opt.result_store = temp_store_path("torn_nominal");
+    const FinishedStore s = finished_store(opt.result_store, opt);
+    const std::uint64_t manifest =
+        campaign_manifest(divider_fixture(), three_fault_list(), opt);
+
+    // The store trims a nominal record torn at any byte back to the header.
+    for (std::size_t off = s.header_end; off < s.nominal_end; ++off) {
+        write_bytes(opt.result_store, s.bytes.substr(0, off));
+        {
+            batch::ResultStore store(opt.result_store, manifest);
+            SCOPED_TRACE("offset " + std::to_string(off));
+            ASSERT_FALSE(store.loaded_nominal().has_value());
+            ASSERT_TRUE(store.loaded().empty());
+        }
+        ASSERT_EQ(std::filesystem::file_size(opt.result_store), s.header_end);
+    }
+
+    // The campaign then simulates the nominal again, with the verdicts of
+    // the uninterrupted run, and persists it for the next resume.
+    opt.resume = true;
+    const std::size_t span = s.nominal_end - s.header_end;
+    for (std::size_t k = 0; k <= 8; ++k) {
+        const std::size_t off = s.header_end + std::min(span - 1, k * span / 8);
+        SCOPED_TRACE("offset " + std::to_string(off));
+        write_bytes(opt.result_store, s.bytes.substr(0, off));
+        const CampaignResult res =
+            run_campaign(divider_fixture(), three_fault_list(), opt);
+        EXPECT_EQ(res.batch.nominal_resumed, 0u);
+        EXPECT_EQ(res.batch.scheduled, res.batch.classes);
+        expect_same_verdicts(res, s.ref);
+        const CampaignResult again =
+            run_campaign(divider_fixture(), three_fault_list(), opt);
+        EXPECT_EQ(again.batch.nominal_resumed, 1u);
+        EXPECT_EQ(again.batch.scheduled, 0u);
+        expect_same_verdicts(again, s.ref);
+    }
+    std::filesystem::remove(opt.result_store);
+}
+
+TEST_F(Failpoints, TornNominalAppendIsContained) {
+    CampaignOptions opt = divider_options();
+    opt.threads = 1;
+    const CampaignResult ref =
+        run_campaign(divider_fixture(), three_fault_list(), opt);
+
+    opt.result_store = temp_store_path("torn_nominal_append");
+    std::filesystem::remove(opt.result_store);
+    robust::arm("store.append_nominal=torn@1");
+    const CampaignResult torn =
+        run_campaign(divider_fixture(), three_fault_list(), opt);
+    robust::disarm_all();
+    EXPECT_EQ(torn.batch.store_errors, 1u);
+    expect_same_verdicts(torn, ref);
+
+    // Everything after the torn nominal is unreadable: the resume
+    // simulates the nominal and every fault again, to the same verdicts.
+    opt.resume = true;
+    const CampaignResult resumed =
+        run_campaign(divider_fixture(), three_fault_list(), opt);
+    EXPECT_EQ(resumed.batch.nominal_resumed, 0u);
+    EXPECT_EQ(resumed.batch.resumed, 0u);
+    expect_same_verdicts(resumed, ref);
+    std::filesystem::remove(opt.result_store);
+}
+
+TEST(NominalRecord, MutatedPayloadsAreRejectedOrContained) {
+    // Seeded mutations of a real nominal payload, re-framed with a valid
+    // checksum so they reach the decoder.  Each must be rejected by the
+    // decoder (the store ends before it), refused by the policy (the
+    // nominal is simulated) or loaded as data -- never a crash, an
+    // over-allocation or a hang.  Run under ASan/UBSan by the sanitizer CI.
+    CampaignOptions opt = divider_options();
+    opt.threads = 1;
+    opt.result_store = temp_store_path("mutated_nominal");
+    const FinishedStore s = finished_store(opt.result_store, opt);
+    const std::string header = s.bytes.substr(0, s.header_end);
+    const std::string faults = s.bytes.substr(s.nominal_end);
+    const std::string payload = s.bytes.substr(
+        s.header_end + sizeof(std::uint32_t),
+        s.nominal_end - s.header_end - sizeof(std::uint32_t) -
+            sizeof(std::uint64_t));
+
+    std::uint64_t state = 0x9e3779b97f4a7c15ull;
+    auto next = [&state] {  // xorshift64*
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        return state * 0x2545f4914f6cdd1dull;
+    };
+    opt.resume = true;
+    std::size_t rejected = 0, loaded = 0;
+    for (int i = 0; i < 240; ++i) {
+        std::string pl = payload;
+        // Most structure (kind, names, counts) sits in the first bytes.
+        const std::size_t reach = next() % 2 ? 64 : pl.size();
+        const std::size_t at = next() % reach;
+        switch (next() % 4) {
+        case 0:
+            for (int k = 0; k < 4; ++k)
+                pl[(at + next() % 16) % pl.size()] ^=
+                    static_cast<char>(1u << (next() % 8));
+            break;
+        case 1:
+            pl.resize(at);
+            break;
+        case 2: {
+            const auto word = static_cast<std::uint32_t>(next());
+            if (at + sizeof word <= pl.size())
+                std::memcpy(&pl[at], &word, sizeof word);
+            break;
+        }
+        default:
+            pl.insert(at, std::string(1 + next() % 9, '\xff'));
+        }
+        std::string rec;
+        const auto len = static_cast<std::uint32_t>(pl.size());
+        const std::uint64_t check = batch::fnv1a(pl);
+        rec.append(reinterpret_cast<const char*>(&len), sizeof len);
+        rec += pl;
+        rec.append(reinterpret_cast<const char*>(&check), sizeof check);
+        write_bytes(opt.result_store, header + rec + faults);
+
+        SCOPED_TRACE("mutation " + std::to_string(i));
+        const auto snap = batch::load_store(opt.result_store);
+        ASSERT_TRUE(snap.has_value());
+        if (snap->nominal) {
+            ++loaded;
+            EXPECT_EQ(snap->records.size(), s.ref.results.size());
+        } else {
+            ++rejected;
+            EXPECT_TRUE(snap->records.empty());
+        }
+        CampaignResult res;
+        ASSERT_NO_THROW(res = run_campaign(divider_fixture(),
+                                           three_fault_list(), opt));
+        ASSERT_EQ(res.results.size(), s.ref.results.size());
+    }
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(loaded, 0u);
+    std::filesystem::remove(opt.result_store);
 }

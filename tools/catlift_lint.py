@@ -16,8 +16,10 @@ campaigns with:
       foreign result store be resumed as if it were the same campaign.
 
   CL002 store-format-version
-      The serialized record surface (FaultSimResult fields plus the
-      encode()/decode() bodies in result_store.cpp) is fingerprinted into
+      The serialized record surface (the FaultSimResult and NominalRecord
+      fields, the RecordKind tags, and the encode()/decode() and
+      encode_nominal()/decode_nominal() bodies in result_store.cpp) is
+      fingerprinted into
       tools/store_format.lock together with the declared kVersion.  Any
       change to the serialization without a version bump -- which would
       make old stores decode into garbage instead of being rejected as
@@ -300,18 +302,23 @@ def field_line(htext, struct_line, chunk):
 
 def store_fingerprint(root):
     """(declared version, fingerprint) of the record serialization
-    surface: FaultSimResult's fields + encode()/decode() bodies,
-    comment-stripped and whitespace-normalized so reformatting and
-    comment edits never trigger CL002."""
+    surface: the fault and nominal records' fields, the record-kind tags
+    and both records' encoder/decoder bodies, comment-stripped and
+    whitespace-normalized so reformatting and comment edits never trigger
+    CL002."""
     htext = (root / STORE_HEADER).read_text()
     itext = (root / STORE_IMPL).read_text()
-    struct, _ = find_struct_body(htext, "FaultSimResult")
-    enc = find_function_body(itext, "encode")
-    dec = find_function_body(itext, "decode")
+    parts = [find_struct_body(htext, name)[0]
+             for name in ("FaultSimResult", "NominalRecord")]
+    kinds = re.search(r"\benum\s+RecordKind\b", itext)
+    parts.append(extract_braced(itext, kinds.start())[0] if kinds else None)
+    parts += [find_function_body(itext, name)
+              for name in ("encode", "decode", "encode_nominal",
+                           "decode_nominal")]
     m = re.search(r"kVersion\s*=\s*(\d+)", itext)
     version = int(m.group(1)) if m else -1
     surface = ""
-    for part in (struct, enc, dec):
+    for part in parts:
         if part is None:
             continue
         surface += re.sub(r"\s+", " ", strip_comments(part)) + "\n"
@@ -339,7 +346,8 @@ def rule_store_format(root):
         return [Finding(
             "CL002", STORE_IMPL, 1,
             "record serialization changed without a kVersion bump "
-            "(FaultSimResult / encode / decode differ from the locked "
+            "(FaultSimResult / NominalRecord / RecordKind or their "
+            "encoders / decoders differ from the locked "
             f"fingerprint for v{version}); bump kVersion and run "
             "catlift_lint.py --update-store-lock")]
     return []
@@ -505,6 +513,12 @@ def _seed_unbumped_store_change(fx):
            "put(p, r.probability);\n    put(p, r.sim_seconds);")
 
 
+def _seed_unbumped_nominal_change(fx):
+    mutate(fx / "src/batch/result_store.cpp",
+           "put_str(p, n.analysis);",
+           "put_str(p, n.analysis);\n    put(p, std::uint8_t{0});")
+
+
 def _seed_version_bump_without_lock(fx):
     text = (fx / "src/batch/result_store.cpp").read_text()
     m = re.search(r"kVersion = (\d+)", text)
@@ -560,6 +574,8 @@ SCENARIOS = [
     ("CL001", "manifest-exempt without reason", _seed_exempt_without_reason),
     ("CL002", "store record change without version bump",
      _seed_unbumped_store_change),
+    ("CL002", "nominal record change without version bump",
+     _seed_unbumped_nominal_change),
     ("CL002", "version bump without lock regen",
      _seed_version_bump_without_lock),
     ("CL003", "rand() in spice kernel", _seed_rand_in_kernel),
