@@ -10,22 +10,15 @@
 // Gilbert-Peierls + supernodal refactor) runs with and without the
 // Jacobian bypass, with the one-time-analysis vs numeric-refactor time
 // split recorded, so BENCH_kernel_scaling.json captures the asymptotic
-// dense/sparse separation up to 10k unknowns.  A campaign section runs
-// the paper's 64-fault VCO campaign and the OTA campaign under the
-// campaign-shared symbolic cache and records hit rates and
-// verdict-identity flags (tools/bench_guard.py fails CI on any drift).
+// dense/sparse separation up to 10k unknowns.  The row counters
+// (unknowns, Newton iterations, factorizations) are deterministic for a
+// given build; wall times are single samples.
 //
 // --quick: the CI smoke subset (small sizes only, same row schema, mode
-// recorded in the JSON so the guard compares only the rows present).
+// recorded in the JSON).
 
-#include "anafault/campaign.h"
 #include "circuits/oscgrid.h"
-#include "circuits/ota.h"
 #include "circuits/ringosc.h"
-#include "circuits/vco.h"
-#include "core/cat.h"
-#include "layout/cellgen.h"
-#include "lift/extract_faults.h"
 #include "obs/obs.h"
 #include "spice/engine.h"
 
@@ -33,7 +26,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -103,115 +95,6 @@ Sample run_one(const netlist::Circuit& ckt, const std::string& label,
     return s;
 }
 
-struct CampaignBench {
-    std::size_t vco_faults = 0;
-    std::size_t vco_scheduled = 0;
-    std::size_t vco_cache_hits = 0;
-    double vco_cache_hit_rate = 0.0;
-    std::size_t vco_detected_cache_on = 0;
-    std::size_t vco_detected_cache_off = 0;
-    double vco_wall_cache_on_s = 0.0;
-    double vco_wall_cache_off_s = 0.0;
-    double vco_ordering_cache_on_s = 0.0;
-    double vco_ordering_cache_off_s = 0.0;
-    bool vco_default_verdicts_identical = false;
-    bool ota_cache_verdicts_identical = false;
-    bool ota_device_bypass_verdicts_identical = false;
-    std::size_t ota_device_stamp_skips = 0;
-};
-
-std::set<int> detected_ids(const anafault::CampaignResult& r) {
-    std::set<int> ids;
-    for (const auto& f : r.results)
-        if (f.detect_time) ids.insert(f.fault_id);
-    return ids;
-}
-
-CampaignBench run_campaign_bench() {
-    CampaignBench cb;
-
-    // -- VCO: the paper's 64-fault campaign, sparse kernel forced so the
-    // symbolic cache engages.  Cache-on vs cache-off measures the
-    // amortization; the verdict sets of the *shipped default*
-    // configuration (dense path, per-device bypass at the margin-safe
-    // tolerance) are compared bypass-on vs bypass-off for identity.
-    const core::VcoExperiment e = core::make_vco_experiment();
-    const auto lift_res =
-        lift::extract_faults(e.layout, e.config.tech, e.config.lift);
-    cb.vco_faults = lift_res.faults.size();
-
-    anafault::CampaignOptions sparse_on = e.config.campaign;
-    sparse_on.sim.sparse_threshold = 0;
-    anafault::CampaignOptions sparse_off = sparse_on;
-    sparse_off.share_symbolic = false;
-
-    auto t0 = std::chrono::steady_clock::now();
-    const auto r_on =
-        anafault::run_campaign(e.sim_circuit, lift_res.faults, sparse_on);
-    cb.vco_wall_cache_on_s = seconds_since(t0);
-    t0 = std::chrono::steady_clock::now();
-    const auto r_off =
-        anafault::run_campaign(e.sim_circuit, lift_res.faults, sparse_off);
-    cb.vco_wall_cache_off_s = seconds_since(t0);
-
-    cb.vco_scheduled = r_on.batch.scheduled;
-    cb.vco_cache_hits = r_on.batch.symbolic_cache_hits;
-    cb.vco_cache_hit_rate =
-        cb.vco_scheduled > 0
-            ? static_cast<double>(cb.vco_cache_hits) /
-                  static_cast<double>(cb.vco_scheduled)
-            : 0.0;
-    cb.vco_detected_cache_on = r_on.detected();
-    cb.vco_detected_cache_off = r_off.detected();
-    cb.vco_ordering_cache_on_s = r_on.batch.ordering_seconds;
-    cb.vco_ordering_cache_off_s = r_off.batch.ordering_seconds;
-
-    anafault::CampaignOptions def_on = e.config.campaign;  // shipped defaults
-    anafault::CampaignOptions def_off = def_on;
-    def_off.sim.bypass = false;
-    const auto rd_on =
-        anafault::run_campaign(e.sim_circuit, lift_res.faults, def_on);
-    const auto rd_off =
-        anafault::run_campaign(e.sim_circuit, lift_res.faults, def_off);
-    cb.vco_default_verdicts_identical =
-        detected_ids(rd_on) == detected_ids(rd_off);
-
-    // -- OTA: well-behaved campaign; cache on/off and per-device bypass
-    // on/off must both be verdict-identical outright.
-    circuits::OtaOptions oo;
-    oo.with_sources = false;
-    const netlist::Circuit ota_dev = circuits::build_ota(oo);
-    const layout::Layout lo = layout::generate_cell_layout(ota_dev);
-    lift::LiftOptions lopt;
-    lopt.net_blocks = circuits::ota_net_blocks();
-    const auto ota_faults = lift::extract_faults(
-        lo, layout::Technology::single_poly_double_metal(), lopt);
-    const netlist::Circuit ota = circuits::build_ota();
-
-    anafault::CampaignOptions ocfg;
-    ocfg.detection.observed = {circuits::kOtaOutput};
-    ocfg.detection.v_tol = 0.4;
-    anafault::CampaignOptions oc_on = ocfg;
-    oc_on.sim.sparse_threshold = 0;
-    anafault::CampaignOptions oc_off = oc_on;
-    oc_off.share_symbolic = false;
-    const auto ro_on = anafault::run_campaign(ota, ota_faults.faults, oc_on);
-    const auto ro_off = anafault::run_campaign(ota, ota_faults.faults, oc_off);
-    cb.ota_cache_verdicts_identical =
-        detected_ids(ro_on) == detected_ids(ro_off);
-
-    anafault::CampaignOptions ob_on = ocfg;
-    ob_on.sim.device_bypass_tol = 1e-9;
-    anafault::CampaignOptions ob_off = ocfg;
-    ob_off.sim.bypass = false;
-    const auto rb_on = anafault::run_campaign(ota, ota_faults.faults, ob_on);
-    const auto rb_off = anafault::run_campaign(ota, ota_faults.faults, ob_off);
-    cb.ota_device_bypass_verdicts_identical =
-        detected_ids(rb_on) == detected_ids(rb_off);
-    cb.ota_device_stamp_skips = rb_on.batch.device_stamp_skips;
-    return cb;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -269,24 +152,6 @@ int main(int argc, char** argv) {
         samples.push_back(run_one(ckt, label, kAmdBypassCfg, ts));
     }
 
-    // -- Campaign-level: symbolic cache on the paper's circuits.
-    std::printf("\n== campaign-shared symbolic kernel ==\n");
-    const CampaignBench cb = run_campaign_bench();
-    std::printf("  VCO: %zu faults, cache hits %zu/%zu (%.0f%%), detected "
-                "on/off %zu/%zu, wall %.2fs/%.2fs\n",
-                cb.vco_faults, cb.vco_cache_hits, cb.vco_scheduled,
-                100.0 * cb.vco_cache_hit_rate, cb.vco_detected_cache_on,
-                cb.vco_detected_cache_off, cb.vco_wall_cache_on_s,
-                cb.vco_wall_cache_off_s);
-    std::printf("  VCO default-config verdicts (per-device bypass on/off "
-                "identical): %s\n",
-                cb.vco_default_verdicts_identical ? "yes" : "NO");
-    std::printf("  OTA cache verdicts identical: %s, per-device bypass "
-                "verdicts identical: %s (skips %zu)\n",
-                cb.ota_cache_verdicts_identical ? "yes" : "NO",
-                cb.ota_device_bypass_verdicts_identical ? "yes" : "NO",
-                cb.ota_device_stamp_skips);
-
     std::ofstream js("BENCH_kernel_scaling.json");
     js << "{\n  \"bench\": \"kernel_scaling\",\n";
     js << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n";
@@ -306,32 +171,6 @@ int main(int argc, char** argv) {
            << (i + 1 < samples.size() ? "," : "") << "\n";
     }
     js << "  ],\n";
-    js << "  \"campaign\": {\n";
-    js << "    \"vco_faults\": " << cb.vco_faults << ",\n";
-    js << "    \"vco_scheduled\": " << cb.vco_scheduled << ",\n";
-    js << "    \"vco_cache_hits\": " << cb.vco_cache_hits << ",\n";
-    js << "    \"vco_cache_hit_rate\": " << cb.vco_cache_hit_rate << ",\n";
-    js << "    \"vco_detected_cache_on\": " << cb.vco_detected_cache_on
-       << ",\n";
-    js << "    \"vco_detected_cache_off\": " << cb.vco_detected_cache_off
-       << ",\n";
-    js << "    \"vco_wall_cache_on_s\": " << cb.vco_wall_cache_on_s << ",\n";
-    js << "    \"vco_wall_cache_off_s\": " << cb.vco_wall_cache_off_s
-       << ",\n";
-    js << "    \"vco_ordering_cache_on_s\": " << cb.vco_ordering_cache_on_s
-       << ",\n";
-    js << "    \"vco_ordering_cache_off_s\": " << cb.vco_ordering_cache_off_s
-       << ",\n";
-    js << "    \"vco_default_verdicts_identical\": "
-       << (cb.vco_default_verdicts_identical ? "true" : "false") << ",\n";
-    js << "    \"ota_cache_verdicts_identical\": "
-       << (cb.ota_cache_verdicts_identical ? "true" : "false") << ",\n";
-    js << "    \"ota_device_bypass_verdicts_identical\": "
-       << (cb.ota_device_bypass_verdicts_identical ? "true" : "false")
-       << ",\n";
-    js << "    \"ota_device_stamp_skips\": " << cb.ota_device_stamp_skips
-       << "\n";
-    js << "  },\n";
     js << "  \"metrics\": " << obs::Registry::global().to_json("  ") << "\n";
     js << "}\n";
     std::printf("\n  wrote BENCH_kernel_scaling.json\n");

@@ -209,7 +209,8 @@ TEST(AdaptiveTran, OtaGoldenAgainstFixedGrid) {
 }
 
 // ---------------------------------------------------------------------------
-// Campaign determinism: adaptive on/off must not change verdicts
+// Campaign determinism: adaptive on/off and early abort on/off must not
+// change verdicts
 
 TEST(AdaptiveCampaign, VcoVerdictsIdenticalWithAndWithoutAdaptive) {
     const core::VcoExperiment e = core::make_vco_experiment();
@@ -219,11 +220,15 @@ TEST(AdaptiveCampaign, VcoVerdictsIdenticalWithAndWithoutAdaptive) {
     anafault::CampaignOptions adaptive = e.config.campaign;
     adaptive.threads = 2;
     ASSERT_TRUE(adaptive.sim.adaptive);  // campaign default
+    ASSERT_TRUE(adaptive.early_abort);   // campaign default
     anafault::CampaignOptions fixed = adaptive;
     fixed.sim.adaptive = false;
+    anafault::CampaignOptions no_abort = adaptive;
+    no_abort.early_abort = false;
 
     const auto ra = run_campaign(e.sim_circuit, lift_res.faults, adaptive);
     const auto rf = run_campaign(e.sim_circuit, lift_res.faults, fixed);
+    const auto rn = run_campaign(e.sim_circuit, lift_res.faults, no_abort);
 
     ASSERT_EQ(ra.results.size(), rf.results.size());
     EXPECT_GT(ra.detected(), 0u);
@@ -239,6 +244,9 @@ TEST(AdaptiveCampaign, VcoVerdictsIdenticalWithAndWithoutAdaptive) {
             EXPECT_NEAR(*ra.results[i].detect_time,
                         *rf.results[i].detect_time, 0.2e-6);
         }
+        // Early abort only trims the run after its detection instant.
+        EXPECT_EQ(ra.results[i].simulated, rn.results[i].simulated);
+        EXPECT_EQ(ra.results[i].detect_time, rn.results[i].detect_time);
     }
     EXPECT_EQ(ra.detected(), rf.detected());
     EXPECT_EQ(ra.final_coverage(), rf.final_coverage());
@@ -246,6 +254,10 @@ TEST(AdaptiveCampaign, VcoVerdictsIdenticalWithAndWithoutAdaptive) {
     EXPECT_LT(ra.batch.steps_integrated, rf.batch.steps_integrated);
     EXPECT_GT(ra.batch.steps_interpolated, 0u);
     EXPECT_EQ(rf.batch.steps_interpolated, 0u);
+    EXPECT_EQ(ra.batch.early_aborts, ra.detected());
+    EXPECT_GT(ra.batch.steps_saved, 0u);
+    EXPECT_EQ(rn.batch.early_aborts, 0u);
+    EXPECT_EQ(rn.batch.steps_saved, 0u);
 }
 
 // ---------------------------------------------------------------------------

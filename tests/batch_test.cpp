@@ -779,7 +779,7 @@ TEST(Campaign, FreshRunIgnoresStaleStore) {
 }
 
 // ---------------------------------------------------------------------------
-// The VCO campaign's "collapsed: 0" (BENCH_parallel_speedup.json)
+// The VCO campaign's "collapsed: 0" (the anafaultc summary's batch line)
 //
 // Investigated: the layout extractor already merges every bridge between
 // the same net pair (across layers) into one fault, so the 64-fault VCO

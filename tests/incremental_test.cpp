@@ -243,11 +243,11 @@ TEST(ReviseLayout, VcoRevisionProducesAllFourDiffClasses) {
         layout::revise_layout(e.layout, layout::vco_revision_spec()),
         e.config.tech, e.config.lift);
     const auto d = lift::diff_faultlists(base.faults, rev.faults);
-    EXPECT_GE(d.only_a.size(), 1u);                // removed stuck-open
-    EXPECT_GE(d.only_b.size(), 1u);                // added stuck-open
-    EXPECT_GE(d.probability_changed.size(), 1u);   // widened-track bridges
+    EXPECT_EQ(d.only_a.size(), 1u);                // removed stuck-open
+    EXPECT_EQ(d.only_b.size(), 1u);                // added stuck-open
+    EXPECT_EQ(d.probability_changed.size(), 2u);   // widened-track bridges
     // The revision is a perturbation, not a redesign: most faults carry.
-    EXPECT_GE(d.carried.size() * 2, rev.faults.size());
+    EXPECT_EQ(d.carried.size(), 61u);
 }
 
 // ---------------------------------------------------------------------------
@@ -510,8 +510,8 @@ TEST(Incremental, ResumeWithoutMergedStoreIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Acceptance: the VCO revision carries at least half the faults and the
-// merged verdicts are identical to a cold full campaign on the revision.
+// Acceptance: the VCO revision carries 61 of its 64 faults and the merged
+// verdicts are identical to a cold full campaign on the revision.
 
 TEST(Incremental, VcoRevisionCarriesHalfAndMatchesColdRun) {
     const core::VcoExperiment e = core::make_vco_experiment();
@@ -537,7 +537,12 @@ TEST(Incremental, VcoRevisionCarriesHalfAndMatchesColdRun) {
         run_incremental_campaign(e.sim_circuit, base.faults, rev.faults, iopt);
 
     EXPECT_TRUE(inc.inc.baseline_manifest_matched);
-    EXPECT_GE(inc.inc.carried * 2, rev.faults.size());
+    EXPECT_EQ(inc.inc.carried, 61u);
+    EXPECT_EQ(inc.inc.resimulated, 3u);
+    EXPECT_EQ(inc.inc.added, 1u);
+    EXPECT_EQ(inc.inc.removed, 1u);
+    EXPECT_EQ(inc.inc.probability_changed, 2u);
+    EXPECT_EQ(inc.campaign.detected(), 64u);
     EXPECT_EQ(inc.inc.carried + inc.inc.resimulated, rev.faults.size());
     EXPECT_EQ(inc.campaign.batch.scheduled, inc.inc.resimulated);
 
