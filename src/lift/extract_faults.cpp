@@ -322,6 +322,41 @@ LiftResult extract_faults(const layout::Layout& lo,
         }
     };
 
+    // Emit an open of `net` that separates the terminals (and ports) of
+    // side A from those of side B.  An open leaving either side with
+    // nothing attached is dangling and only counted.  Side B -- the group
+    // the injection renames -- is the side away from the ports (sources
+    // and observation points keep the original node name), else the
+    // smaller one.
+    auto emit_open = [&](const Mechanism& mech, int net,
+                         std::vector<TerminalRef> term_a,
+                         std::vector<TerminalRef> term_b, bool port_a,
+                         bool port_b, double probability) {
+        if ((term_a.empty() && !port_a) || (term_b.empty() && !port_b)) {
+            ++res.stats.dangling_opens;
+            return;
+        }
+        if (port_b && !port_a) {
+            std::swap(term_a, term_b);
+            std::swap(port_a, port_b);
+        } else if (port_a == port_b && term_b.size() > term_a.size()) {
+            std::swap(term_a, term_b);
+        }
+        if (term_b.empty()) {
+            ++res.stats.dangling_opens;
+            return;
+        }
+        sort_unique(term_b);
+
+        Fault flt;
+        flt.mechanism = mech.name;
+        flt.net = ex.net_name(net);
+        flt.group_b = std::move(term_b);
+        classify_open(flt);
+        flt.probability = probability;
+        accumulate(std::move(flt));
+    };
+
     // Net pairs (a <= b) that share a device, for the short fallback.
     std::set<std::pair<std::string, std::string>> device_pairs;
     if (opt.net_blocks.empty()) {
@@ -491,38 +526,11 @@ LiftResult extract_faults(const layout::Layout& lo,
             auto tb = graph.terminals_in(comps_b);
             term_a.insert(term_a.end(), ta.begin(), ta.end());
             term_b.insert(term_b.end(), tb.begin(), tb.end());
-            port_a = port_a || graph.ports_in(comps_a);
-            port_b = port_b || graph.ports_in(comps_b);
-            if (term_a.empty() && !port_a) {
-                ++res.stats.dangling_opens;
-                continue;
-            }
-            if (term_b.empty() && !port_b) {
-                ++res.stats.dangling_opens;
-                continue;
-            }
-            // Side B: the side away from the ports (sources/observation
-            // points keep the original node name).
-            if (port_b && !port_a) {
-                std::swap(term_a, term_b);
-                std::swap(port_a, port_b);
-            } else if (port_a == port_b && term_b.size() > term_a.size()) {
-                std::swap(term_a, term_b);
-            }
-            if (term_b.empty()) {
-                ++res.stats.dangling_opens;
-                continue;
-            }
-            sort_unique(term_b);
-
-            Fault flt;
-            flt.mechanism = mech->name;
-            flt.net = ex.net_name(f.net);
-            flt.group_b = term_b;
-            classify_open(flt);
-            flt.probability = model.open_probability(
-                *mech, static_cast<double>(gap), static_cast<double>(width));
-            accumulate(std::move(flt));
+            emit_open(*mech, f.net, std::move(term_a), std::move(term_b),
+                      port_a || graph.ports_in(comps_a),
+                      port_b || graph.ports_in(comps_b),
+                      model.open_probability(*mech, static_cast<double>(gap),
+                                             static_cast<double>(width)));
         }
     }
 
@@ -547,34 +555,12 @@ LiftResult extract_faults(const layout::Layout& lo,
             ++res.stats.redundant_opens;
             continue;  // another path keeps the net together
         }
-        auto term_a = graph.terminals_in(comps_a);
-        auto term_b = graph.terminals_in(comps_b);
-        bool port_a = graph.ports_in(comps_a);
-        bool port_b = graph.ports_in(comps_b);
-        if ((term_a.empty() && !port_a) || (term_b.empty() && !port_b)) {
-            ++res.stats.dangling_opens;
-            continue;
-        }
-        if (port_b && !port_a) {
-            std::swap(term_a, term_b);
-            std::swap(port_a, port_b);
-        } else if (port_a == port_b && term_b.size() > term_a.size()) {
-            std::swap(term_a, term_b);
-        }
-        if (term_b.empty()) {
-            ++res.stats.dangling_opens;
-            continue;
-        }
-
-        Fault flt;
-        flt.mechanism = mech->name;
-        flt.net = ex.net_name(static_cast<int>(net));
-        flt.group_b = term_b;
-        classify_open(flt);
-        flt.probability = model.cut_probability(
-            *mech, static_cast<double>(cc.bbox.width()),
-            static_cast<double>(cc.bbox.height()));
-        accumulate(std::move(flt));
+        emit_open(*mech, static_cast<int>(net), graph.terminals_in(comps_a),
+                  graph.terminals_in(comps_b), graph.ports_in(comps_a),
+                  graph.ports_in(comps_b),
+                  model.cut_probability(
+                      *mech, static_cast<double>(cc.bbox.width()),
+                      static_cast<double>(cc.bbox.height())));
     }
 
     // ---- Threshold, label, rank -------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <climits>
 #include <fstream>
 #include <sstream>
 
@@ -228,13 +229,15 @@ Circuit parse_spice(std::istream& in) {
                 if (toks.size() < 5 || lower(toks[1]) != "dec")
                     fail(ll.line_no, ".ac dec N fstart fstop");
                 AcCard a;
-                a.points_per_decade =
-                    static_cast<int>(parse_value(toks[2]));
+                const double points = parse_value(toks[2]);
                 a.fstart = parse_value(toks[3]);
                 a.fstop = parse_value(toks[4]);
-                if (a.points_per_decade < 1 || a.fstart <= 0 ||
+                // Range-checked before the cast: converting an
+                // out-of-range double to int is undefined behaviour.
+                if (!(points >= 1 && points <= INT_MAX) || a.fstart <= 0 ||
                     a.fstop <= a.fstart)
                     fail(ll.line_no, "bad .ac parameters");
+                a.points_per_decade = static_cast<int>(points);
                 ckt.ac = a;
             } else if (head == ".save" || head == ".print" ||
                        head == ".plot") {

@@ -172,7 +172,6 @@ void Simulator::build_kernel() {
     sparse_ = n > 0 && n >= opt_.sparse_threshold;
     if (sparse_) {
         obs::Span sp(obs::Phase::Analyze);
-        slu_.set_ordering(SparseOrdering::Amd);
         slot_lut_ = slu_.analyze(n, sites_);
         // Campaign-shared symbolic analysis: adopt the nominal circuit's
         // elimination order (patched with this circuit's injected
@@ -834,9 +833,6 @@ AcResult Simulator::ac(const AcSpec& spec, const AcPointObserver& observer) {
     // complex pattern analysis runs once, lazily, on the first sweep.
     if (sparse_ && !ac_kernel_ready_) {
         obs::Span asp(obs::Phase::Analyze);
-        // The complex backend mirrors the real one's ordering setup so a
-        // campaign-shared preordering covers the AC sweep too.
-        cslu_.set_ordering(SparseOrdering::Amd);
         // analyze() is deterministic over the same site list, so the
         // complex solver hands out the same slots as the real one; the
         // check turns any future divergence into a loud failure instead

@@ -6,30 +6,27 @@
 //
 //   * analyze()      -- one-time: dedup the stamp positions into a CSC
 //                       pattern and hand every stamp site a value slot.
-//   * full factor    -- first numeric factorization.  Two orderings:
-//                         - Markowitz: right-looking elimination with
-//                           dynamic Markowitz ordering under threshold
-//                           partial pivoting (Amd's fallback when a pivot
-//                           along the restricted order fails; its
-//                           per-step global pivot search is O(n^2)-ish and
-//                           becomes the bottleneck past ~1k unknowns).
-//                         - Amd: a fill-reducing minimum-degree preordering
-//                           (quotient-graph MD with element absorption and
-//                           a dense-row cutoff -- the AMD family) computed
-//                           once on the symmetrized pattern, then a
-//                           Gilbert-Peierls left-looking factorization
-//                           with row partial pivoting along that column
-//                           order: symbolic reach by DFS, O(flops) total.
-//                           The MD run can be skipped entirely by handing
-//                           in a precomputed column order (set_preorder)
-//                           -- the campaign-shared symbolic cache: faulty
-//                           variants of a nominal circuit perturb the
-//                           pattern only locally, so the nominal ordering
-//                           patched with the injected unknowns at the end
-//                           is reused across the whole campaign.
-//                       Both record the row/column pivot sequence and the
-//                       complete fill pattern of L and U in the same
-//                       storage, so everything downstream is shared.
+//   * full factor    -- first numeric factorization: a fill-reducing
+//                       minimum-degree preordering (quotient-graph MD with
+//                       element absorption and a dense-row cutoff -- the
+//                       AMD family) computed once on the symmetrized
+//                       pattern, then a Gilbert-Peierls left-looking
+//                       factorization with row partial pivoting along that
+//                       column order: symbolic reach by DFS, O(flops)
+//                       total.  It records the row/column pivot sequence
+//                       and the complete fill pattern of L and U.  The MD
+//                       run can be skipped entirely by handing in a
+//                       precomputed column order (set_preorder) -- the
+//                       campaign-shared symbolic cache: faulty variants of
+//                       a nominal circuit perturb the pattern only
+//                       locally, so the nominal ordering patched with the
+//                       injected unknowns at the end is reused across the
+//                       whole campaign.  Under row partial pivoting step
+//                       k finds no pivot above the floor only when the
+//                       first k columns of the order are dependent to
+//                       within that floor: the matrix is singular, no
+//                       other column order would find one, and a failure
+//                       is final.
 //   * refactor       -- every later factorization of the *same pattern*
 //                       replays the recorded pivot order left-looking over
 //                       the fixed fill pattern: no searching, no ordering,
@@ -45,13 +42,12 @@
 //                       back to a fresh full factorization transparently.
 //
 // MNA matrices carry structural zero diagonals on every voltage-source
-// branch row, so the ordering must pivot; threshold pivoting keeps the
-// pivots sound while preferring the diagonal (Amd) or the Markowitz-
-// cheapest entry (Markowitz) to keep the fill small.  The engine drives
-// this through engine.cpp's stamp-pointer lists: the Newton hot path
-// memcpys the static value array, adds the per-iteration device stamps,
-// and calls factor() -- which lands in the cheap refactor path every time
-// after the first solve of a given topology.
+// branch row, so the factorization must pivot; threshold pivoting keeps
+// the pivots sound while preferring the diagonal to keep the fill small.
+// The engine drives this through engine.cpp's stamp-pointer lists: the
+// Newton hot path memcpys the static value array, adds the per-iteration
+// device stamps, and calls factor() -- which lands in the cheap refactor
+// path every time after the first solve of a given topology.
 
 #pragma once
 
@@ -62,18 +58,10 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
-#include <map>
 #include <utility>
 #include <vector>
 
 namespace catlift::spice {
-
-/// First-factorization strategy (see file header).  The engine always
-/// runs Amd, the scalable one (and the only one that can adopt a
-/// campaign-shared preordering).  Markowitz stays as Amd's automatic
-/// fallback when an order-restricted pivot fails, and as the reference
-/// the sparse tests check Amd against.
-enum class SparseOrdering { Markowitz, Amd };
 
 template <typename T>
 class SparseLu {
@@ -124,19 +112,11 @@ public:
     std::size_t size() const { return n_; }
     std::size_t nnz() const { return row_ind_.size(); }
 
-    /// Select the first-factorization strategy.  Invalidates any recorded
-    /// factorization (the pivot order is about to change).
-    void set_ordering(SparseOrdering o) {
-        ordering_ = o;
-        have_factor_ = false;
-    }
-    SparseOrdering ordering() const { return ordering_; }
-
-    /// Hand the Amd path a precomputed column elimination order (the
-    /// campaign-shared symbolic cache) instead of running minimum degree.
-    /// `cols[k]` is the original column eliminated at step k; must be a
-    /// permutation of 0..n-1 matching the analyzed pattern.  Ignored by
-    /// the Markowitz path.  An empty vector clears the preorder.
+    /// Hand the full factorization a precomputed column elimination order
+    /// (the campaign-shared symbolic cache) instead of running minimum
+    /// degree.  `cols[k]` is the original column eliminated at step k;
+    /// must be a permutation of 0..n-1 matching the analyzed pattern.  An
+    /// empty vector clears the preorder.
     void set_preorder(std::vector<int> cols) {
         if (!cols.empty()) {
             require(cols.size() == n_,
@@ -172,15 +152,7 @@ public:
         }
         have_factor_ = false;
         const auto t0 = std::chrono::steady_clock::now();
-        bool ok = false;
-        if (ordering_ == SparseOrdering::Amd) {
-            ok = full_factor_ordered(vals, pivot_floor);
-            // An order-restricted column can be exactly singular where a
-            // global Markowitz search still finds a pivot; fall through.
-            if (!ok) ok = full_factor_markowitz(vals, pivot_floor);
-        } else {
-            ok = full_factor_markowitz(vals, pivot_floor);
-        }
+        const bool ok = full_factor(vals, pivot_floor);
         ordering_seconds_ += seconds_since(t0);
         if (!ok) return false;
         build_supernodes();
@@ -251,130 +223,6 @@ private:
         return std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - t0)
             .count();
-    }
-
-    /// Right-looking Markowitz elimination with threshold partial
-    /// pivoting.  Records pr_/pc_ and the L/U fill pattern + values.
-    bool full_factor_markowitz(const std::vector<T>& vals,
-                               double pivot_floor) {
-        constexpr double kTau = 1e-3;  // pivot threshold vs column max
-
-        // Dynamic rows: col -> value maps (fill inserts are cheap).
-        std::vector<std::map<int, T>> rows(n_);
-        std::vector<int> row_cnt(n_, 0), col_cnt(n_, 0);
-        for (std::size_t c = 0; c < n_; ++c)
-            for (int p = col_ptr_[c]; p < col_ptr_[c + 1]; ++p) {
-                rows[static_cast<std::size_t>(row_ind_[p])][static_cast<int>(
-                    c)] = vals[static_cast<std::size_t>(p)];
-                ++row_cnt[static_cast<std::size_t>(row_ind_[p])];
-                ++col_cnt[c];
-            }
-
-        pr_.assign(n_, -1);
-        pc_.assign(n_, -1);
-        std::vector<char> row_done(n_, 0), col_done(n_, 0);
-        // Raw factor entries in original (row, col) ids; remapped to pivot
-        // step space once every row/column has its step.
-        std::vector<std::vector<std::pair<int, T>>> u_raw(n_);  // step -> (col, v)
-        std::vector<std::vector<std::pair<int, T>>> l_raw(n_);  // step -> (row, f)
-        std::vector<double> col_max(n_);
-
-        for (std::size_t k = 0; k < n_; ++k) {
-            // Column maxima over the active submatrix, then the Markowitz
-            // search among threshold-admissible entries.
-            std::fill(col_max.begin(), col_max.end(), 0.0);
-            for (std::size_t i = 0; i < n_; ++i) {
-                if (row_done[i]) continue;
-                for (const auto& [c, v] : rows[i])
-                    col_max[static_cast<std::size_t>(c)] =
-                        std::max(col_max[static_cast<std::size_t>(c)], mag(v));
-            }
-            long best_cost = -1;
-            double best_mag = 0.0;
-            int best_r = -1, best_c = -1;
-            for (std::size_t i = 0; i < n_; ++i) {
-                if (row_done[i]) continue;
-                for (const auto& [c, v] : rows[i]) {
-                    const double m = mag(v);
-                    if (m < pivot_floor ||
-                        m < kTau * col_max[static_cast<std::size_t>(c)])
-                        continue;
-                    const long cost =
-                        static_cast<long>(row_cnt[i] - 1) *
-                        static_cast<long>(col_cnt[static_cast<std::size_t>(c)] -
-                                          1);
-                    if (best_cost < 0 || cost < best_cost ||
-                        (cost == best_cost && m > best_mag)) {
-                        best_cost = cost;
-                        best_mag = m;
-                        best_r = static_cast<int>(i);
-                        best_c = c;
-                    }
-                }
-            }
-            if (best_r < 0) return false;  // singular beyond the floor
-            pr_[k] = best_r;
-            pc_[k] = best_c;
-            row_done[static_cast<std::size_t>(best_r)] = 1;
-            col_done[static_cast<std::size_t>(best_c)] = 1;
-
-            auto& prow = rows[static_cast<std::size_t>(best_r)];
-            const T d = prow.at(best_c);
-            u_raw[k].emplace_back(best_c, d);
-            for (const auto& [c, v] : prow) {
-                if (c == best_c) continue;
-                u_raw[k].emplace_back(c, v);
-            }
-            for (const auto& [c, v] : prow) {
-                (void)v;
-                --col_cnt[static_cast<std::size_t>(c)];
-            }
-
-            // Eliminate the pivot column from every other active row.
-            for (std::size_t i = 0; i < n_; ++i) {
-                if (row_done[i]) continue;
-                auto it = rows[i].find(best_c);
-                if (it == rows[i].end()) continue;
-                const T f = it->second / d;
-                rows[i].erase(it);
-                --row_cnt[i];
-                --col_cnt[static_cast<std::size_t>(best_c)];
-                l_raw[k].emplace_back(static_cast<int>(i), f);
-                for (const auto& [c, v] : prow) {
-                    if (c == best_c) continue;
-                    auto [jt, fresh] = rows[i].emplace(c, T{});
-                    if (fresh) {
-                        ++row_cnt[i];
-                        ++col_cnt[static_cast<std::size_t>(c)];
-                    }
-                    jt->second -= f * v;
-                }
-            }
-        }
-
-        // Remap to pivot-step space and pack column-wise CSC storage.
-        std::vector<int> col_step(n_), row_step(n_);
-        for (std::size_t k = 0; k < n_; ++k) {
-            col_step[static_cast<std::size_t>(pc_[k])] = static_cast<int>(k);
-            row_step[static_cast<std::size_t>(pr_[k])] = static_cast<int>(k);
-        }
-        diag_.assign(n_, T{});
-        std::vector<std::vector<std::pair<int, T>>> u_cols(n_), l_cols(n_);
-        for (std::size_t k = 0; k < n_; ++k) {
-            for (const auto& [c, v] : u_raw[k]) {
-                const int j = col_step[static_cast<std::size_t>(c)];
-                if (j == static_cast<int>(k))
-                    diag_[k] = v;
-                else
-                    u_cols[static_cast<std::size_t>(j)].emplace_back(
-                        static_cast<int>(k), v);
-            }
-            for (const auto& [r, f] : l_raw[k])
-                l_cols[k].emplace_back(row_step[static_cast<std::size_t>(r)],
-                                       f);
-        }
-        finish_factor(u_cols, l_cols, col_step, row_step);
-        return true;
     }
 
     /// Minimum-degree ordering on the symmetrized pattern: quotient graph
@@ -538,15 +386,15 @@ private:
     /// the fill, a sparse triangular solve computes the values, and the
     /// pivot row is the diagonal when it is within threshold of the
     /// column max.  O(flops + symbolic), no dynamic structures.
-    bool full_factor_ordered(const std::vector<T>& vals, double pivot_floor) {
+    bool full_factor(const std::vector<T>& vals, double pivot_floor) {
         constexpr double kDiagTau = 0.1;  // diagonal preference threshold
         const std::vector<int>& corder =
             preorder_.empty() ? (md_order_ = min_degree_order()) : preorder_;
-        diag_scratch_.clear();  // may hold a failed attempt's partial pivots
 
         std::vector<int> pinv(n_, -1);  // row -> pivot step
         pr_.assign(n_, -1);
         pc_.assign(n_, -1);
+        diag_.assign(n_, T{});
         std::vector<std::vector<int>> lrows(n_);         // step -> orig rows
         std::vector<std::vector<T>> lvals(n_);           // step -> values
         std::vector<std::vector<std::pair<int, T>>> u_cols(n_);
@@ -646,7 +494,7 @@ private:
             pr_[k] = prow;
             pc_[k] = c;
             pinv[static_cast<std::size_t>(prow)] = static_cast<int>(k);
-            diag_scratch_.push_back(d);
+            diag_[k] = d;
             for (const int r : topo) {
                 const auto ru = static_cast<std::size_t>(r);
                 if (pinv[ru] >= 0 || r == prow) {
@@ -661,16 +509,10 @@ private:
             x[static_cast<std::size_t>(prow)] = T{};
         }
 
-        // Remap to pivot-step space and pack the shared storage.
-        std::vector<int> col_step(n_), row_step(n_);
-        for (std::size_t k = 0; k < n_; ++k) {
-            col_step[static_cast<std::size_t>(pc_[k])] = static_cast<int>(k);
-            row_step[static_cast<std::size_t>(pr_[k])] = static_cast<int>(k);
-        }
-        diag_.assign(n_, T{});
+        // Remap L rows to pivot-step space and pack the factor storage.
+        std::vector<int> row_step(n_);
         for (std::size_t k = 0; k < n_; ++k)
-            diag_[k] = diag_scratch_[k];
-        diag_scratch_.clear();
+            row_step[static_cast<std::size_t>(pr_[k])] = static_cast<int>(k);
         std::vector<std::vector<std::pair<int, T>>> l_cols(n_);
         for (std::size_t k = 0; k < n_; ++k) {
             l_cols[k].reserve(lrows[k].size());
@@ -679,29 +521,22 @@ private:
                     row_step[static_cast<std::size_t>(lrows[k][q])],
                     lvals[k][q]);
         }
-        finish_factor(u_cols, l_cols, col_step, row_step);
+        finish_factor(u_cols, l_cols, row_step);
         return true;
     }
 
-    /// Shared tail of both full factorizations: pack U/L column storage
-    /// (rows ascending -- the replay and the supernode detection both
-    /// rely on it) and precompute the refactor scatter maps.
+    /// Pack the recorded U/L columns into CSC storage (rows ascending --
+    /// the replay and the supernode detection both rely on it) and
+    /// precompute the refactor's scatter map.
     void finish_factor(std::vector<std::vector<std::pair<int, T>>>& u_cols,
                        std::vector<std::vector<std::pair<int, T>>>& l_cols,
-                       const std::vector<int>& col_step,
                        const std::vector<int>& row_step) {
         pack(u_cols, u_ptr_, u_row_, u_val_);
         pack(l_cols, l_ptr_, l_row_, l_val_);
 
         scatter_step_.resize(nnz());
-        csc_col_step_.resize(n_);
-        for (std::size_t c = 0; c < n_; ++c) {
-            csc_col_step_[static_cast<std::size_t>(
-                col_step[c])] = static_cast<int>(c);
-            for (int p = col_ptr_[c]; p < col_ptr_[c + 1]; ++p)
-                scatter_step_[static_cast<std::size_t>(p)] =
-                    row_step[static_cast<std::size_t>(row_ind_[p])];
-        }
+        for (std::size_t p = 0; p < nnz(); ++p)
+            scatter_step_[p] = row_step[static_cast<std::size_t>(row_ind_[p])];
         work_.assign(n_, T{});
     }
 
@@ -751,7 +586,7 @@ private:
     bool refactor(const std::vector<T>& vals, double pivot_floor) {
         for (std::size_t j = 0; j < n_; ++j) {
             // Scatter original column pc_[j] into pivot-step space.
-            const auto c = static_cast<std::size_t>(csc_col_step_[j]);
+            const auto c = static_cast<std::size_t>(pc_[j]);
             for (int p = col_ptr_[c]; p < col_ptr_[c + 1]; ++p)
                 work_[static_cast<std::size_t>(scatter_step_[p])] =
                     vals[static_cast<std::size_t>(p)];
@@ -852,8 +687,7 @@ private:
     std::size_t n_ = 0;
     bool have_pattern_ = false;
     bool have_factor_ = false;
-    SparseOrdering ordering_ = SparseOrdering::Markowitz;
-    std::vector<int> preorder_;  ///< caller-supplied column order (Amd path)
+    std::vector<int> preorder_;  ///< caller-supplied column order
     std::vector<int> md_order_;  ///< last minimum-degree order computed
 
     // Original pattern, CSC.
@@ -861,9 +695,8 @@ private:
 
     // Pivot order: pr_[k]/pc_[k] = original row/column eliminated at step k.
     std::vector<int> pr_, pc_;
-    // csc_col_step_[j] = original column handled at step j;
     // scatter_step_[p] = pivot-step row of original CSC position p.
-    std::vector<int> csc_col_step_, scatter_step_;
+    std::vector<int> scatter_step_;
 
     // Factor storage in pivot-step space, column-wise, rows ascending
     // (required by the left-looking replay and the supernode detection).
@@ -876,7 +709,6 @@ private:
 
     std::vector<T> work_;             // refactor scatter workspace
     std::vector<T> acc_;              // supernode below-row accumulator
-    std::vector<T> diag_scratch_;     // ordered-path pivot values
     mutable std::vector<T> scratch_;  // solve workspace
 
     std::size_t full_factors_ = 0;

@@ -157,7 +157,7 @@ TEST_F(CliTest, MalformedOrOutOfRangeValuesExit2) {
         {"--lte-tol", "0"},
         {"--t-tol", "nan"},
         {"--workers", "0"},
-        {"--ordering", "amd"},  // flag removed with the Markowitz knob
+        {"--ordering", "amd"},  // removed: AMD is the only ordering
         {"--worker", "--store", path("w.store"), "--fault-range", "a:b"},
         {"--worker", "--store", path("w.store"), "--fault-range", "5"},
     };

@@ -1,9 +1,15 @@
 // SPICE deck parser + writer round-trip tests.
 
+#include "circuits/ota.h"
+#include "circuits/vco.h"
 #include "netlist/parser.h"
 #include "netlist/writer.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
 
 using namespace catlift::netlist;
 
@@ -142,6 +148,8 @@ TEST(Parser, AcCard) {
     EXPECT_THROW(parse_spice("t\n.ac lin 5 1 10\n.end\n"), catlift::Error);
     EXPECT_THROW(parse_spice("t\n.ac dec 5 10k 1k\n.end\n"),
                  catlift::Error);
+    EXPECT_THROW(parse_spice("t\n.ac dec 1e30 1 10\n.end\n"),
+                 catlift::Error);
 }
 
 TEST(Writer, RoundTripSemantics) {
@@ -190,4 +198,65 @@ TEST(Writer, DoubleRoundTripIsStable) {
     const std::string once = write_spice(parse_spice(deck));
     const std::string twice = write_spice(parse_spice(once));
     EXPECT_EQ(once, twice);
+}
+
+TEST(Parser, SeededDeckMutationsParseOrThrowTyped) {
+    // Byte flips, deletions and inserted card fragments applied to real
+    // decks: every input either parses or is rejected with a typed
+    // catlift::Error -- no other exception, and (under the sanitizers) no
+    // undefined behaviour, may escape the parser.
+    const std::vector<std::string> decks = {
+        write_spice(catlift::circuits::build_vco()),
+        write_spice(catlift::circuits::build_ota())};
+    // Card heads start a new line; an insertion joins one or two
+    // fragments, so a head is often followed by a huge number.
+    const std::vector<std::string> fragments = {
+        "\n.ac dec ", "\n.tran ", "\n.model m nmos ", "\n.save v(",
+        "\n.end\n",   "\n+ ",    "\n* ",            "\n",
+        "pulse(",     "pwl(",     "sin(",            "W=",
+        "(",          ")",        "=",               "-",
+        " 0 ",        "meg",      "1e30",            "-1e30",
+        "1e400",      "4294967296"};
+    std::uint64_t state = 0x2545f4914f6cdd1dull;
+    const auto next = [&state] {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        return state;
+    };
+    int parsed = 0, rejected = 0;
+    for (int i = 0; i < 3000; ++i) {
+        std::string deck = decks[static_cast<std::size_t>(i) % decks.size()];
+        for (std::uint64_t e = 0, edits = 1 + next() % 4; e < edits; ++e) {
+            const std::size_t pos = next() % (deck.size() + 1);
+            switch (next() % 3) {
+                case 0:
+                    if (pos < deck.size())
+                        deck[pos] = static_cast<char>(
+                            deck[pos] ^ static_cast<char>(1 + next() % 255));
+                    break;
+                case 1:
+                    deck.erase(pos, 1 + next() % 16);
+                    break;
+                default: {
+                    std::string frag = fragments[next() % fragments.size()];
+                    if (next() % 2)
+                        frag += fragments[next() % fragments.size()];
+                    deck.insert(pos, frag);
+                    break;
+                }
+            }
+        }
+        try {
+            parse_spice(deck);
+            ++parsed;
+        } catch (const catlift::Error&) {
+            ++rejected;
+        } catch (const std::exception& ex) {
+            ADD_FAILURE() << "case " << i << " escaped with " << ex.what()
+                          << "\n" << deck;
+        }
+    }
+    EXPECT_GT(parsed, 0);
+    EXPECT_GT(rejected, 0);
 }
