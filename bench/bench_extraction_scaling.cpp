@@ -8,15 +8,14 @@
 // linear scaling is 4x, quadratic 16x.  Rows above 256 stages are timed
 // once, the smaller ones best of three.
 //
-// Run: ./bench_extraction_scaling [--benchmark_filter=NONE]  (table only)
+// Run: ./bench_extraction_scaling  (exits 1 if the timed extraction and
+// the one LIFT runs disagree)
 
 #include "circuits/vco.h"
 #include "extract/extractor.h"
 #include "layout/cellgen.h"
 #include "lift/extract_faults.h"
 #include "netlist/compare.h"
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
@@ -42,7 +41,7 @@ double best_ms(int reps, Fn fn) {
     return best;
 }
 
-void print_scaling() {
+bool print_scaling() {
     std::printf("== LIFT scaling over inverter-chain layouts ==\n\n");
     std::printf("  %-8s %-8s %-8s %-10s %-8s %-14s %-15s %-10s %-10s %s\n",
                 "stages", "shapes", "nets", "sites", "faults", "extract [ms]",
@@ -52,12 +51,14 @@ void print_scaling() {
         double extract, self, lift, lvs;
     };
     std::map<int, Times> times;
+    bool consistent = true;
     for (int n : {4, 8, 16, 32, 64, 128, 256, 512, 1024}) {
         const int reps = n > 256 ? 1 : 3;
         const auto ckt = circuits::build_inverter_chain(n, false);
         const auto lo = layout::generate_cell_layout(ckt);
+        std::size_t fragments = 0;
         const double extract_ms = best_ms(reps, [&] {
-            benchmark::DoNotOptimize(extract::extract(lo, tech));
+            fragments = extract::extract(lo, tech).fragments.size();
         });
         lift::LiftResult res;
         const double lift_ms = best_ms(reps, [&] {
@@ -67,6 +68,8 @@ void print_scaling() {
         const double lvs_ms = best_ms(reps, [&] {
             lvs = netlist::compare_netlists(ckt, res.extraction.circuit, 1e-2);
         });
+        consistent = consistent &&
+                     fragments == res.extraction.fragments.size();
         const double self_ms = std::max(0.0, lift_ms - extract_ms);
         times[n] = {extract_ms, self_ms, lift_ms, lvs_ms};
         const std::size_t nets = ckt.node_names().size();
@@ -90,32 +93,14 @@ void print_scaling() {
     ratios(256, 64);
     ratios(1024, 256);
     std::printf("\n");
+    return consistent;
 }
-
-void BM_LiftChain(benchmark::State& state) {
-    const auto ckt =
-        circuits::build_inverter_chain(static_cast<int>(state.range(0)),
-                                       false);
-    const auto lo = layout::generate_cell_layout(ckt);
-    const auto tech = layout::Technology::single_poly_double_metal();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            lift::extract_faults(lo, tech, lift::LiftOptions{}));
-    state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_LiftChain)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Unit(benchmark::kMillisecond)
-    ->Complexity();
 
 } // namespace
 
-int main(int argc, char** argv) {
-    print_scaling();
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
-    return 0;
+int main() {
+    if (print_scaling()) return 0;
+    std::fprintf(stderr, "bench_extraction_scaling: extract() and LIFT's "
+                         "own extraction disagree on the fragment count\n");
+    return 1;
 }

@@ -77,7 +77,8 @@ std::string cat_summary(const CatReport& report);
 
 // ---------------------------------------------------------------------------
 // Canned VCO experiment (section VI of the paper): builds the schematic,
-// synthesises the layout, and returns everything needed by the benches.
+// synthesises the layout, and returns everything tools/paper_repro, the
+// examples and the tests need to run it.
 
 struct VcoExperiment {
     netlist::Circuit sim_circuit;     ///< 26-T VCO with sources + .tran
