@@ -302,3 +302,148 @@ TEST(LiftPins, FaultListAndStatsDigestsUnchanged) {
             << p.name;
     }
 }
+
+// ---------------------------------------------------------------------------
+// Redundant paths: hand-drawn nets with loops, parallel cut clusters and
+// fragments whose removal splits a net three ways.  None of the generated
+// pin layouts has a redundant open, so these pin the cycle logic of the open
+// analysis: digests (as LiftPins, with p_min 0 so every fault is written)
+// plus the redundant and dangling counts.
+
+namespace {
+
+using geom::Rect;
+using layout::Layer;
+
+/// An NMOS named `name` at (x, y) um, drawn as in extract_test's one_nmos:
+/// source | channel | drain diffusion (w_um tall) under a vertical poly
+/// gate; one contact and a metal1 pad (x+1..5 and x+12..16, y+0.5..3.5) on
+/// each of source and drain.
+void add_nmos(layout::Layout& lo, const std::string& name, double x, double y,
+              double w_um = 10.0) {
+    lo.add(Layer::NDiff, Rect::um(x, y, x + 8, y + w_um), name + ":s");
+    lo.add(Layer::NDiff, Rect::um(x + 8, y, x + 10, y + w_um), name + ":chan");
+    lo.add(Layer::NDiff, Rect::um(x + 10, y, x + 18, y + w_um), name + ":d");
+    lo.add(Layer::Poly, Rect::um(x + 8, y - 2, x + 10, y + w_um + 2),
+           name + ":g");
+    lo.add(Layer::Contact, Rect::um(x + 2, y + 1, x + 4, y + 3), name + ":s");
+    lo.add(Layer::Metal1, Rect::um(x + 1, y + 0.5, x + 5, y + 3.5),
+           name + ":s");
+    lo.add(Layer::Contact, Rect::um(x + 13, y + 1, x + 15, y + 3),
+           name + ":d");
+    lo.add(Layer::Metal1, Rect::um(x + 12, y + 0.5, x + 16, y + 3.5),
+           name + ":d");
+}
+
+/// A metal1 stub from a routing bar at y = -9 um up into the drain pad of
+/// the NMOS at x.
+void add_drain_stub(layout::Layout& lo, double x) {
+    lo.add(Layer::Metal1, Rect::um(x + 13, -9, x + 15, 0.75), "route");
+}
+
+/// Removing the bar splits its net into three drains and a dangling stub;
+/// a label on the bar makes the port side A.  T1's drain also carries a
+/// second contact, within cluster distance, under a separate labelled pad,
+/// so that pad reaches the net only through a cut of a cluster it does not
+/// name.
+layout::Layout split_three_ways() {
+    layout::Layout lo;
+    lo.name = "split3";
+    lo.add(Layer::Metal1, Rect::um(10, -10, 110, -8), "bar");
+    lo.add_label(Layer::Metal1, {geom::from_um(11), geom::from_um(-9)},
+                 "out");
+    for (const auto& [name, x] :
+         {std::pair{"T1", 0.0}, std::pair{"T2", 30.0}, std::pair{"T3", 60.0}}) {
+        add_nmos(lo, name, x, 0);
+        add_drain_stub(lo, x);
+    }
+    lo.add(Layer::Metal1, Rect::um(100, -20, 102, -9), "dangling");
+    lo.add(Layer::Contact, Rect::um(13, 6, 15, 8), "T1:d");
+    lo.add(Layer::Metal1, Rect::um(12, 5.5, 16, 8.5), "T1:d2");
+    lo.add_label(Layer::Metal1, {geom::from_um(14), geom::from_um(8)}, "out");
+    return lo;
+}
+
+/// The drain bar of split_three_ways closed into a loop: a lower bar and two
+/// connectors tie the bar's left end to the span between T2 and T3, so the
+/// gap between T1's and T2's stubs is bypassed while the one before T3's is
+/// not.  T2's gate continues into a poly strip contacted twice, the two
+/// metal1 pads joined by a strap: a loop through two cut clusters.
+layout::Layout bar_with_loops() {
+    layout::Layout lo;
+    lo.name = "loops";
+    lo.add(Layer::Metal1, Rect::um(-20, -20, -18, -9), "dangling");
+    lo.add(Layer::Metal1, Rect::um(-20, -10, 80, -8), "bar");
+    for (const auto& [name, x] :
+         {std::pair{"T1", 0.0}, std::pair{"T2", 30.0}, std::pair{"T3", 60.0}}) {
+        add_nmos(lo, name, x, 0);
+        add_drain_stub(lo, x);
+    }
+    lo.add(Layer::Metal1, Rect::um(11, -19, 13, -9), "conn");
+    lo.add(Layer::Metal1, Rect::um(12, -20, 50, -18), "lower");
+    lo.add(Layer::Metal1, Rect::um(48, -19, 50, -9), "conn");
+    lo.add_label(Layer::Metal1, {geom::from_um(79), geom::from_um(-9)},
+                 "out");
+    // Gate strip of T2 with two contacts 18 um apart and a metal1 strap.
+    lo.add(Layer::Poly, Rect::um(36, 12, 60, 16), "T2:g");
+    lo.add(Layer::Contact, Rect::um(37, 13, 39, 15), "T2:g");
+    lo.add(Layer::Contact, Rect::um(57, 13, 59, 15), "T2:g");
+    lo.add(Layer::Metal1, Rect::um(36, 12.5, 40, 15.5), "T2:g");
+    lo.add(Layer::Metal1, Rect::um(40, 13, 56, 15), "strap");
+    lo.add(Layer::Metal1, Rect::um(56, 12.5, 60, 15.5), "T2:g");
+    lo.add_label(Layer::Metal1, {geom::from_um(50), geom::from_um(14)}, "g2");
+    return lo;
+}
+
+/// Parallel edges: a wide source whose one metal1 pad reaches the
+/// diffusion through two contacts 23 um apart, i.e. two cut clusters
+/// joining the same two fragments.  The drain pad carries a stub down to a
+/// bar with a second, labelled, transistor.
+layout::Layout parallel_clusters() {
+    layout::Layout lo;
+    lo.name = "parallel";
+    add_nmos(lo, "T1", 0, 0, 30.0);
+    lo.add(Layer::Contact, Rect::um(2, 26, 4, 28), "T1:s");
+    lo.add(Layer::Metal1, Rect::um(1, 0.5, 5, 29.5), "T1:s");
+    lo.add_label(Layer::Metal1, {geom::from_um(3), geom::from_um(20)}, "s");
+    add_drain_stub(lo, 0);
+    add_nmos(lo, "T2", 30, 0);
+    add_drain_stub(lo, 30);
+    lo.add(Layer::Metal1, Rect::um(10, -10, 50, -8), "bar");
+    return lo;
+}
+
+std::string lift_digest(const LiftResult& r) {
+    const LiftStats& st = r.stats;
+    std::ostringstream os;
+    os << write_faultlist(r.faults) << st.bridge_sites << ' ' << st.open_sites
+       << ' ' << st.cut_sites << ' ' << st.redundant_opens << ' '
+       << st.dangling_opens << ' ' << st.dropped << ' ' << std::hexfloat
+       << st.dropped_probability;
+    for (const Fault& f : r.faults.faults) os << ' ' << f.probability;
+    return pins::hex64(batch::fnv1a(os.str()));
+}
+
+} // namespace
+
+TEST(LiftRedundantPaths, LoopsParallelCutsAndThreeWaySplitsPinned) {
+    struct Case {
+        layout::Layout layout;
+        std::size_t redundant, dangling;
+        const char* digest;
+    };
+    const Case cases[] = {
+        {split_three_ways(), 0, 4, "e815c3a78ef5f118"},
+        {bar_with_loops(), 12, 4, "9f8db7b570d7c7ac"},
+        {parallel_clusters(), 4, 1, "9b1eb132aa84fc94"},
+    };
+    for (const Case& c : cases) {
+        LiftOptions opt;
+        opt.p_min = 0.0;
+        const LiftResult r = extract_faults(
+            c.layout, layout::Technology::single_poly_double_metal(), opt);
+        EXPECT_EQ(r.stats.redundant_opens, c.redundant) << c.layout.name;
+        EXPECT_EQ(r.stats.dangling_opens, c.dangling) << c.layout.name;
+        EXPECT_EQ(lift_digest(r), c.digest) << c.layout.name;
+    }
+}
