@@ -1,6 +1,7 @@
 #include "anafault/fault_models.h"
 
 #include <cmath>
+#include <map>
 
 namespace catlift::anafault {
 
@@ -16,15 +17,47 @@ const char* to_string(HardFaultModel m) {
     return m == HardFaultModel::Resistor ? "resistor" : "source";
 }
 
+namespace {
+
+/// True if nodes `a` and `b` are already tied by a chain of the circuit's
+/// ideal voltage sources (ground is a node like any other): a union-find
+/// over the sources' nodes.
+bool tied_by_vsources(const Circuit& ckt, const std::string& a,
+                      const std::string& b) {
+    std::map<std::string, std::string> parent;
+    auto find = [&](std::string n) {
+        for (auto it = parent.find(n); it != parent.end() && it->second != n;
+             it = parent.find(n))
+            n = it->second;
+        return n;
+    };
+    for (const Device& d : ckt.devices) {
+        if (d.kind != DeviceKind::VSource) continue;
+        const std::string p = find(netlist::canon_node(d.nodes[0]));
+        const std::string q = find(netlist::canon_node(d.nodes[1]));
+        if (p != q) parent[p] = q;
+    }
+    return find(a) == find(b);
+}
+
+} // namespace
+
 void inject_short(Circuit& ckt, const std::string& net_a,
                   const std::string& net_b, const InjectionOptions& opt) {
-    require(netlist::canon_node(net_a) != netlist::canon_node(net_b),
-            "inject_short: nets are identical: " + net_a);
+    const std::string a = netlist::canon_node(net_a);
+    const std::string b = netlist::canon_node(net_b);
+    require(a != b, "inject_short: nets are identical: " + net_a);
     const std::string name = ckt.fresh_device(kInjectPrefix);
     if (opt.model == HardFaultModel::Resistor) {
         ckt.add_resistor(name, net_a, net_b, opt.short_resistance);
     } else {
-        // Ideal short: 0 V source (adds one MNA branch).
+        // Ideal short: 0 V source (adds one MNA branch).  Across nets that
+        // ideal sources already tie, it would close a loop of voltage
+        // sources: a singular MNA system, not a circuit to simulate.
+        require(!tied_by_vsources(ckt, a, b),
+                "inject_short: a 0 V source between nets " + net_a +
+                    " and " + net_b +
+                    " closes a loop of ideal voltage sources");
         ckt.add_vsource(name, net_a, net_b, SourceSpec::make_dc(0.0));
     }
 }

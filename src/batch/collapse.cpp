@@ -38,7 +38,7 @@ std::string effect_signature(const Fault& f) {
             std::vector<TerminalRef> terms = f.group_b;
             std::sort(terms.begin(), terms.end());
             std::string sig = "P:" + netlist::canon_node(f.net);
-            for (const TerminalRef& t : terms) sig += ":" + term_key(t);
+            for (const TerminalRef& t : terms) (sig += ':') += term_key(t);
             return sig;
         }
     }

@@ -9,7 +9,9 @@ namespace catlift::circuits {
 using netlist::Circuit;
 using netlist::SourceSpec;
 
-std::string ring_node(int i) { return "r" + std::to_string(i); }
+std::string ring_node(int i) {
+    return std::string("r").append(std::to_string(i));
+}
 
 Circuit build_ring_oscillator(const RingOscOptions& opt) {
     require(opt.stages >= 3 && opt.stages % 2 == 1,

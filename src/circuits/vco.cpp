@@ -126,8 +126,9 @@ Circuit build_inverter_chain(int stages, bool with_sources) {
     c.add_model(standard_nmos());
     c.add_model(standard_pmos());
     for (int i = 0; i < stages; ++i) {
-        const std::string in = "c" + std::to_string(i);
-        const std::string out = "c" + std::to_string(i + 1);
+        const std::string in = std::string("c").append(std::to_string(i));
+        const std::string out =
+            std::string("c").append(std::to_string(i + 1));
         c.add_mosfet("MP" + std::to_string(i + 1), out, in, "1", "1", "pm",
                      20e-6, 2e-6);
         c.add_mosfet("MN" + std::to_string(i + 1), out, in, "0", "0", "nm",

@@ -4,6 +4,20 @@
 
 namespace catlift::geom {
 
+namespace {
+
+/// First entry of a sorted line at or after position `at`.  Cells mostly
+/// arrive in order, so a position past the end is checked first.
+template <typename Line>
+auto seek(Line& line, std::int64_t at) {
+    if (line.empty() || line.back().first < at) return line.end();
+    return std::lower_bound(
+        line.begin(), line.end(), at,
+        [](const auto& e, std::int64_t v) { return e.first < v; });
+}
+
+} // namespace
+
 SpatialIndex::SpatialIndex(Coord cell) : cell_(cell) {
     require(cell > 0, "SpatialIndex: cell pitch must be positive");
 }
@@ -26,23 +40,40 @@ void SpatialIndex::insert(std::size_t id, const Rect& r) {
         strips_[1].thickness = std::max(strips_[1].thickness, r.width());
         return;
     }
-    for (std::int64_t cx = cx0; cx <= cx1; ++cx)
-        for (std::int64_t cy = cy0; cy <= cy1; ++cy)
-            grid_[CellKey{cx, cy}].push_back(slot);
+    for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
+        Line& row = rows_[cy];
+        for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
+            auto it = seek(row, cx);
+            if (it == row.end() || it->first != cx) {
+                const auto cell = static_cast<std::uint32_t>(cells_.size());
+                cells_.emplace_back();
+                it = row.insert(it, {cx, cell});
+                Line& col = cols_[cx];
+                col.insert(seek(col, cy), {cy, cell});
+            }
+            cells_[it->second].push_back(slot);
+        }
+    }
 }
 
 std::vector<std::size_t> SpatialIndex::query(const Rect& window) const {
     std::vector<std::size_t> out;
     const std::int64_t cx0 = cell_of(window.lo.x), cx1 = cell_of(window.hi.x);
     const std::int64_t cy0 = cell_of(window.lo.y), cy1 = cell_of(window.hi.y);
-    for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
-        for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
-            auto it = grid_.find(CellKey{cx, cy});
-            if (it == grid_.end()) continue;
-            for (std::uint32_t slot : it->second)
+    // Walk the shorter way across the window: its occupied rows, or its
+    // occupied columns when it is taller than wide.
+    const bool by_row = cy1 - cy0 <= cx1 - cx0;
+    const Lines& lines = by_row ? rows_ : cols_;
+    const auto [across0, across1] = by_row ? std::pair{cy0, cy1}
+                                           : std::pair{cx0, cx1};
+    const auto [along0, along1] = by_row ? std::pair{cx0, cx1}
+                                         : std::pair{cy0, cy1};
+    for (auto l = lines.lower_bound(across0);
+         l != lines.end() && l->first <= across1; ++l)
+        for (auto it = seek(l->second, along0);
+             it != l->second.end() && it->first <= along1; ++it)
+            for (std::uint32_t slot : cells_[it->second])
                 if (rects_[slot].touches(window)) out.push_back(ids_[slot]);
-        }
-    }
     // A strip rect touching the window starts across the axis no lower than
     // the window's low edge minus the strip's thickness.
     const std::array<std::pair<Coord, Coord>, 2> across{

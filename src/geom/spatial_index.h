@@ -6,7 +6,12 @@
 // neighbour enumeration O(shapes x local density).  Long thin shapes -- a
 // full-width metal2 track, a metal1 stub climbing to it -- would cover
 // O(length) grid cells each, so they are kept out of the grid, in one list
-// per axis sorted across it.
+// per axis sorted across it.  A long window -- the neighbourhood of such a
+// shape -- would still lie over O(length) cells, mostly empty, so the grid
+// keeps only occupied cells, listed sorted along each grid row and each
+// grid column.  A query walks the window's occupied rows, or its occupied
+// columns when it is taller than wide, and range-scans each line's cells,
+// so its cost follows the cells it hits, not the window's length.
 
 #pragma once
 
@@ -16,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 namespace catlift::geom {
@@ -55,20 +59,11 @@ public:
     std::size_t size() const { return ids_.size(); }
 
 private:
-    struct CellKey {
-        std::int64_t cx;
-        std::int64_t cy;
-        friend bool operator==(const CellKey&, const CellKey&) = default;
-    };
-    struct CellHash {
-        std::size_t operator()(const CellKey& k) const {
-            const std::uint64_t a = static_cast<std::uint64_t>(k.cx);
-            const std::uint64_t b = static_cast<std::uint64_t>(k.cy);
-            std::uint64_t h = a * 0x9E3779B97F4A7C15ull;
-            h ^= b + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-            return static_cast<std::size_t>(h);
-        }
-    };
+    /// One grid row (or column): its occupied cells as (position along
+    /// the line, index into cells_), ascending by position.
+    using Line = std::vector<std::pair<std::int64_t, std::uint32_t>>;
+    /// Lines by their coordinate across them (cy for rows, cx for columns).
+    using Lines = std::map<std::int64_t, Line>;
 
     std::int64_t cell_of(Coord v) const {
         // Floor division for negative coordinates.
@@ -90,7 +85,8 @@ private:
     // these.
     std::vector<std::size_t> ids_;  ///< slot -> caller id
     std::vector<Rect> rects_;       ///< slot -> rect
-    std::unordered_map<CellKey, std::vector<std::uint32_t>, CellHash> grid_;
+    std::vector<std::vector<std::uint32_t>> cells_;  ///< cell -> slots
+    Lines rows_, cols_;
     std::array<Strip, 2> strips_;   ///< [0] along x (by lo.y), [1] along y
 };
 

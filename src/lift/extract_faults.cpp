@@ -7,6 +7,9 @@
 #include <map>
 #include <set>
 #include <span>
+#include <string>
+#include <tuple>
+#include <unordered_map>
 
 namespace catlift::lift {
 
@@ -29,29 +32,12 @@ void sort_unique(std::vector<T>& v) {
     v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
-/// True if two sorted ranges share an element.
-bool intersects(const std::vector<std::size_t>& a,
-                const std::vector<std::size_t>& b) {
-    for (auto i = a.begin(), j = b.begin(); i != a.end() && j != b.end();) {
-        if (*i == *j) return true;
-        if (*i < *j)
-            ++i;
-        else
-            ++j;
-    }
-    return false;
-}
-
-/// One edge of a net's connectivity graph, in net-local fragment indices.
-struct NetEdge {
-    std::size_t a, b;   ///< local indices of the joined fragments
-    int cluster = -1;   ///< cut cluster index, -1 for same-layer touch
-};
-
-/// An edge seen from one of its fragments.
+/// An edge of the fragment graph seen from one of its fragments.  Edge ids
+/// number the extractor's same-layer touching pairs first, then its cut
+/// clusters.
 struct Incidence {
     std::size_t other;  ///< the fragment at the far end
-    int cluster;        ///< as NetEdge::cluster
+    std::size_t edge;   ///< edge id
 };
 
 /// A device terminal anchored on a fragment.
@@ -84,30 +70,35 @@ struct PerFragment {
     }
 };
 
+/// A run [lo, hi) of DFS preorder positions.
+struct Span {
+    std::size_t lo, hi;
+};
+
 /// Everything the open/split analysis needs about the extracted circuit,
-/// built once: per-net dense fragment indices and edge lists, and for each
-/// fragment its incident edges, anchored terminals and port labels.
+/// built once: each fragment's incident edges, anchored terminals and port
+/// labels, and one Hopcroft-Tarjan depth-first search over the fragment
+/// graph.  Preorder numbers every DFS subtree as one contiguous span, so
+/// the terminal count and port count of a subtree, or of a tree minus some
+/// subtrees, are prefix-sum differences, and the terminals themselves are
+/// read off anchors stored in preorder.  A net is one or more DFS trees
+/// (a cluster's later cuts add no edge), and no edge leaves a net.
 class NetGraph {
 public:
     NetGraph(const Extraction& e, const layout::Layout& lo)
-        : ex_(e), frags_(e.net_names.size()), local_(e.fragments.size()),
-          edges_(e.net_names.size()), port_(e.fragments.size(), 0) {
-        for (std::size_t i = 0; i < e.fragments.size(); ++i) {
-            auto& fs = frags_[net_of(i)];
-            local_[i] = fs.size();
-            fs.push_back(i);
-        }
+        : ex_(e), n_touch_(e.touching.size()),
+          port_(e.fragments.size(), 0) {
+        const std::size_t n = e.fragments.size();
         // Edge order: same-layer touches by (a, b), then cut clusters.
         std::vector<std::pair<std::size_t, Incidence>> ends;
-        auto add = [&](std::size_t a, std::size_t b, int cluster) {
-            edges_[net_of(a)].push_back(NetEdge{local_[a], local_[b], cluster});
-            ends.push_back({a, Incidence{b, cluster}});
-            ends.push_back({b, Incidence{a, cluster}});
+        auto add = [&](std::size_t a, std::size_t b) {
+            const std::size_t edge = ends.size() / 2;
+            ends.push_back({a, Incidence{b, edge}});
+            ends.push_back({b, Incidence{a, edge}});
         };
-        for (const auto& [a, b] : e.touching) add(a, b, -1);
-        for (std::size_t c = 0; c < e.cuts.size(); ++c)
-            add(e.cuts[c].frag_a, e.cuts[c].frag_b, static_cast<int>(c));
-        incident_ = PerFragment<Incidence>(e.fragments.size(), ends);
+        for (const auto& [a, b] : e.touching) add(a, b);
+        for (const CutCluster& cc : e.cuts) add(cc.frag_a, cc.frag_b);
+        incident_ = PerFragment<Incidence>(n, ends);
 
         std::vector<std::pair<std::size_t, Anchor>> anchors;
         for (std::size_t i = 0; i < e.mosfets.size(); ++i) {
@@ -120,27 +111,45 @@ public:
             anchors.push_back({e.caps[i].frag_bottom, Anchor{i, true, 0}});
             anchors.push_back({e.caps[i].frag_top, Anchor{i, true, 1}});
         }
-        anchors_ = PerFragment<Anchor>(e.fragments.size(), anchors);
+        anchors_ = PerFragment<Anchor>(n, anchors);
+        // Rank every anchor in TerminalRef order (device, then terminal).
+        by_rank_.reserve(anchors_.items.size());
+        for (const Anchor& a : anchors_.items) by_rank_.push_back(&a);
+        std::sort(by_rank_.begin(), by_rank_.end(),
+                  [&](const Anchor* x, const Anchor* y) {
+                      return std::tie(device(*x), x->terminal) <
+                             std::tie(device(*y), y->terminal);
+                  });
+        rank_.resize(by_rank_.size());
+        tokens_.reserve(by_rank_.size());
+        for (std::uint32_t r = 0; r < by_rank_.size(); ++r) {
+            rank_[static_cast<std::size_t>(by_rank_[r] -
+                                           anchors_.items.data())] = r;
+            tokens_.push_back(device(*by_rank_[r]) + ":" +
+                              std::to_string(by_rank_[r]->terminal));
+        }
 
         // Every fragment containing a label's point lies on the label's
-        // layer and touches the naming fragment, so only that fragment's
-        // net is searched.
+        // layer and touches the naming fragment, so only that fragment and
+        // its neighbours are searched.
         std::vector<std::pair<std::size_t, std::size_t>> on_label;
         for (std::size_t l = 0; l < lo.labels.size(); ++l) {
             const layout::Label& lb = lo.labels[l];
-            port_[e.label_fragments[l]] = 1;
-            for (std::size_t f : frags_[net_of(e.label_fragments[l])])
+            const std::size_t named = e.label_fragments[l];
+            port_[named] = 1;
+            auto on = [&](std::size_t f) {
                 if (e.fragments[f].layer == lb.layer &&
                     e.fragments[f].rect.contains(lb.at))
                     on_label.emplace_back(f, l);
+            };
+            on(named);
+            for (const Incidence& in : incident(named)) on(in.other);
         }
-        labels_ = PerFragment<std::size_t>(e.fragments.size(), on_label);
+        labels_ = PerFragment<std::size_t>(n, on_label);
+
+        search(n);
     }
 
-    std::size_t net_of(std::size_t frag) const {
-        return static_cast<std::size_t>(ex_.fragments[frag].net);
-    }
-    std::size_t local(std::size_t frag) const { return local_[frag]; }
     /// The edges touching `frag`, in edge order.
     std::span<const Incidence> incident(std::size_t frag) const {
         return incident_.of(frag);
@@ -155,126 +164,234 @@ public:
     }
     /// True if `frag` is the fragment naming some label's net.
     bool is_port(std::size_t frag) const { return port_[frag] != 0; }
+    /// Cut cluster of an edge, or kNone for a same-layer touch.
+    std::size_t cluster(std::size_t edge) const {
+        return edge < n_touch_ ? kNone : edge - n_touch_;
+    }
+    std::size_t cluster_edge(std::size_t cluster) const {
+        return n_touch_ + cluster;
+    }
 
+    const std::string& device(const Anchor& a) const {
+        return a.cap ? ex_.caps[a.device].name : ex_.mosfets[a.device].name;
+    }
     TerminalRef terminal(const Anchor& a) const {
-        return TerminalRef{a.cap ? ex_.caps[a.device].name
-                                 : ex_.mosfets[a.device].name,
-                           a.terminal};
+        return TerminalRef{device(a), a.terminal};
     }
-
-    /// Connected components of one net's fragments with the edges `skip`
-    /// accepts removed, then the terminals and port flag of each component.
-    /// comp_of() reads a fragment's component.
-    template <typename Skip>
-    void components(std::size_t net, Skip skip) {
-        const std::size_t n = frags_[net].size();
-        parent_.resize(n);
-        for (std::size_t k = 0; k < n; ++k) parent_[k] = k;
-        for (const NetEdge& ed : edges_[net])
-            if (!skip(ed)) parent_[find(ed.a)] = find(ed.b);
-        // Number the roots, then bucket terminals per component.
-        root_comp_.assign(n, kNone);
-        comp_.resize(n);
-        std::size_t n_comps = 0;
-        for (std::size_t k = 0; k < n; ++k) {
-            std::size_t& c = root_comp_[find(k)];
-            if (c == kNone) c = n_comps++;
-            comp_[k] = c;
-        }
-        comp_port_.assign(n_comps, 0);
-        comp_term_start_.assign(n_comps + 1, 0);
-        for (std::size_t k = 0; k < n; ++k) {
-            const std::size_t f = frags_[net][k];
-            comp_term_start_[comp_[k] + 1] += anchors_.of(f).size();
-            if (port_[f]) comp_port_[comp_[k]] = 1;
-        }
-        for (std::size_t c = 0; c < n_comps; ++c)
-            comp_term_start_[c + 1] += comp_term_start_[c];
-        comp_terms_.resize(comp_term_start_[n_comps]);
-        fill_.assign(comp_term_start_.begin(), comp_term_start_.end() - 1);
-        for (std::size_t k = 0; k < n; ++k)
-            for (const Anchor& a : anchors_.of(frags_[net][k]))
-                comp_terms_[fill_[comp_[k]]++] = &a;
+    /// Rank of an anchor among all anchors in TerminalRef order, so that
+    /// sorting ranks sorts terminals; every anchor is a distinct terminal
+    /// (device names are unique).
+    std::uint32_t rank(const Anchor& a) const {
+        return rank_[static_cast<std::size_t>(&a - anchors_.items.data())];
     }
-    std::size_t comp_of(std::size_t frag) const { return comp_[local_[frag]]; }
+    const Anchor& ranked(std::uint32_t r) const { return *by_rank_[r]; }
+    /// "device:terminal", as fault keys spell a terminal.
+    const std::string& token(std::uint32_t r) const { return tokens_[r]; }
 
-    /// Sorted, de-duplicated terminals of a set of components.
-    std::vector<TerminalRef> terminals_in(
-        const std::vector<std::size_t>& comps) const {
-        std::vector<TerminalRef> out;
-        for (std::size_t c : comps)
-            for (std::size_t t = comp_term_start_[c];
-                 t < comp_term_start_[c + 1]; ++t)
-                out.push_back(terminal(*comp_terms_[t]));
-        sort_unique(out);
-        return out;
+    // ---- The DFS forest ----
+    std::size_t pre(std::size_t frag) const { return pre_[frag]; }
+    /// Lowest preorder position reachable from `frag`'s subtree by one
+    /// edge other than the tree edge into `frag`.
+    std::size_t low(std::size_t frag) const { return low_[frag]; }
+    /// The tree edge that discovered `frag`, kNone for a root.
+    std::size_t parent_edge(std::size_t frag) const {
+        return parent_edge_[frag];
     }
+    Span subtree(std::size_t frag) const {
+        return {pre_[frag], pre_[frag] + size_[frag]};
+    }
+    Span tree(std::size_t frag) const { return subtree(root_[frag]); }
+    /// The fragment at preorder position k.
+    std::size_t at(std::size_t k) const { return order_[k]; }
 
-    bool ports_in(const std::vector<std::size_t>& comps) const {
-        for (std::size_t c : comps)
-            if (comp_port_[c]) return true;
-        return false;
+    std::size_t terms_in(Span s) const {
+        return term_at_[s.hi] - term_at_[s.lo];
+    }
+    std::size_t ports_in(Span s) const {
+        return port_at_[s.hi] - port_at_[s.lo];
+    }
+    /// Appends the ranks of the terminals in a span.
+    void append_terms(Span s, std::vector<std::uint32_t>& out) const {
+        out.insert(out.end(), pre_ranks_.begin() + term_at_[s.lo],
+                   pre_ranks_.begin() + term_at_[s.hi]);
     }
 
 private:
-    std::size_t find(std::size_t x) {
-        while (parent_[x] != x) x = parent_[x] = parent_[parent_[x]];
-        return x;
+    /// Iterative Hopcroft-Tarjan DFS from each unvisited fragment in index
+    /// order.  Only the edge id that discovered a fragment is skipped when
+    /// looking back, so a parallel edge to the parent is a back edge.
+    void search(std::size_t n) {
+        pre_.assign(n, kNone);
+        low_.resize(n);
+        size_.resize(n);
+        root_.resize(n);
+        parent_edge_.assign(n, kNone);
+        order_.reserve(n);
+        std::vector<std::pair<std::size_t, std::size_t>> stack;  // (f, next)
+        for (std::size_t r = 0; r < n; ++r) {
+            if (pre_[r] != kNone) continue;
+            auto discover = [&](std::size_t f, std::size_t via) {
+                pre_[f] = low_[f] = order_.size();
+                order_.push_back(f);
+                root_[f] = r;
+                parent_edge_[f] = via;
+                stack.emplace_back(f, 0);
+            };
+            discover(r, kNone);
+            while (!stack.empty()) {
+                const std::size_t f = stack.back().first;
+                const auto inc = incident(f);
+                if (stack.back().second < inc.size()) {
+                    const Incidence& in = inc[stack.back().second++];
+                    if (in.edge == parent_edge_[f]) continue;
+                    if (pre_[in.other] == kNone)
+                        discover(in.other, in.edge);
+                    else
+                        low_[f] = std::min(low_[f], pre_[in.other]);
+                    continue;
+                }
+                size_[f] = order_.size() - pre_[f];
+                stack.pop_back();
+                if (!stack.empty()) {
+                    std::size_t& up = low_[stack.back().first];
+                    up = std::min(up, low_[f]);
+                }
+            }
+        }
+        term_at_.assign(n + 1, 0);
+        port_at_.assign(n + 1, 0);
+        for (std::size_t k = 0; k < n; ++k) {
+            term_at_[k + 1] = term_at_[k] + anchors(order_[k]).size();
+            port_at_[k + 1] = port_at_[k] + port_[order_[k]];
+        }
+        pre_ranks_.reserve(term_at_[n]);
+        for (std::size_t f : order_)
+            for (const Anchor& a : anchors(f)) pre_ranks_.push_back(rank(a));
     }
 
     const Extraction& ex_;
-    std::vector<std::vector<std::size_t>> frags_;  // net -> fragments
-    std::vector<std::size_t> local_;               // fragment -> local index
-    std::vector<std::vector<NetEdge>> edges_;      // net -> edges
-    std::vector<char> port_;                       // fragment names a net
+    std::size_t n_touch_;
+    std::vector<char> port_;  // fragment names a net
     PerFragment<Incidence> incident_;
     PerFragment<Anchor> anchors_;
     PerFragment<std::size_t> labels_;
+    std::vector<const Anchor*> by_rank_;  // rank -> anchor
+    std::vector<std::uint32_t> rank_;     // anchors_.items index -> rank
+    std::vector<std::string> tokens_;     // rank -> "device:terminal"
 
-    // Buffers reused by components().
-    std::vector<std::size_t> parent_, root_comp_, comp_, comp_term_start_,
-        fill_;
-    std::vector<char> comp_port_;
-    std::vector<const Anchor*> comp_terms_;
+    std::vector<std::size_t> pre_, low_, size_, root_, parent_edge_;
+    std::vector<std::size_t> order_;             // preorder -> fragment
+    std::vector<std::size_t> term_at_, port_at_; // prefix sums in preorder
+    std::vector<std::uint32_t> pre_ranks_;       // anchor ranks in preorder
+};
+
+/// The components a removed fragment f leaves among its neighbours.  A DFS
+/// child c of f with low(c) >= pre(f) is cut off with its subtree; every
+/// other neighbour lies in "the rest": f's tree minus f and those subtrees.
+/// The rest is component 0 (empty when f is a root); cut-off children are
+/// 1, 2, ... in preorder.  The rest's terminals are kept as the spans that
+/// hold any, so gathering them costs no more than the terminals.
+class Removal {
+public:
+    void reset(const NetGraph& g, std::size_t f) {
+        g_ = &g;
+        const Span self = g.subtree(f), tree = g.tree(f);
+        const Span own{self.lo, self.lo + 1};
+        self_ = self;
+        children_.clear();
+        child_comp_.clear();
+        rest_.clear();
+        comps_.assign(1, Comp{g.terms_in(tree) - g.terms_in(own),
+                              g.ports_in(tree) - g.ports_in(own), {}});
+        auto to_rest = [&](Span s) {
+            if (g.terms_in(s) == 0) return;
+            if (!rest_.empty() && rest_.back().hi == s.lo)
+                rest_.back().hi = s.hi;
+            else
+                rest_.push_back(s);
+        };
+        to_rest({tree.lo, self.lo});
+        for (std::size_t k = self.lo + 1; k < self.hi;) {
+            const Span sub = g.subtree(g.at(k));
+            children_.push_back(sub);
+            if (g.low(g.at(k)) >= self.lo) {
+                child_comp_.push_back(comps_.size());
+                comps_.push_back(Comp{g.terms_in(sub), g.ports_in(sub), sub});
+                comps_[0].terms -= comps_.back().terms;
+                comps_[0].ports -= comps_.back().ports;
+            } else {
+                child_comp_.push_back(0);
+                to_rest(sub);
+            }
+            k = sub.hi;
+        }
+        to_rest({self.hi, tree.hi});
+    }
+
+    std::size_t size() const { return comps_.size(); }
+    std::size_t terms(std::size_t comp) const { return comps_[comp].terms; }
+    std::size_t ports(std::size_t comp) const { return comps_[comp].ports; }
+
+    /// Component of a neighbour `w` of f: the child subtree holding it is
+    /// the last one starting at or before pre(w).
+    std::size_t comp_of(std::size_t w) const {
+        const std::size_t p = g_->pre(w);
+        if (p < self_.lo || p >= self_.hi) return 0;
+        const auto it = std::upper_bound(
+            children_.begin(), children_.end(), p,
+            [](std::size_t v, const Span& s) { return v < s.lo; });
+        return child_comp_[static_cast<std::size_t>(it - children_.begin()) -
+                           1];
+    }
+
+    void append_terms(std::size_t comp,
+                      std::vector<std::uint32_t>& out) const {
+        if (comp != 0) {
+            g_->append_terms(comps_[comp].sub, out);
+            return;
+        }
+        for (const Span& s : rest_) g_->append_terms(s, out);
+    }
+
+private:
+    struct Comp {
+        std::size_t terms, ports;
+        Span sub;  ///< the cut-off subtree (unused for the rest)
+    };
+    const NetGraph* g_ = nullptr;
+    Span self_{};
+    std::vector<Span> children_;           // subtree of each DFS child
+    std::vector<std::size_t> child_comp_;  // its component (0: the rest)
+    std::vector<Span> rest_;               // the rest's spans with terminals
+    std::vector<Comp> comps_;
 };
 
 /// Attachment of something to a fragment, projected on its long axis.
 struct Attachment {
     Coord lo, hi;  ///< interval along the long axis
     enum class Kind { Frag, Terminal, Port } kind;
-    std::size_t frag = 0;   // Kind::Frag: the attached fragment
-    TerminalRef term;       // Kind::Terminal
+    /// Kind::Frag: the attached fragment, then its Removal component;
+    /// Kind::Terminal: the index into the fragment's anchors.
+    std::size_t ref = 0;
 };
 
-/// Merge-key for faults with identical electrical signature.  The
-/// mechanism is deliberately NOT part of the key: a metal1 bridge and a
-/// metal2 bridge between the same two nets are one electrical fault for
-/// AnaFAULT; the merged fault carries the mechanism contributing the most
-/// probability as its label.
-std::string fault_key(const Fault& f) {
-    std::string k = std::string(to_string(f.kind)) + "|";
-    switch (f.kind) {
-        case FaultKind::LocalShort:
-        case FaultKind::GlobalShort: {
-            const auto& lo = std::min(f.net_a, f.net_b);
-            const auto& hi = std::max(f.net_a, f.net_b);
-            k += lo + ">" + hi;
-            break;
-        }
-        case FaultKind::LineOpen:
-        case FaultKind::SplitNode: {
-            k += f.net + "[";
-            for (const TerminalRef& t : f.group_b)
-                k += t.device + ":" + std::to_string(t.terminal) + ",";
-            k += "]";
-            break;
-        }
-        case FaultKind::StuckOpen:
-            k += f.victim.device + ":" + std::to_string(f.victim.terminal);
-            break;
+/// Critical-area integral memo key: the site class, the mechanism and the
+/// two integer dimensions [nm] the integral is taken over.
+struct AreaKey {
+    int site;
+    const Mechanism* mech;
+    Coord a, b;
+    friend bool operator==(const AreaKey&, const AreaKey&) = default;
+};
+struct AreaKeyHash {
+    std::size_t operator()(const AreaKey& k) const {
+        std::uint64_t h = reinterpret_cast<std::uintptr_t>(k.mech) ^
+                          static_cast<std::uint64_t>(k.site);
+        for (Coord v : {k.a, k.b})
+            h = (h ^ static_cast<std::uint64_t>(v)) * 0x9E3779B97F4A7C15ull;
+        return static_cast<std::size_t>(h ^ (h >> 29));
     }
-    return k;
-}
+};
 
 } // namespace
 
@@ -289,72 +406,97 @@ LiftResult extract_faults(const layout::Layout& lo,
     const auto xmax = static_cast<Coord>(model.max_defect());
 
     NetGraph graph(ex, lo);
-    std::map<std::string, Fault> merged;  // key -> accumulated fault
-    // Per-mechanism contributions of each merged fault; the dominant one
-    // becomes the fault's mechanism label.
-    std::map<std::string, std::map<std::string, double>> contrib;
 
-    auto accumulate = [&](Fault f) {
-        const std::string key = fault_key(f);
-        contrib[key][f.mechanism] += f.probability;
-        auto it = merged.find(key);
-        if (it == merged.end())
-            merged.emplace(key, std::move(f));
-        else
-            it->second.probability += f.probability;
+    // Critical-area integrals memoized by (site class, mechanism, two
+    // integer dimensions): thousands of sites share a few hundred
+    // geometries, and a hit returns the very double the first one computed,
+    // so every probability sum below is unchanged.
+    enum Site { kBridge, kLine, kCut };
+    std::unordered_map<AreaKey, double, AreaKeyHash> areas;
+    auto probability = [&](Site site, const Mechanism& m, Coord a, Coord b) {
+        const auto [it, fresh] = areas.try_emplace(AreaKey{site, &m, a, b});
+        if (fresh) {
+            const auto x = static_cast<double>(a), y = static_cast<double>(b);
+            it->second = site == kBridge ? model.bridge_probability(m, x, y)
+                         : site == kLine ? model.open_probability(m, x, y)
+                                         : model.cut_probability(m, x, y);
+        }
+        return it->second;
     };
 
-    // Classify an open by the terminals it isolates: one MOS terminal is a
-    // transistor stuck-open regardless of whether the failing site was a
-    // contact cluster or a line span.
-    std::set<std::string> mos_names;
-    for (const auto& m : ex.mosfets) mos_names.insert(m.name);
-    auto classify_open = [&](Fault& f) {
-        if (f.group_b.size() == 1) {
-            if (mos_names.count(f.group_b[0].device)) {
-                f.kind = FaultKind::StuckOpen;
-                f.victim = f.group_b[0];
-            } else {
-                f.kind = FaultKind::LineOpen;
-            }
-        } else {
-            f.kind = FaultKind::SplitNode;
+    // Faults merged by electrical signature, keyed by kind and the bridged
+    // nets, or the net and the terminals moved, or the stuck-open victim.
+    // The mechanism is deliberately NOT part of the key: a metal1 bridge
+    // and a metal2 bridge between the same two nets are one electrical
+    // fault for AnaFAULT; the merged fault is labelled with the mechanism
+    // contributing the most probability.  An open keeps its terminal
+    // ranks; only a fault that survives the threshold spells them out.
+    struct Merged {
+        Fault fault;
+        std::vector<std::uint32_t> group;       // opens: ranks of group_b
+        std::map<std::string, double> by_mech;  // contributions
+    };
+    std::map<std::string, Merged> merged;
+    // Adds a site's probability to its key's entry; a new entry is
+    // returned for the caller to describe, else null.
+    auto accumulate = [&](std::string key, const Mechanism& mech,
+                          double p) -> Merged* {
+        const auto [it, fresh] = merged.try_emplace(std::move(key));
+        Merged& m = it->second;
+        m.by_mech[mech.name] += p;
+        if (!fresh) {
+            m.fault.probability += p;
+            return nullptr;
         }
+        m.fault.probability = p;
+        return &m;
     };
 
     // Emit an open of `net` that separates the terminals (and ports) of
-    // side A from those of side B.  An open leaving either side with
-    // nothing attached is dangling and only counted.  Side B -- the group
-    // the injection renames -- is the side away from the ports (sources
-    // and observation points keep the original node name), else the
-    // smaller one.
-    auto emit_open = [&](const Mechanism& mech, int net,
-                         std::vector<TerminalRef> term_a,
-                         std::vector<TerminalRef> term_b, bool port_a,
-                         bool port_b, double probability) {
-        if ((term_a.empty() && !port_a) || (term_b.empty() && !port_b)) {
+    // side A from those of side B, given by their terminal counts (every
+    // anchor is a distinct TerminalRef) and port flags.  An open leaving
+    // either side with nothing attached is dangling and only counted.
+    // Side B -- the group the injection renames -- is the side away from
+    // the ports (sources and observation points keep the original node
+    // name), else the smaller one; only its terminal ranks are gathered,
+    // by `side_terms(true)` for side B or `side_terms(false)` for side A.
+    // One MOS terminal is a transistor stuck-open regardless of whether
+    // the failing site was a contact cluster or a line span.
+    auto emit_open = [&](const Mechanism& mech, int net, std::size_t n_a,
+                         std::size_t n_b, bool port_a, bool port_b,
+                         double probability, auto&& side_terms) {
+        if ((n_a == 0 && !port_a) || (n_b == 0 && !port_b)) {
             ++res.stats.dangling_opens;
             return;
         }
-        if (port_b && !port_a) {
-            std::swap(term_a, term_b);
-            std::swap(port_a, port_b);
-        } else if (port_a == port_b && term_b.size() > term_a.size()) {
-            std::swap(term_a, term_b);
-        }
-        if (term_b.empty()) {
+        const bool swap =
+            (port_b && !port_a) || (port_a == port_b && n_b > n_a);
+        if ((swap ? n_a : n_b) == 0) {
             ++res.stats.dangling_opens;
             return;
         }
-        sort_unique(term_b);
-
-        Fault flt;
-        flt.mechanism = mech.name;
-        flt.net = ex.net_name(net);
-        flt.group_b = std::move(term_b);
-        classify_open(flt);
-        flt.probability = probability;
-        accumulate(std::move(flt));
+        std::vector<std::uint32_t> group = side_terms(!swap);
+        sort_unique(group);
+        const FaultKind kind = group.size() > 1 ? FaultKind::SplitNode
+                               : graph.ranked(group[0]).cap
+                                   ? FaultKind::LineOpen
+                                   : FaultKind::StuckOpen;
+        std::string key = std::string(to_string(kind)) + "|";
+        if (kind == FaultKind::StuckOpen) {
+            key += graph.token(group[0]);
+        } else {
+            std::size_t len = key.size() + ex.net_name(net).size() + 2;
+            for (std::uint32_t r : group) len += graph.token(r).size() + 1;
+            key.reserve(len);
+            (key += ex.net_name(net)) += '[';
+            for (std::uint32_t r : group) (key += graph.token(r)) += ',';
+            key += ']';
+        }
+        if (Merged* m = accumulate(std::move(key), mech, probability)) {
+            m->fault.kind = kind;
+            m->fault.net = ex.net_name(net);
+            m->group = std::move(group);
+        }
     };
 
     // Net pairs (a <= b) that share a device, for the short fallback.
@@ -411,21 +553,26 @@ LiftResult extract_faults(const layout::Layout& lo,
                                          : geom::x_overlap(fa.rect, fb.rect);
                 if (facing <= 0) continue;
                 ++res.stats.bridge_sites;
-                Fault f;
-                f.mechanism = mech->name;
-                f.net_a = ex.net_name(fa.net);
-                f.net_b = ex.net_name(fb.net);
-                if (f.net_a > f.net_b) std::swap(f.net_a, f.net_b);
-                f.kind = short_kind(f.net_a, f.net_b);
-                f.probability = model.bridge_probability(
-                    *mech, static_cast<double>(facing),
-                    static_cast<double>(spacing));
-                accumulate(std::move(f));
+                const std::string* a = &ex.net_name(fa.net);
+                const std::string* b = &ex.net_name(fb.net);
+                if (*a > *b) std::swap(a, b);
+                const FaultKind kind = short_kind(*a, *b);
+                if (Merged* m = accumulate(
+                        std::string(to_string(kind)) + "|" + *a + ">" + *b,
+                        *mech, probability(kBridge, *mech, facing, spacing))) {
+                    m->fault.kind = kind;
+                    m->fault.net_a = *a;
+                    m->fault.net_b = *b;
+                }
             }
         }
     }
 
     // ---- Line opens / split nodes ---------------------------------------
+    std::vector<Attachment> att;
+    Removal removal;
+    std::vector<std::size_t> on_a, on_b, gathered;
+    std::size_t builds = 0;
     for (std::size_t fi = 0; fi < ex.fragments.size(); ++fi) {
         const Fragment& f = ex.fragments[fi];
         const Mechanism* mech = stats.find(f.layer, FailureMode::Open);
@@ -444,30 +591,29 @@ LiftResult extract_faults(const layout::Layout& lo,
 
         // Collect attachments: the fragment's own edges, anchored
         // terminals and port labels.
-        std::vector<Attachment> att;
+        att.clear();
         for (const Incidence& in : graph.incident(fi)) {
-            const Rect& where =
-                in.cluster >= 0
-                    ? ex.cuts[static_cast<std::size_t>(in.cluster)].bbox
-                    : ex.fragments[in.other].rect;
+            const std::size_t cluster = graph.cluster(in.edge);
+            const Rect& where = cluster != kNone ? ex.cuts[cluster].bbox
+                                                 : ex.fragments[in.other].rect;
             auto [lo_p, hi_p] = project(where);
             if (lo_p > hi_p) std::swap(lo_p, hi_p);
-            att.push_back({lo_p, hi_p, Attachment::Kind::Frag, in.other,
-                           TerminalRef{}});
+            att.push_back({lo_p, hi_p, Attachment::Kind::Frag, in.other});
         }
-        for (const Anchor& an : graph.anchors(fi)) {
+        const auto anchors = graph.anchors(fi);
+        for (std::size_t k = 0; k < anchors.size(); ++k) {
             // A MOSFET terminal sits at the gate position; a capacitor plate
             // is anchored over the whole fragment so the plate body never
             // ends up "cut off" from itself.
+            const Anchor& an = anchors[k];
             const auto [lo_p, hi_p] =
                 project(an.cap ? f.rect : ex.mosfets[an.device].gate);
-            att.push_back({lo_p, hi_p, Attachment::Kind::Terminal, 0,
-                           graph.terminal(an)});
+            att.push_back({lo_p, hi_p, Attachment::Kind::Terminal, k});
         }
         if (graph.is_port(fi)) {
             for (std::size_t l : graph.labels(fi)) {
                 const Coord p = along_x ? lo.labels[l].at.x : lo.labels[l].at.y;
-                att.push_back({p, p, Attachment::Kind::Port, 0, TerminalRef{}});
+                att.push_back({p, p, Attachment::Kind::Port});
             }
         }
         if (att.size() < 2) continue;
@@ -475,66 +621,97 @@ LiftResult extract_faults(const layout::Layout& lo,
                   [](const Attachment& a, const Attachment& b) {
                       return a.lo < b.lo || (a.lo == b.lo && a.hi < b.hi);
                   });
-
-        // Examine each free span between consecutive attachments.  The
-        // components of the net without this fragment are computed at the
-        // first span; the fragment itself is then isolated, so its own
-        // component is on neither side.
-        const std::size_t self = graph.local(fi);
-        bool split = false;
+        bool any_gap = false;
         Coord covered_hi = att.front().hi;
-        for (std::size_t i = 0; i + 1 < att.size(); ++i) {
+        for (std::size_t i = 0; i + 1 < att.size() && !any_gap; ++i) {
             covered_hi = std::max(covered_hi, att[i].hi);
+            any_gap = att[i + 1].lo > covered_hi;
+        }
+        if (!any_gap) continue;
+
+        // Examine each free span between consecutive attachments: the ones
+        // up to the span are side A, the rest side B.  All start on side B
+        // and move to side A one by one, with per-component attachment
+        // counts on each side; a component attached on both sides bypasses
+        // the cut.  Side totals count a component once.
+        removal.reset(graph, fi);
+        on_a.assign(removal.size(), 0);
+        on_b.assign(removal.size(), 0);
+        gathered.assign(removal.size(), 0);
+        std::size_t both = 0, n_a = 0, n_b = 0, ports_a = 0, ports_b = 0;
+        for (Attachment& a : att) {
+            switch (a.kind) {
+                case Attachment::Kind::Frag:
+                    a.ref = removal.comp_of(a.ref);
+                    if (on_b[a.ref]++ == 0) {
+                        n_b += removal.terms(a.ref);
+                        ports_b += removal.ports(a.ref);
+                    }
+                    break;
+                case Attachment::Kind::Terminal: ++n_b; break;
+                case Attachment::Kind::Port: ++ports_b; break;
+            }
+        }
+        covered_hi = att.front().hi;
+        for (std::size_t i = 0; i + 1 < att.size(); ++i) {
+            const Attachment& moved = att[i];
+            switch (moved.kind) {
+                case Attachment::Kind::Frag: {
+                    const std::size_t c = moved.ref;
+                    const bool first_on_a = on_a[c]++ == 0;
+                    const bool last_on_b = --on_b[c] == 0;
+                    if (first_on_a) {
+                        n_a += removal.terms(c);
+                        ports_a += removal.ports(c);
+                        if (!last_on_b) ++both;
+                    }
+                    if (last_on_b) {
+                        n_b -= removal.terms(c);
+                        ports_b -= removal.ports(c);
+                        if (!first_on_a) --both;
+                    }
+                    break;
+                }
+                case Attachment::Kind::Terminal: ++n_a, --n_b; break;
+                case Attachment::Kind::Port: ++ports_a, --ports_b; break;
+            }
+            covered_hi = std::max(covered_hi, moved.hi);
             const Coord gap = att[i + 1].lo - covered_hi;
             if (gap <= 0) continue;
             ++res.stats.open_sites;
-            if (!split) {
-                graph.components(graph.net_of(fi), [&](const NetEdge& ed) {
-                    return ed.a == self || ed.b == self;
-                });
-                split = true;
-            }
-
-            // Side assignment by sort order.
-            std::vector<std::size_t> comps_a, comps_b;
-            std::vector<TerminalRef> term_a, term_b;
-            bool port_a = false, port_b = false;
-            for (std::size_t k = 0; k < att.size(); ++k) {
-                const bool side_a = k <= i;
-                const Attachment& a = att[k];
-                switch (a.kind) {
-                    case Attachment::Kind::Frag:
-                        (side_a ? comps_a : comps_b)
-                            .push_back(graph.comp_of(a.frag));
-                        break;
-                    case Attachment::Kind::Terminal:
-                        (side_a ? term_a : term_b).push_back(a.term);
-                        break;
-                    case Attachment::Kind::Port:
-                        (side_a ? port_a : port_b) = true;
-                        break;
-                }
-            }
-            sort_unique(comps_a);
-            sort_unique(comps_b);
-            // A component attached on both sides bypasses the cut.
-            if (intersects(comps_a, comps_b)) {
+            if (both > 0) {
                 ++res.stats.redundant_opens;
                 continue;
             }
-            auto ta = graph.terminals_in(comps_a);
-            auto tb = graph.terminals_in(comps_b);
-            term_a.insert(term_a.end(), ta.begin(), ta.end());
-            term_b.insert(term_b.end(), tb.begin(), tb.end());
-            emit_open(*mech, f.net, std::move(term_a), std::move(term_b),
-                      port_a || graph.ports_in(comps_a),
-                      port_b || graph.ports_in(comps_b),
-                      model.open_probability(*mech, static_cast<double>(gap),
-                                             static_cast<double>(width)));
+            auto side_terms = [&](bool side_b) {
+                // Each component once: `gathered` holds the build that
+                // last took it.
+                ++builds;
+                std::vector<std::uint32_t> out;
+                for (std::size_t k = side_b ? i + 1 : 0,
+                                 end = side_b ? att.size() : i + 1;
+                     k < end; ++k) {
+                    const std::size_t ref = att[k].ref;
+                    if (att[k].kind == Attachment::Kind::Terminal) {
+                        out.push_back(graph.rank(anchors[ref]));
+                    } else if (att[k].kind == Attachment::Kind::Frag &&
+                               gathered[ref] != builds) {
+                        gathered[ref] = builds;
+                        removal.append_terms(ref, out);
+                    }
+                }
+                return out;
+            };
+            emit_open(*mech, f.net, n_a, n_b, ports_a > 0, ports_b > 0,
+                      probability(kLine, *mech, gap, width), side_terms);
         }
     }
 
     // ---- Cut-cluster opens -----------------------------------------------
+    // Removing a cluster's edge splits its net iff the edge is a DFS tree
+    // edge whose child subtree reaches no higher by another edge, i.e.
+    // low(child) > pre(parent).  The two sides are then the child's subtree
+    // and the rest of its tree; side A holds frag_a.
     for (std::size_t ci = 0; ci < ex.cuts.size(); ++ci) {
         const CutCluster& cc = ex.cuts[ci];
         std::optional<Layer> lower;
@@ -545,40 +722,59 @@ LiftResult extract_faults(const layout::Layout& lo,
         if (!mech) continue;
         ++res.stats.cut_sites;
 
-        const std::size_t net = graph.net_of(cc.frag_a);
-        graph.components(net, [&](const NetEdge& ed) {
-            return ed.cluster == static_cast<int>(ci);
-        });
-        const std::vector<std::size_t> comps_a{graph.comp_of(cc.frag_a)};
-        const std::vector<std::size_t> comps_b{graph.comp_of(cc.frag_b)};
-        if (comps_a == comps_b) {
+        const std::size_t edge = graph.cluster_edge(ci);
+        const bool a_below = graph.parent_edge(cc.frag_a) == edge;
+        const std::size_t child = a_below ? cc.frag_a : cc.frag_b;
+        const std::size_t parent = a_below ? cc.frag_b : cc.frag_a;
+        if (graph.parent_edge(child) != edge ||
+            graph.low(child) <= graph.pre(parent)) {
             ++res.stats.redundant_opens;
             continue;  // another path keeps the net together
         }
-        emit_open(*mech, static_cast<int>(net), graph.terminals_in(comps_a),
-                  graph.terminals_in(comps_b), graph.ports_in(comps_a),
-                  graph.ports_in(comps_b),
-                  model.cut_probability(
-                      *mech, static_cast<double>(cc.bbox.width()),
-                      static_cast<double>(cc.bbox.height())));
+        const Span sub = graph.subtree(child), tree = graph.tree(child);
+        const Span before{tree.lo, sub.lo}, after{sub.hi, tree.hi};
+        const std::size_t n_sub = graph.terms_in(sub);
+        const std::size_t n_rest = graph.terms_in(before) + graph.terms_in(after);
+        const bool port_sub = graph.ports_in(sub) > 0;
+        const bool port_rest =
+            graph.ports_in(before) + graph.ports_in(after) > 0;
+        auto side_terms = [&](bool side_b) {
+            std::vector<std::uint32_t> out;
+            if (side_b != a_below) {
+                graph.append_terms(sub, out);
+            } else {
+                graph.append_terms(before, out);
+                graph.append_terms(after, out);
+            }
+            return out;
+        };
+        emit_open(*mech, ex.fragments[cc.frag_a].net,
+                  a_below ? n_sub : n_rest, a_below ? n_rest : n_sub,
+                  a_below ? port_sub : port_rest,
+                  a_below ? port_rest : port_sub,
+                  probability(kCut, *mech, cc.bbox.width(), cc.bbox.height()),
+                  side_terms);
     }
 
     // ---- Threshold, label, rank -------------------------------------------
     res.faults.circuit = lo.name;
-    for (auto& [key, f] : merged) {
+    for (auto& [key, m] : merged) {
+        Fault& f = m.fault;
         if (f.probability < opt.p_min) {
             ++res.stats.dropped;
             res.stats.dropped_probability += f.probability;
             continue;
         }
         // Label with the mechanism contributing the most probability.
-        const auto& by_mech = contrib.at(key);
         f.mechanism =
-            std::max_element(by_mech.begin(), by_mech.end(),
+            std::max_element(m.by_mech.begin(), m.by_mech.end(),
                              [](const auto& a, const auto& b) {
                                  return a.second < b.second;
                              })
                 ->first;
+        for (std::uint32_t r : m.group)
+            f.group_b.push_back(graph.terminal(graph.ranked(r)));
+        if (f.kind == FaultKind::StuckOpen) f.victim = f.group_b[0];
         res.faults.faults.push_back(std::move(f));
     }
     res.faults.rank();

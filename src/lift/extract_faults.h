@@ -20,16 +20,23 @@
 //  * cut opens -- contact/via clusters; a cluster whose loss disconnects
 //    exactly one transistor terminal becomes a transistor stuck-open.
 //
-// Cost: bridges come from a per-layer spatial index.  For the opens, each
-// net gets dense local fragment indices and its edge list (the extractor's
-// same-layer touching pairs, then its cut clusters), and each fragment its
-// incident edges, anchored device terminals and port labels, all built
-// once.  A line-open fragment reads only its own attachments; a site runs
-// one vector union-find over its own net (O(net fragments + edges)), after
-// which each side's terminals are gathered per component.  Sites are
-// enumerated in a fixed order -- bridges by layer then fragment, line opens
-// by fragment, cut opens by cluster -- because merged fault probabilities
-// are floating-point sums taken in that order.
+// Cost: O(sites + the terminals the open faults' keys list, dropped ones
+// included).  Bridges come from a per-layer spatial index,
+// and each call memoizes the critical-area integrals by (mechanism, two
+// integer dimensions).  For the opens, each fragment gets its incident
+// edges (the extractor's same-layer touching pairs, then its cut
+// clusters), anchored device terminals and port labels, and one
+// Hopcroft-Tarjan depth-first search numbers the fragments in preorder
+// with their low points, all built once.  A cut cluster splits its net
+// iff its edge is a DFS tree edge no other edge bypasses; a removed
+// fragment's neighbours fall into its cut-off child subtrees or the rest
+// of its tree.  Each side's terminal count and port flag are prefix-sum
+// differences over preorder spans, and a line-open fragment sweeps its
+// sorted attachments once, moving them from side B to side A.  Only the
+// side that becomes group_b is gathered.  Sites are enumerated in a fixed
+// order -- bridges by layer then fragment, line opens by fragment, cut
+// opens by cluster -- because merged fault probabilities are
+// floating-point sums taken in that order.
 
 #pragma once
 

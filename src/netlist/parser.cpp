@@ -187,7 +187,7 @@ Circuit parse_spice(std::istream& in) {
         if (raw.empty()) continue;
         if (raw[0] == '+') {
             if (lines.empty()) fail(line_no, "continuation without a card");
-            lines.back().text += " " + raw.substr(1);
+            lines.back().text.append(" ").append(raw, 1);
         } else {
             lines.push_back({raw, line_no});
         }

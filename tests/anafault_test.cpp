@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
 using namespace catlift;
 using namespace catlift::anafault;
@@ -62,6 +63,42 @@ TEST(Inject, ShortSourceModelAddsBranch) {
     // The ideal 0V source costs one extra MNA unknown -- the mechanism
     // behind the paper's 43% runtime observation.
     EXPECT_EQ(s2.unknowns(), s1.unknowns() + 1);
+}
+
+TEST(Inject, SourceShortClosingAVoltageSourceLoopRejected) {
+    // V1 ties "in" to ground; V2 ties "a" to "in".  An ideal 0 V short
+    // between any two of {a, in, 0} closes a loop of voltage sources.
+    Circuit c = rc_fixture();
+    c.add_vsource("V2", "a", "in", SourceSpec::make_dc(1.0));
+    c.add_resistor("R2", "a", "out", 1e3);
+    InjectionOptions src;
+    src.model = HardFaultModel::Source;
+    const std::vector<std::pair<std::string, std::string>> loops = {
+        {"in", "0"}, {"a", "gnd"}, {"IN", "a"}};
+    for (const auto& [x, y] : loops) {
+        Circuit faulty = c;
+        try {
+            inject_short(faulty, x, y, src);
+            ADD_FAILURE() << x << "-" << y << " was injected";
+        } catch (const Error& e) {
+            const std::string msg = e.what();
+            std::ostringstream named;
+            named << "nets " << x << " and " << y;
+            EXPECT_NE(msg.find(named.str()), std::string::npos) << msg;
+            EXPECT_NE(msg.find("loop of ideal voltage sources"),
+                      std::string::npos)
+                << msg;
+        }
+        EXPECT_EQ(faulty.devices.size(), c.devices.size());
+    }
+    // Not tied by sources: injected as before.
+    Circuit ok = c;
+    inject_short(ok, "out", "0", src);
+    EXPECT_EQ(ok.device("FLT1").kind, DeviceKind::VSource);
+    // The resistor model never makes a loop.
+    Circuit r = c;
+    inject_short(r, "in", "0");
+    EXPECT_EQ(r.device("FLT1").kind, DeviceKind::Resistor);
 }
 
 TEST(Inject, ShortSameNetRejected) {

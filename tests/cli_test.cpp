@@ -109,7 +109,10 @@ protected:
     static CliRun anafaultc(const std::vector<std::string>& args) {
         std::string cmd = quoted(CLI_TEST_ANAFAULTC) + " " +
                           quoted(deck()) + " " + quoted(faults_file());
-        for (const std::string& a : args) cmd += " " + quoted(a);
+        for (const std::string& a : args) {
+            cmd += ' ';
+            cmd += quoted(a);
+        }
         const std::string out = path("stdout.txt");
         const std::string err = path("stderr.txt");
         cmd += " > " + quoted(out) + " 2> " + quoted(err);

@@ -366,9 +366,10 @@ TEST(ObsCampaign, TracingNeverChangesVerdicts) {
         EXPECT_EQ(off.results[i].simulated, on.results[i].simulated);
         ASSERT_EQ(off.results[i].detect_time.has_value(),
                   on.results[i].detect_time.has_value());
-        if (off.results[i].detect_time)
+        if (off.results[i].detect_time) {
             EXPECT_EQ(*off.results[i].detect_time,
                       *on.results[i].detect_time);
+        }
     }
 }
 

@@ -40,7 +40,8 @@ inline std::vector<PinLayout> pin_layouts() {
     // and terminals of both polarities drawn with single contacts.
     layout::CellgenOptions o;
     for (int i = 0; i < 25; ++i)
-        o.track_order.push_back("c" + std::to_string((i * 7) % 25));
+        o.track_order.push_back(
+            std::string("c").append(std::to_string((i * 7) % 25)));
     o.single_contact_terminals = {"MP3:d", "MN5:s", "MP10:g", "MN10:d",
                                   "MN17:g", "MP24:s", "MN24:d"};
     out.push_back({"chain24_shuffled",
