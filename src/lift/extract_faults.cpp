@@ -485,9 +485,6 @@ LiftResult extract_faults(const layout::Layout& lo,
         if (kind == FaultKind::StuckOpen) {
             key += graph.token(group[0]);
         } else {
-            std::size_t len = key.size() + ex.net_name(net).size() + 2;
-            for (std::uint32_t r : group) len += graph.token(r).size() + 1;
-            key.reserve(len);
             (key += ex.net_name(net)) += '[';
             for (std::uint32_t r : group) (key += graph.token(r)) += ',';
             key += ']';

@@ -320,6 +320,13 @@ TEST_P(SpatialIndexWindows, MatchesBruteForce) {
                 << window.lo.x << ',' << window.lo.y << ' ' << window.hi.x
                 << ',' << window.hi.y;
     }
+    // Every rect's own neighbourhood, so the first and last occupied cell
+    // of each row and column starts or ends some window.
+    for (const auto& [id, r] : rects) {
+        EXPECT_EQ(idx.query(r), brute(r)) << id;
+        EXPECT_EQ(idx.neighbours(r, cell / 2), brute(r.expanded(cell / 2)))
+            << id;
+    }
     const g::Rect all(-far, -far, far, far);
     EXPECT_EQ(idx.query(all), brute(all));
 }

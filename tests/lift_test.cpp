@@ -304,11 +304,12 @@ TEST(LiftPins, FaultListAndStatsDigestsUnchanged) {
 }
 
 // ---------------------------------------------------------------------------
-// Redundant paths: hand-drawn nets with loops, parallel cut clusters and
-// fragments whose removal splits a net three ways.  None of the generated
-// pin layouts has a redundant open, so these pin the cycle logic of the open
-// analysis: digests (as LiftPins, with p_min 0 so every fault is written)
-// plus the redundant and dangling counts.
+// Redundant paths: hand-drawn nets with loops, parallel cut clusters, a
+// fragment whose removal splits a net three ways and a detour around a
+// bar.  None of the generated pin layouts has a redundant open, so these
+// pin the cycle logic of the open analysis: digests (as LiftPins, with
+// p_min 0 so every fault is written, recorded from the per-site
+// union-find analysis) plus the redundant and dangling counts.
 
 namespace {
 
@@ -317,21 +318,21 @@ using layout::Layer;
 
 /// An NMOS named `name` at (x, y) um, drawn as in extract_test's one_nmos:
 /// source | channel | drain diffusion (w_um tall) under a vertical poly
-/// gate; one contact and a metal1 pad (x+1..5 and x+12..16, y+0.5..3.5) on
-/// each of source and drain.
+/// gate; one contact and a metal1 pad (x+1..5 and x+12..16,
+/// y+0.5..pad_top) on each of source and drain.
 void add_nmos(layout::Layout& lo, const std::string& name, double x, double y,
-              double w_um = 10.0) {
+              double w_um = 10.0, double pad_top = 3.5) {
     lo.add(Layer::NDiff, Rect::um(x, y, x + 8, y + w_um), name + ":s");
     lo.add(Layer::NDiff, Rect::um(x + 8, y, x + 10, y + w_um), name + ":chan");
     lo.add(Layer::NDiff, Rect::um(x + 10, y, x + 18, y + w_um), name + ":d");
     lo.add(Layer::Poly, Rect::um(x + 8, y - 2, x + 10, y + w_um + 2),
            name + ":g");
     lo.add(Layer::Contact, Rect::um(x + 2, y + 1, x + 4, y + 3), name + ":s");
-    lo.add(Layer::Metal1, Rect::um(x + 1, y + 0.5, x + 5, y + 3.5),
+    lo.add(Layer::Metal1, Rect::um(x + 1, y + 0.5, x + 5, y + pad_top),
            name + ":s");
     lo.add(Layer::Contact, Rect::um(x + 13, y + 1, x + 15, y + 3),
            name + ":d");
-    lo.add(Layer::Metal1, Rect::um(x + 12, y + 0.5, x + 16, y + 3.5),
+    lo.add(Layer::Metal1, Rect::um(x + 12, y + 0.5, x + 16, y + pad_top),
            name + ":d");
 }
 
@@ -398,18 +399,39 @@ layout::Layout bar_with_loops() {
 /// Parallel edges: a wide source whose one metal1 pad reaches the
 /// diffusion through two contacts 23 um apart, i.e. two cut clusters
 /// joining the same two fragments.  The drain pad carries a stub down to a
-/// bar with a second, labelled, transistor.
+/// bar with a second transistor.
 layout::Layout parallel_clusters() {
     layout::Layout lo;
     lo.name = "parallel";
-    add_nmos(lo, "T1", 0, 0, 30.0);
+    add_nmos(lo, "T1", 0, 0, 30.0, 29.5);
     lo.add(Layer::Contact, Rect::um(2, 26, 4, 28), "T1:s");
-    lo.add(Layer::Metal1, Rect::um(1, 0.5, 5, 29.5), "T1:s");
     lo.add_label(Layer::Metal1, {geom::from_um(3), geom::from_um(20)}, "s");
     add_drain_stub(lo, 0);
     add_nmos(lo, "T2", 30, 0);
     add_drain_stub(lo, 30);
     lo.add(Layer::Metal1, Rect::um(10, -10, 50, -8), "bar");
+    return lo;
+}
+
+/// A detour around the bar: the first shape, a riser at the bar's left
+/// end, is where the fragment graph is first entered, and a lower bar ties
+/// its foot to a stub hanging from the bar's middle, which also leads down
+/// to T1's drain.  Removing the bar leaves that stub attached to the riser
+/// side, while T2's labelled stub at the right end is cut off, so the gap
+/// before it moves the side holding T1's drain.
+layout::Layout detour() {
+    layout::Layout lo;
+    lo.name = "detour";
+    lo.add(Layer::Metal1, Rect::um(0, -30, 2, -9), "riser");
+    lo.add(Layer::Metal1, Rect::um(0, -10, 100, -8), "bar");
+    lo.add(Layer::Metal1, Rect::um(40, -30, 42, -9), "stub");
+    lo.add(Layer::Metal1, Rect::um(0, -30, 42, -28), "lower");
+    add_nmos(lo, "T1", 27, -60);
+    lo.add(Layer::Metal1, Rect::um(40, -59.25, 42, -29), "stub");
+    add_nmos(lo, "T2", 67, 0);
+    add_drain_stub(lo, 67);
+    lo.add_label(Layer::Metal1, {geom::from_um(81), geom::from_um(-4)},
+                 "out");
     return lo;
 }
 
@@ -426,7 +448,7 @@ std::string lift_digest(const LiftResult& r) {
 
 } // namespace
 
-TEST(LiftRedundantPaths, LoopsParallelCutsAndThreeWaySplitsPinned) {
+TEST(LiftRedundantPaths, LoopsParallelCutsSplitsAndDetoursPinned) {
     struct Case {
         layout::Layout layout;
         std::size_t redundant, dangling;
@@ -435,7 +457,8 @@ TEST(LiftRedundantPaths, LoopsParallelCutsAndThreeWaySplitsPinned) {
     const Case cases[] = {
         {split_three_ways(), 0, 4, "e815c3a78ef5f118"},
         {bar_with_loops(), 12, 4, "9f8db7b570d7c7ac"},
-        {parallel_clusters(), 4, 1, "9b1eb132aa84fc94"},
+        {parallel_clusters(), 4, 1, "7bfe6a59e682f0a6"},
+        {detour(), 4, 2, "867aedba12facf39"},
     };
     for (const Case& c : cases) {
         LiftOptions opt;
