@@ -5,8 +5,9 @@
 // and LIFT's own work (extract_faults minus the extraction it runs), then
 // times LVS of the schematic against the extraction and counts the nets
 // it maps.  It ends with the 256/64- and 1024/256-stage time ratios:
-// linear scaling is 4x, quadratic 16x.  Rows above 256 stages are timed
-// once, the smaller ones best of three.
+// linear scaling is 4x, quadratic 16x.  Every row is the best of three
+// runs: timed once, the 1024-stage row moved the 1024/256 LIFT ratio
+// between 4.3x and 6.9x over six runs on a busy 4-core host.
 //
 // Run: ./bench_extraction_scaling  (exits 1 if the timed extraction and
 // the one LIFT runs disagree)
@@ -26,11 +27,11 @@ using namespace catlift;
 
 namespace {
 
-/// Fastest of `reps` runs of `fn`, in milliseconds.
+/// Fastest of three runs of `fn`, in milliseconds.
 template <typename Fn>
-double best_ms(int reps, Fn fn) {
+double best_ms(Fn fn) {
     double best = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
+    for (int rep = 0; rep < 3; ++rep) {
         const auto t0 = std::chrono::steady_clock::now();
         fn();
         const double ms = std::chrono::duration<double, std::milli>(
@@ -53,19 +54,18 @@ bool print_scaling() {
     std::map<int, Times> times;
     bool consistent = true;
     for (int n : {4, 8, 16, 32, 64, 128, 256, 512, 1024}) {
-        const int reps = n > 256 ? 1 : 3;
         const auto ckt = circuits::build_inverter_chain(n, false);
         const auto lo = layout::generate_cell_layout(ckt);
         std::size_t fragments = 0;
-        const double extract_ms = best_ms(reps, [&] {
+        const double extract_ms = best_ms([&] {
             fragments = extract::extract(lo, tech).fragments.size();
         });
         lift::LiftResult res;
-        const double lift_ms = best_ms(reps, [&] {
+        const double lift_ms = best_ms([&] {
             res = lift::extract_faults(lo, tech, lift::LiftOptions{});
         });
         netlist::CompareResult lvs;
-        const double lvs_ms = best_ms(reps, [&] {
+        const double lvs_ms = best_ms([&] {
             lvs = netlist::compare_netlists(ckt, res.extraction.circuit, 1e-2);
         });
         consistent = consistent &&

@@ -6,13 +6,13 @@ namespace catlift::geom {
 
 namespace {
 
-/// First entry of a sorted line at or after position `at`.  Cells mostly
-/// arrive in order, so a position past the end is checked first.
-template <typename Line>
-auto seek(Line& line, std::int64_t at) {
-    if (line.empty() || line.back().first < at) return line.end();
+/// First cell of a row at or after column `cx`.  Cells mostly arrive in
+/// order, so a column past the end is checked first.
+template <typename Row>
+auto seek(Row& row, std::int64_t cx) {
+    if (row.empty() || row.back().first < cx) return row.end();
     return std::lower_bound(
-        line.begin(), line.end(), at,
+        row.begin(), row.end(), cx,
         [](const auto& e, std::int64_t v) { return e.first < v; });
 }
 
@@ -41,15 +41,13 @@ void SpatialIndex::insert(std::size_t id, const Rect& r) {
         return;
     }
     for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
-        Line& row = rows_[cy];
+        Row& row = rows_[cy];
         for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
             auto it = seek(row, cx);
             if (it == row.end() || it->first != cx) {
                 const auto cell = static_cast<std::uint32_t>(cells_.size());
                 cells_.emplace_back();
                 it = row.insert(it, {cx, cell});
-                Line& col = cols_[cx];
-                col.insert(seek(col, cy), {cy, cell});
             }
             cells_[it->second].push_back(slot);
         }
@@ -60,18 +58,10 @@ std::vector<std::size_t> SpatialIndex::query(const Rect& window) const {
     std::vector<std::size_t> out;
     const std::int64_t cx0 = cell_of(window.lo.x), cx1 = cell_of(window.hi.x);
     const std::int64_t cy0 = cell_of(window.lo.y), cy1 = cell_of(window.hi.y);
-    // Walk the shorter way across the window: its occupied rows, or its
-    // occupied columns when it is taller than wide.
-    const bool by_row = cy1 - cy0 <= cx1 - cx0;
-    const Lines& lines = by_row ? rows_ : cols_;
-    const auto [across0, across1] = by_row ? std::pair{cy0, cy1}
-                                           : std::pair{cx0, cx1};
-    const auto [along0, along1] = by_row ? std::pair{cx0, cx1}
-                                         : std::pair{cy0, cy1};
-    for (auto l = lines.lower_bound(across0);
-         l != lines.end() && l->first <= across1; ++l)
-        for (auto it = seek(l->second, along0);
-             it != l->second.end() && it->first <= along1; ++it)
+    for (auto row = rows_.lower_bound(cy0);
+         row != rows_.end() && row->first <= cy1; ++row)
+        for (auto it = seek(row->second, cx0);
+             it != row->second.end() && it->first <= cx1; ++it)
             for (std::uint32_t slot : cells_[it->second])
                 if (rects_[slot].touches(window)) out.push_back(ids_[slot]);
     // A strip rect touching the window starts across the axis no lower than

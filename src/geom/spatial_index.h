@@ -8,10 +8,9 @@
 // O(length) grid cells each, so they are kept out of the grid, in one list
 // per axis sorted across it.  A long window -- the neighbourhood of such a
 // shape -- would still lie over O(length) cells, mostly empty, so the grid
-// keeps only occupied cells, listed sorted along each grid row and each
-// grid column.  A query walks the window's occupied rows, or its occupied
-// columns when it is taller than wide, and range-scans each line's cells,
-// so its cost follows the cells it hits, not the window's length.
+// keeps only occupied cells, listed sorted along each grid row.  A query
+// walks the window's occupied rows and range-scans each row's cells, so
+// its cost follows the cells it hits, not the window's length.
 
 #pragma once
 
@@ -59,11 +58,9 @@ public:
     std::size_t size() const { return ids_.size(); }
 
 private:
-    /// One grid row (or column): its occupied cells as (position along
-    /// the line, index into cells_), ascending by position.
-    using Line = std::vector<std::pair<std::int64_t, std::uint32_t>>;
-    /// Lines by their coordinate across them (cy for rows, cx for columns).
-    using Lines = std::map<std::int64_t, Line>;
+    /// One grid row: its occupied cells as (cx, index into cells_),
+    /// ascending by cx.
+    using Row = std::vector<std::pair<std::int64_t, std::uint32_t>>;
 
     std::int64_t cell_of(Coord v) const {
         // Floor division for negative coordinates.
@@ -86,7 +83,7 @@ private:
     std::vector<std::size_t> ids_;  ///< slot -> caller id
     std::vector<Rect> rects_;       ///< slot -> rect
     std::vector<std::vector<std::uint32_t>> cells_;  ///< cell -> slots
-    Lines rows_, cols_;
+    std::map<std::int64_t, Row> rows_;  ///< occupied rows by cy
     std::array<Strip, 2> strips_;   ///< [0] along x (by lo.y), [1] along y
 };
 

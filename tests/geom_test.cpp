@@ -179,7 +179,10 @@ TEST(SpatialIndex, RejectsBadCell) {
 // grid, long horizontal and vertical ones in the strips, large ones in
 // many cells, rects exactly at the long/thin span thresholds, negative
 // coordinates -- query() and neighbours() return exactly the ascending,
-// unique ids a brute-force scan finds.
+// unique ids a brute-force scan finds, for small windows, layout-wide rows
+// and columns, windows long along either axis and the whole layout.  Only
+// occupied cells are walked, so a long window reaches far-apart cells on
+// one row.
 class SpatialIndexProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(SpatialIndexProperty, MatchesBruteForce) {
@@ -248,91 +251,35 @@ TEST_P(SpatialIndexProperty, MatchesBruteForce) {
         std::sort(out.begin(), out.end());
         return out;
     };
+    // Beyond every rect: the rects start within 30 cells of the origin and
+    // run at most 46 cells.
+    const g::Coord far = 100 * cell;
     for (int q = 0; q < 300; ++q) {
-        const g::Coord x = origin(), y = origin();
-        const g::Rect window(x, y, x + pick(6 * cell), y + pick(6 * cell));
-        EXPECT_EQ(idx.query(window), brute(window));
-        const auto& [id, r] = rects[static_cast<std::size_t>(pick(n))];
-        const g::Coord d = pick(3 * cell);
-        EXPECT_EQ(idx.neighbours(r, d), brute(r.expanded(d))) << id;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SpatialIndexProperty,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
-
-// Property sweep over window shapes: thin rects short, long along x and
-// long along y (in the grid up to kLongSpan cells, in a strip beyond),
-// scattered over a sparse region around the origin and inserted in random
-// order, queried with small windows, layout-wide rows and columns, and the
-// whole layout.  Rows and columns of occupied cells are walked, so windows
-// much longer than they are wide reach far-apart cells on one line.
-class SpatialIndexWindows : public ::testing::TestWithParam<int> {};
-
-TEST_P(SpatialIndexWindows, MatchesBruteForce) {
-    std::uint64_t s = static_cast<std::uint64_t>(GetParam()) * 0xD1B54A32D192ED03ull + 11;
-    auto pick = [&](std::int64_t n) {
-        s = s * 6364136223846793005ull + 1442695040888963407ull;
-        return static_cast<std::int64_t>((s >> 33) % static_cast<std::uint64_t>(n));
-    };
-    const g::Coord cell = 64 + 32 * pick(4);
-    const g::Coord extent = 80 * cell;  // the layout spans [-extent, extent]
-    auto coord = [&] { return pick(2 * extent) - extent; };
-
-    g::SpatialIndex idx(cell);
-    std::vector<std::pair<std::size_t, g::Rect>> rects;
-    const int n = 400;
-    for (int i = 0; i < n; ++i) {
-        const g::Coord x = coord(), y = coord();
-        const g::Coord thin = 1 + pick(cell);
-        const g::Coord run = pick(2) ? pick(5 * cell) : pick(60 * cell);
-        g::Rect r;
-        switch (pick(3)) {
-            case 0: r = g::Rect(x, y, x + pick(2 * cell), y + pick(2 * cell)); break;
-            case 1: r = g::Rect(x, y, x + run, y + thin); break;
-            default: r = g::Rect(x, y, x + thin, y + run); break;
-        }
-        const auto id = static_cast<std::size_t>(pick(1 << 20));  // may repeat
-        rects.emplace_back(id, r);
-        idx.insert(id, r);
-    }
-
-    auto brute = [&](const g::Rect& window) {
-        std::vector<std::size_t> out;
-        for (const auto& [id, r] : rects)
-            if (r.touches(window)) out.push_back(id);
-        std::sort(out.begin(), out.end());
-        out.erase(std::unique(out.begin(), out.end()), out.end());
-        return out;
-    };
-    const g::Coord far = 2 * extent;
-    for (int q = 0; q < 200; ++q) {
-        const g::Coord x = coord(), y = coord(), w = pick(3 * cell);
+        const g::Coord x = origin(), y = origin(), w = pick(3 * cell);
         const g::Rect windows[] = {
-            g::Rect(x, y, x + w, y + pick(3 * cell)),  // small
-            g::Rect(-far, y, far, y + w),              // a layout-wide row
-            g::Rect(x, -far, x + w, far),              // a layout-tall column
-            g::Rect(x, y, x + pick(far), y + w),       // long along x
-            g::Rect(x, y, x + w, y + pick(far)),       // long along y
+            g::Rect(x, y, x + pick(6 * cell), y + pick(6 * cell)),  // small
+            g::Rect(-far, y, far, y + w),         // a layout-wide row
+            g::Rect(x, -far, x + w, far),         // a layout-tall column
+            g::Rect(x, y, x + pick(far), y + w),  // long along x
+            g::Rect(x, y, x + w, y + pick(far)),  // long along y
         };
         for (const g::Rect& window : windows)
             EXPECT_EQ(idx.query(window), brute(window))
                 << window.lo.x << ',' << window.lo.y << ' ' << window.hi.x
                 << ',' << window.hi.y;
+        const auto& [id, r] = rects[static_cast<std::size_t>(pick(n))];
+        const g::Coord d = pick(3 * cell);
+        EXPECT_EQ(idx.neighbours(r, d), brute(r.expanded(d))) << id;
     }
-    // Every rect's own neighbourhood, so the first and last occupied cell
-    // of each row and column starts or ends some window.
-    for (const auto& [id, r] : rects) {
-        EXPECT_EQ(idx.query(r), brute(r)) << id;
-        EXPECT_EQ(idx.neighbours(r, cell / 2), brute(r.expanded(cell / 2)))
-            << id;
-    }
+    // Every rect's own box, so the first and last occupied cell of each
+    // row starts or ends some window, and the whole layout.
+    for (const auto& [id, r] : rects) EXPECT_EQ(idx.query(r), brute(r)) << id;
     const g::Rect all(-far, -far, far, far);
     EXPECT_EQ(idx.query(all), brute(all));
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SpatialIndexWindows,
-                         ::testing::Values(1, 2, 3, 4, 5, 6));
+INSTANTIATE_TEST_SUITE_P(Seeds, SpatialIndexProperty,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 // Property sweep: separation() is symmetric and consistent with expansion:
 // two rects are within distance d iff expanding one by d makes them touch.
