@@ -1,12 +1,18 @@
 // DC operating-point tests: linear networks with exact solutions, nonlinear
 // MOS circuits, convergence fallbacks.
 
+#include "batch/result_store.h"
+#include "circuits/ota.h"
+#include "circuits/vco.h"
 #include "netlist/parser.h"
 #include "spice/engine.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdint>
+#include <string>
 
 using namespace catlift;
 using namespace catlift::netlist;
@@ -181,4 +187,57 @@ TEST(DcOp, ParsedDeckEndToEnd) {
     auto r = sim.dc_op();
     ASSERT_TRUE(r.converged);
     EXPECT_NEAR(r.voltages.at("out"), 3.0, 1e-6);
+}
+
+// Cross-commit pins of the cold strategy ladder: which strategy an
+// operating point converges with, after how many NR iterations, and an
+// FNV-1a digest of its "%a" node voltages.  A refactor of the ladder, its
+// damping levels or the Newton loop that moves any of these moves every
+// operating point downstream (nominals, DC screens, transient starts).
+// Update a pin only with a change that means to.
+namespace {
+
+void expect_dc_pin(const netlist::Circuit& c, const char* strategy,
+                   int iterations, std::uint64_t digest) {
+    Simulator sim(c);
+    const DcResult r = sim.dc_op();
+    std::string all;
+    for (const auto& [node, v] : r.voltages) {  // std::map: sorted by name
+        char buf[96];
+        std::snprintf(buf, sizeof buf, "%s %a\n", node.c_str(), v);
+        all += buf;
+    }
+    EXPECT_EQ(r.converged, *strategy != '\0') << c.title;
+    EXPECT_EQ(r.strategy, strategy) << c.title;
+    EXPECT_EQ(r.iterations, iterations) << c.title;
+    EXPECT_EQ(batch::fnv1a(all), digest) << c.title;
+}
+
+} // namespace
+
+TEST(DcStrategyPins, Vco) {
+    expect_dc_pin(circuits::build_vco(), "nr", 4, 0x1757868e03ab2b64ull);
+}
+
+TEST(DcStrategyPins, Ota) {
+    expect_dc_pin(circuits::build_ota(), "nr", 4, 0x6bf45907d7b19561ull);
+}
+
+TEST(DcStrategyPins, SchmittFixture) {
+    expect_dc_pin(circuits::build_schmitt_fixture(), "nr", 13,
+                  0x5603b7bb4e3e28d3ull);
+}
+
+TEST(DcStrategyPins, InverterChains) {
+    // 64 stages need source stepping: plain Newton and gmin stepping fail.
+    expect_dc_pin(circuits::build_inverter_chain(16), "gmin", 40,
+                  0x36dd9280938ae448ull);
+    expect_dc_pin(circuits::build_inverter_chain(64), "source", 121,
+                  0xecc0fe178858dfb5ull);
+    expect_dc_pin(circuits::build_inverter_chain(144), "source", 201,
+                  0xdcdfd1a5def02363ull);
+    // 160 stages exhaust every strategy at every damping level: the pin
+    // is the iteration count of the whole ladder.
+    expect_dc_pin(circuits::build_inverter_chain(160), "", 550,
+                  batch::kFnvOffsetBasis);
 }
