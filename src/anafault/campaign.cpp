@@ -35,17 +35,19 @@ std::string sim_knob_signature(const spice::SimOptions& sim) {
     o += sim.uic ? "|uic" : "|op";
     // Every solver knob alters waveforms (and hence verdicts) -- a store
     // written under different numerics must never be resumed.
+    // The literals are the kernel's fixed constants (abstol, vntol, the
+    // 1 V NR step limit, 150 NR iterations, 10 step cuts, stride cap 64)
+    // as they printed when they were options: every store keeps its hash.
     o += "|" + hexd(sim.gmin) + "|" + hexd(sim.cmin);
-    o += "|" + hexd(sim.abstol) + "|" + hexd(sim.vntol);
-    o += "|" + hexd(sim.reltol) + "|" + hexd(sim.dv_limit);
-    o += "|" + std::to_string(sim.max_nr);
-    o += "|" + std::to_string(sim.max_step_cuts);
+    o += "|0x1.12e0be826d695p-30|0x1.0c6f7a0b5ed8dp-20";
+    o += "|" + hexd(sim.reltol) + "|0x1p+0";
+    o += "|150|10";
     // Adaptive stepping changes the waveforms (within LTE tolerance, but
     // changed is changed): a store written under the other stepping mode
     // or a different LTE knob must not be resumed.
     o += sim.adaptive ? "|adaptive" : "|fixedgrid";
     o += "|" + hexd(sim.lte_tol);
-    o += "|" + std::to_string(sim.max_stride);
+    o += "|64";
     // Kernel selection changes waveform rounding (and the bypass mode may
     // perturb within its tolerance): a store written under a different
     // kernel configuration must never be resumed.

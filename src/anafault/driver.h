@@ -17,6 +17,8 @@
 //   Options / Output / Result   option struct, campaign result, per-fault
 //                               result
 //   kAnalysis                   "tran" | "ac" | "dc" (campaign_start)
+//   kIntegratesInTime           whether the retry ladder's fixed-grid
+//                               rung changes the analysis
 //   manifest / run              the public manifest function and runner
 //                               (the incremental engine is written over P)
 //   nominal(Output&, Span&)     run the nominal analysis, fill the result,
@@ -399,7 +401,8 @@ typename P::Output drive(P& p, const std::vector<JobMeta>& metas, Make make,
                 // failed attempts are kernel time too.
                 const auto t0 = std::chrono::steady_clock::now();
                 LadderOutcome ladder = run_retry_ladder(
-                    fault_sim, opt.max_retries, meta.fault_id,
+                    fault_sim, opt.max_retries, P::kIntegratesInTime,
+                    meta.fault_id,
                     [&](const spice::SimOptions& sim, std::string& error) {
                         r = Result{};
                         Attempt a{false, true};
@@ -452,12 +455,11 @@ typename P::Output drive(P& p, const std::vector<JobMeta>& metas, Make make,
     };
 
     const batch::Scheduler scheduler(opt.threads);
-    // RecordAndContinue: the per-fault handling above already retires
-    // every failure; an exception still reaching the scheduler (an
-    // injected worker fault, an allocation failure between faults) is
-    // recorded and the remaining faults keep their verdicts.
-    const batch::SchedulerStats sstats =
-        scheduler.run(jobs, run_class, batch::ErrorPolicy::RecordAndContinue);
+    // The per-fault handling above already retires every failure; an
+    // exception still reaching the scheduler (an injected worker fault, an
+    // allocation failure between faults) is recorded and the remaining
+    // faults keep their verdicts.
+    const batch::SchedulerStats sstats = scheduler.run(jobs, run_class);
     res.batch.steals = sstats.steals;
     res.batch.job_errors = sstats.failed_jobs;
     res.batch.retries = retries.load();
@@ -511,6 +513,7 @@ struct TranPolicy {
     using Output = CampaignResult;
     using Result = FaultSimResult;
     static constexpr const char* kAnalysis = "tran";
+    static constexpr bool kIntegratesInTime = true;
     static constexpr auto manifest = &campaign_manifest;
     static constexpr auto run = &run_campaign;
 
@@ -538,6 +541,7 @@ struct AcPolicy {
     using Output = AcCampaignResult;
     using Result = AcFaultResult;
     static constexpr const char* kAnalysis = "ac";
+    static constexpr bool kIntegratesInTime = false;
     static constexpr auto manifest = &ac_campaign_manifest;
     static constexpr auto run = &run_ac_campaign;
 
@@ -568,6 +572,7 @@ struct DcPolicy {
     using Output = DcScreenResult;
     using Result = DcFaultResult;
     static constexpr const char* kAnalysis = "dc";
+    static constexpr bool kIntegratesInTime = false;
     static constexpr auto manifest = &dc_screen_manifest;
     static constexpr auto run = &run_dc_screen;
 

@@ -32,8 +32,7 @@ CampaignResult run_worker_campaign(const netlist::Circuit& ckt,
 
     std::unique_ptr<batch::HeartbeatEmitter> hb;
     if (w.heartbeat_fd >= 0) {
-        hb = std::make_unique<batch::HeartbeatEmitter>(
-            w.heartbeat_fd, w.heartbeat_interval_s);
+        hb = std::make_unique<batch::HeartbeatEmitter>(w.heartbeat_fd);
         obs::attach_event_sink(std::make_shared<batch::HeartbeatSink>(*hb));
     }
     CampaignResult res = run_campaign(ckt, sub, wopt);

@@ -25,7 +25,6 @@ struct WorkerOptions {
     int id_hi = 0;
     std::string shard;              ///< this worker's store shard
     int heartbeat_fd = -1;          ///< supervision pipe fd (<0: none)
-    double heartbeat_interval_s = 0.05;
 };
 
 /// Run the campaign for the faults of `full` with ids in [id_lo, id_hi],

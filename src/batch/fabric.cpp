@@ -49,13 +49,15 @@ std::vector<FaultRange> partition_fault_ranges(const std::vector<int>& ids,
 // ---------------------------------------------------------------------------
 // Worker side
 
-HeartbeatEmitter::HeartbeatEmitter(int fd, double interval_s) : fd_(fd) {
+/// Period of the worker's Alive tick: far below any sane
+/// FabricOptions::worker_timeout_s.
+constexpr std::chrono::milliseconds kHeartbeatInterval{50};
+
+HeartbeatEmitter::HeartbeatEmitter(int fd) : fd_(fd) {
     beat(BeatKind::Alive, -1);
-    ticker_ = std::thread([this, interval_s] {
-        const auto interval =
-            std::chrono::duration<double>(interval_s > 0 ? interval_s : 0.05);
+    ticker_ = std::thread([this] {
         while (!stop_.load(std::memory_order_relaxed)) {
-            std::this_thread::sleep_for(interval);
+            std::this_thread::sleep_for(kHeartbeatInterval);
             if (stop_.load(std::memory_order_relaxed)) break;
             beat(BeatKind::Alive, -1);
         }
@@ -258,6 +260,9 @@ void drain_beats(Slot& s) {
     }
 }
 
+/// Ceiling of the respawn backoff [s].
+constexpr double kBackoffCapS = 5.0;
+
 void handle_death(Slot& s, const std::string& how, std::uint64_t manifest,
                   const PoisonRecord& poison_record,
                   const FabricOptions& opt) {
@@ -306,8 +311,7 @@ void handle_death(Slot& s, const std::string& how, std::uint64_t manifest,
         return;
     }
     const double backoff = std::min(
-        opt.backoff_cap_s,
-        opt.backoff_base_s * std::pow(2.0, s.rep.deaths - 1));
+        kBackoffCapS, opt.backoff_base_s * std::pow(2.0, s.rep.deaths - 1));
     s.backoff_until =
         Clock::now() + std::chrono::duration_cast<Clock::duration>(
                            std::chrono::duration<double>(backoff));

@@ -66,9 +66,8 @@ struct FabricOptions {
     unsigned workers = 2;
     /// A worker silent for this long is presumed wedged and SIGKILLed.
     double worker_timeout_s = 30.0;
-    /// Respawn backoff: base * 2^(deaths-1), capped.
+    /// Respawn backoff: base * 2^(deaths-1), capped at 5 s.
     double backoff_base_s = 0.1;
-    double backoff_cap_s = 5.0;
     /// A range whose worker dies more than this many times is abandoned
     /// (FabricReport::completed turns false).
     int max_deaths_per_range = 8;
@@ -141,7 +140,7 @@ enum class BeatKind : std::int32_t {
 };
 
 /// Worker-side beat writer: a background thread ticks Alive every
-/// `interval_s`, and the campaign reports fault starts/retirements
+/// 50 ms, and the campaign reports fault starts/retirements
 /// inline.  Writes are single 8-byte frames (atomic under PIPE_BUF);
 /// a vanished supervisor (EPIPE) is ignored -- the worker finishes its
 /// shard regardless.  fault_started() is also the `worker.fault`
@@ -150,7 +149,7 @@ enum class BeatKind : std::int32_t {
 /// fault of the containment tests.
 class HeartbeatEmitter {
 public:
-    HeartbeatEmitter(int fd, double interval_s = 0.05);
+    explicit HeartbeatEmitter(int fd);
     ~HeartbeatEmitter();
 
     void fault_started(int fault_id);

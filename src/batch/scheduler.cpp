@@ -23,24 +23,6 @@ struct WorkDeque {
     std::deque<std::size_t> jobs CATLIFT_GUARDED_BY(mu);
 };
 
-/// Publish one contained job failure (RecordAndContinue).
-void record_job_error(const std::exception_ptr& ep, std::size_t idx) {
-    if (obs::metrics_enabled())
-        obs::Registry::global().counter("scheduler.job_errors").add(1);
-    if (obs::events_enabled()) {
-        std::string what = "unknown exception";
-        try {
-            std::rethrow_exception(ep);
-        } catch (const std::exception& e) {
-            what = e.what();
-        } catch (...) {
-        }
-        obs::emit_event("job_error",
-                        {obs::arg("job", static_cast<std::int64_t>(idx)),
-                         obs::arg("error", what)});
-    }
-}
-
 std::string what_of(const std::exception_ptr& ep) {
     try {
         std::rethrow_exception(ep);
@@ -51,11 +33,20 @@ std::string what_of(const std::exception_ptr& ep) {
     }
 }
 
+/// Publish one contained job failure.
+void record_job_error(const std::exception_ptr& ep, std::size_t idx) {
+    if (obs::metrics_enabled())
+        obs::Registry::global().counter("scheduler.job_errors").add(1);
+    if (obs::events_enabled())
+        obs::emit_event("job_error",
+                        {obs::arg("job", static_cast<std::int64_t>(idx)),
+                         obs::arg("error", what_of(ep))});
+}
+
 }  // namespace
 
 SchedulerStats Scheduler::run(std::vector<Job> jobs,
-                              const std::function<void(std::size_t)>& fn,
-                              ErrorPolicy policy) const {
+                              const std::function<void(std::size_t)>& fn) const {
     SchedulerStats stats;
     if (jobs.empty()) return stats;
 
@@ -67,15 +58,14 @@ SchedulerStats Scheduler::run(std::vector<Job> jobs,
                      });
 
     if (threads_ == 1 || jobs.size() == 1) {
-        // Same error-policy contract as the threaded path.  Inline jobs
-        // run on the caller's trace lane.
+        // Same error contract as the threaded path.  Inline jobs run on
+        // the caller's trace lane.
         if (obs::enabled_mask()) obs::set_lane_name("main");
         for (const Job& j : jobs) {
             try {
                 robust::hit("sched.job");  // injected-exception / crash site
                 fn(j.index);
             } catch (...) {
-                if (policy == ErrorPolicy::CancelCampaign) throw;
                 const std::exception_ptr ep = std::current_exception();
                 if (stats.failed_jobs == 0) stats.first_error = what_of(ep);
                 ++stats.failed_jobs;
@@ -99,7 +89,6 @@ SchedulerStats Scheduler::run(std::vector<Job> jobs,
     std::atomic<std::size_t> executed{0};
     std::atomic<std::size_t> steals{0};
     std::atomic<std::size_t> failed{0};
-    std::atomic<bool> cancelled{false};
     // First-exception slot: workers race to publish under the slot's
     // mutex; the post-join reads below reacquire it so the analysis (and
     // TSan) see one consistent discipline rather than a join-ordered
@@ -115,7 +104,6 @@ SchedulerStats Scheduler::run(std::vector<Job> jobs,
         if (obs::enabled_mask())
             obs::set_lane_name("worker-" + std::to_string(self));
         for (;;) {
-            if (cancelled.load(std::memory_order_relaxed)) return;
             std::size_t idx = 0;
             bool have = false, stolen = false;
             {
@@ -146,16 +134,12 @@ SchedulerStats Scheduler::run(std::vector<Job> jobs,
                 fn(idx);
             } catch (...) {
                 const std::exception_ptr ep = std::current_exception();
-                if (policy == ErrorPolicy::CancelCampaign)
-                    cancelled.store(true, std::memory_order_relaxed);
-                else
-                    failed.fetch_add(1, std::memory_order_relaxed);
+                failed.fetch_add(1, std::memory_order_relaxed);
                 {
                     MutexLock lk(err.mu);
                     if (!err.first) err.first = ep;
                 }
-                if (policy == ErrorPolicy::RecordAndContinue)
-                    record_job_error(ep, idx);
+                record_job_error(ep, idx);
             }
             executed.fetch_add(1, std::memory_order_relaxed);
         }
@@ -171,8 +155,6 @@ SchedulerStats Scheduler::run(std::vector<Job> jobs,
         // contract (and the analysis) exact instead of relying on the
         // happens-before edge of the joins.
         MutexLock lk(err.mu);
-        if (policy == ErrorPolicy::CancelCampaign && err.first)
-            std::rethrow_exception(err.first);
         if (err.first) stats.first_error = what_of(err.first);
     }
     stats.executed = executed.load();

@@ -36,27 +36,10 @@ struct Job {
 struct SchedulerStats {
     std::size_t executed = 0;  ///< jobs run (each job exactly once)
     std::size_t steals = 0;    ///< jobs taken from another worker's deque
-    /// Jobs whose closure threw under ErrorPolicy::RecordAndContinue (0
-    /// under CancelCampaign, where the first exception rethrows instead).
+    /// Jobs whose closure threw (each recorded, the queue kept draining).
     std::size_t failed_jobs = 0;
-    /// what() of the first recorded job exception (RecordAndContinue).
+    /// what() of the first recorded job exception.
     std::string first_error;
-};
-
-/// What Scheduler::run does when a job closure throws.
-enum class ErrorPolicy {
-    /// Cancel the campaign: jobs not yet started are abandoned and the
-    /// first exception is rethrown after every worker has stopped.  The
-    /// right policy when an exception means the whole campaign is doomed
-    /// (it must not burn hours of kernel time first).
-    CancelCampaign,
-    /// Contain the failure: record it (SchedulerStats::failed_jobs, obs
-    /// counter `scheduler.job_errors`, event `job_error`) and keep
-    /// draining the queue.  The campaign runners use this -- their per
-    /// -fault handling already retires a failing fault as failed or
-    /// quarantined, so anything reaching the scheduler is a last-resort
-    /// escape that must not kill the other faults' verdicts.
-    RecordAndContinue,
 };
 
 /// Aggregate statistics of one batch campaign: what the scheduler, the
@@ -118,7 +101,6 @@ struct BatchStats {
     std::size_t retries = 0;       ///< degraded re-attempts (retry ladder)
     std::size_t quarantined = 0;   ///< faults that exhausted the ladder
     std::size_t job_errors = 0;    ///< exceptions contained by the scheduler
-                                   ///< (RecordAndContinue policy)
     std::size_t store_errors = 0;  ///< store appends that failed and were
                                    ///< contained (verdict kept in memory)
     // -- multi-process fabric (filled by the supervisor, not the runner) ----
@@ -144,15 +126,15 @@ public:
 
     unsigned threads() const { return threads_; }
 
-    /// Execute fn(job.index) for every job.  A worker exception follows
-    /// `policy`: CancelCampaign (default, the historical contract)
-    /// abandons jobs not yet started, lets in-flight jobs finish, and
-    /// rethrows the first exception after all workers have stopped;
-    /// RecordAndContinue counts the failure and drains the rest of the
-    /// queue (see ErrorPolicy).
+    /// Execute fn(job.index) for every job.  A job that throws is
+    /// recorded (SchedulerStats::failed_jobs / first_error, obs counter
+    /// `scheduler.job_errors`, event `job_error`) and the rest of the
+    /// queue keeps draining: the campaign runners' per-fault handling
+    /// already retires a failing fault as failed or quarantined, so
+    /// anything reaching the scheduler is a last-resort escape that must
+    /// not kill the other faults' verdicts.
     SchedulerStats run(std::vector<Job> jobs,
-                       const std::function<void(std::size_t)>& fn,
-                       ErrorPolicy policy = ErrorPolicy::CancelCampaign) const;
+                       const std::function<void(std::size_t)>& fn) const;
 
 private:
     unsigned threads_ = 1;

@@ -21,16 +21,13 @@ CatReport run_cat(const netlist::Circuit& sim_circuit,
 
     // LVS: the extraction that produced the fault list must match the
     // schematic, otherwise the fault mapping is meaningless.
-    if (cfg.run_lvs) {
-        rep.lvs = netlist::compare_netlists(device_schematic,
-                                            rep.lift.extraction.circuit,
-                                            1e-2);
-        require(rep.lvs.equivalent,
-                "run_cat: extracted netlist does not match the schematic (" +
-                    (rep.lvs.diffs.empty() ? std::string("?")
-                                           : rep.lvs.diffs.front()) +
-                    ")");
-    }
+    rep.lvs = netlist::compare_netlists(device_schematic,
+                                        rep.lift.extraction.circuit, 1e-2);
+    require(rep.lvs.equivalent,
+            "run_cat: extracted netlist does not match the schematic (" +
+                (rep.lvs.diffs.empty() ? std::string("?")
+                                       : rep.lvs.diffs.front()) +
+                ")");
 
     // AnaFAULT campaign on the realistic fault list.
     rep.campaign = anafault::run_campaign(sim_circuit, rep.lift.faults,

@@ -35,7 +35,6 @@ struct CatConfig {
     lift::LiftOptions lift;
     lift::L2rfmOptions l2rfm;
     anafault::CampaignOptions campaign;
-    bool run_lvs = true;  ///< verify extraction against the schematic
 };
 
 /// Fault-list funnel of Fig. 1 (arrow widths).

@@ -100,6 +100,14 @@ FaultList all_schematic_faults(const Circuit& ckt) {
     return fl;
 }
 
+// Template geometry of a single-element layout (nm), used for the
+// per-element critical-area estimates: the gate length sets the
+// drain-source spacing, the terminal spacing the gate-to-terminal metal
+// spacing, the contact size the terminal contact.
+constexpr double kGateLengthNm = 2000.0;
+constexpr double kTerminalSpacingNm = 2000.0;
+constexpr double kContactSizeNm = 2000.0;
+
 FaultList l2rfm_faults(const Circuit& ckt, const L2rfmOptions& opt) {
     FaultList fl;
     fl.circuit = ckt.title;
@@ -141,7 +149,7 @@ FaultList l2rfm_faults(const Circuit& ckt, const L2rfmOptions& opt) {
                     // Plates face each other over the full perimeter; use a
                     // generous facing length (100 um template).
                     s.probability = model.bridge_probability(
-                        *m_diff_short, 100000.0, opt.terminal_spacing_nm);
+                        *m_diff_short, 100000.0, kTerminalSpacingNm);
                     push(std::move(s));
                 }
                 Fault o;
@@ -150,7 +158,7 @@ FaultList l2rfm_faults(const Circuit& ckt, const L2rfmOptions& opt) {
                 o.net = d.nodes[0];
                 o.group_b = {{d.name, 0}};
                 o.probability = model.cut_probability(
-                    *m_cd_open, opt.contact_size_nm, opt.contact_size_nm);
+                    *m_cd_open, kContactSizeNm, kContactSizeNm);
                 push(std::move(o));
             }
             continue;
@@ -166,8 +174,7 @@ FaultList l2rfm_faults(const Circuit& ckt, const L2rfmOptions& opt) {
             f.net_a = std::min(d.drain(), d.source_node());
             f.net_b = std::max(d.drain(), d.source_node());
             f.probability =
-                model.bridge_probability(*m_diff_short, w_nm,
-                                         opt.gate_length_nm);
+                model.bridge_probability(*m_diff_short, w_nm, kGateLengthNm);
             push(std::move(f));
         }
         // Gate to drain / source bridges: poly flank faces the terminal
@@ -181,7 +188,7 @@ FaultList l2rfm_faults(const Circuit& ckt, const L2rfmOptions& opt) {
             f.net_a = std::min(d.gate(), n);
             f.net_b = std::max(d.gate(), n);
             f.probability = model.bridge_probability(
-                *m_poly_short, w_nm, opt.terminal_spacing_nm);
+                *m_poly_short, w_nm, kTerminalSpacingNm);
             push(std::move(f));
         }
         // Terminal opens: drain/source from contact clusters, gate from
@@ -192,11 +199,9 @@ FaultList l2rfm_faults(const Circuit& ckt, const L2rfmOptions& opt) {
             f.mechanism = "l2_contact_open";
             f.net = d.nodes[static_cast<std::size_t>(t)];
             f.group_b = {{d.name, t}};
-            const double c = opt.contact_size_nm;
-            f.probability =
-                opt.redundant_contacts
-                    ? model.cut_probability(*m_cd_open, c, 3 * c)
-                    : model.cut_probability(*m_cd_open, c, c);
+            // A double contact: two contacts and their gap, 3 sizes long.
+            f.probability = model.cut_probability(
+                *m_cd_open, kContactSizeNm, 3 * kContactSizeNm);
             push(std::move(f));
         }
         {
@@ -207,7 +212,7 @@ FaultList l2rfm_faults(const Circuit& ckt, const L2rfmOptions& opt) {
             f.group_b = {{d.name, 1}};
             // Poly neck: ~4 um of minimum-width poly in the template.
             f.probability = model.open_probability(*m_poly_open, 4000.0,
-                                                   opt.gate_length_nm);
+                                                   kGateLengthNm);
             push(std::move(f));
         }
     }

@@ -31,14 +31,6 @@ FaultList all_schematic_faults(const netlist::Circuit& ckt);
 struct L2rfmOptions {
     defects::DefectModel model = defects::DefectModel::date95();
     double p_min = 5e-9;
-    /// Template geometry of a single-element layout (nm), used for the
-    /// per-element critical-area estimates: gate length sets the
-    /// drain-source spacing, `terminal_spacing` the gate-to-terminal metal
-    /// spacing, `contact_size` the terminal contact.
-    double gate_length_nm = 2000.0;
-    double terminal_spacing_nm = 2000.0;
-    double contact_size_nm = 2000.0;
-    bool redundant_contacts = true;  ///< cells drawn with double contacts
 };
 
 /// Pre-layout realistic faults per element.

@@ -564,15 +564,22 @@ void Simulator::solve_work() {
             x_new_[0] = std::numeric_limits<double>::quiet_NaN();
 }
 
+constexpr double kAbstol = 1e-9;  ///< current convergence floor [A]
+constexpr double kVntol = 1e-6;   ///< voltage convergence floor [V]
+constexpr int kMaxNr = 150;       ///< NR iteration cap per solve
+/// Largest voltage change per NR iteration [V]: the transient's limit and
+/// the first rung of the DC damping ladder.
+constexpr double kDvLimit = 1.0;
+
 bool Simulator::newton(std::vector<double>& x, double h, double t, bool dc,
-                       double src_scale, double extra_gmin, int max_iter) {
+                       double src_scale, double extra_gmin, double dv_limit) {
     obs::Span sp(obs::Phase::Newton);
     robust::hit("kernel.newton");  // hang/exception injection site
     const std::size_t n = n_nodes_ + n_branches_;
     ensure_static(dc, h, extra_gmin);
     build_rhs_base(dc, h, t, src_scale);
 
-    for (int it = 0; it < max_iter; ++it) {
+    for (int it = 0; it < kMaxNr; ++it) {
         if (can_bypass(x)) {
             // Modified Newton: the device linearizations and the
             // factorization are reused; only the rhs is fresh.
@@ -593,14 +600,14 @@ bool Simulator::newton(std::vector<double>& x, double h, double t, bool dc,
         bool limited = false;
         for (std::size_t i = 0; i < n; ++i) {
             double dv = x_new_[i] - x[i];
-            if (i < n_nodes_ && std::fabs(dv) > opt_.dv_limit) {
-                dv = std::copysign(opt_.dv_limit, dv);
+            if (i < n_nodes_ && std::fabs(dv) > dv_limit) {
+                dv = std::copysign(dv_limit, dv);
                 limited = true;
             }
             x[i] += dv;
             const double tol = (i < n_nodes_)
-                                   ? opt_.vntol + opt_.reltol * std::fabs(x[i])
-                                   : opt_.abstol + opt_.reltol * std::fabs(x[i]);
+                                   ? kVntol + opt_.reltol * std::fabs(x[i])
+                                   : kAbstol + opt_.reltol * std::fabs(x[i]);
             max_rel = std::max(max_rel, std::fabs(dv) / tol);
             if (!std::isfinite(x[i]) || std::fabs(x[i]) > 1e9) return false;
         }
@@ -640,7 +647,7 @@ DcResult Simulator::dc_op_impl(const std::vector<double>* warm) {
     // ladder below stays as the fallback.
     if (warm) {
         x = *warm;
-        if (newton(x, 0.0, 0.0, /*dc=*/true, 1.0, 0.0, opt_.max_nr)) {
+        if (newton(x, 0.0, 0.0, /*dc=*/true, 1.0, 0.0, kDvLimit)) {
             res.converged = true;
             res.strategy = "warm";
             const std::size_t spent = stats_.nr_iterations - it_entry;
@@ -656,17 +663,10 @@ DcResult Simulator::dc_op_impl(const std::vector<double>* warm) {
         // circuits (the VCO's Schmitt trigger) limit-cycle under a generous
         // voltage step but converge cleanly once the per-iteration update is
         // clamped harder.
-        const double dv_ladder[] = {opt_.dv_limit, 0.5, 0.2};
-        const double dv_saved = opt_.dv_limit;
-
-        for (double dv : dv_ladder) {
-            if (res.converged) break;
-            if (dv > dv_saved) continue;
-            opt_.dv_limit = dv;
-
+        for (const double dv : {kDvLimit, 0.5, 0.2}) {
             // Strategy 1: plain Newton.
             x.assign(n, 0.0);
-            if (newton(x, 0.0, 0.0, /*dc=*/true, 1.0, 0.0, opt_.max_nr)) {
+            if (newton(x, 0.0, 0.0, /*dc=*/true, 1.0, 0.0, dv)) {
                 res.converged = true;
                 res.strategy = "nr";
                 break;
@@ -676,12 +676,12 @@ DcResult Simulator::dc_op_impl(const std::vector<double>* warm) {
             x.assign(n, 0.0);
             bool ok = true;
             for (double g = 1e-2; g >= 1e-13; g *= 0.1) {
-                if (!newton(x, 0.0, 0.0, true, 1.0, g, opt_.max_nr)) {
+                if (!newton(x, 0.0, 0.0, true, 1.0, g, dv)) {
                     ok = false;
                     break;
                 }
             }
-            if (ok && newton(x, 0.0, 0.0, true, 1.0, 0.0, opt_.max_nr)) {
+            if (ok && newton(x, 0.0, 0.0, true, 1.0, 0.0, dv)) {
                 res.converged = true;
                 res.strategy = "gmin";
                 break;
@@ -691,8 +691,7 @@ DcResult Simulator::dc_op_impl(const std::vector<double>* warm) {
             x.assign(n, 0.0);
             ok = true;
             for (double s = 0.05; s <= 1.0 + 1e-12; s += 0.05) {
-                if (!newton(x, 0.0, 0.0, true, std::min(s, 1.0), 0.0,
-                            opt_.max_nr)) {
+                if (!newton(x, 0.0, 0.0, true, std::min(s, 1.0), 0.0, dv)) {
                     ok = false;
                     break;
                 }
@@ -703,7 +702,6 @@ DcResult Simulator::dc_op_impl(const std::vector<double>* warm) {
                 break;
             }
         }
-        opt_.dv_limit = dv_saved;
         // The cold cost baselines future warm starts of this simulator.
         if (res.converged) last_cold_nr_ = stats_.nr_iterations - it_cold;
     }
@@ -926,6 +924,11 @@ Waveforms Simulator::tran(const netlist::TranSpec& spec) {
     return tran(spec, StepObserver{});
 }
 
+/// Halvings of one grid interval's step before a transient gives up.
+constexpr int kMaxStepCuts = 10;
+/// Largest number of grid intervals one adaptive step may span.
+constexpr std::size_t kMaxStride = 64;
+
 Waveforms Simulator::tran(const netlist::TranSpec& spec,
                           const StepObserver& observer) {
     require(spec.tstep > 0 && spec.tstop > spec.tstart,
@@ -1007,7 +1010,7 @@ Waveforms Simulator::tran(const netlist::TranSpec& spec,
                     opt_.method = Method::BackwardEuler;
                 x_try_ = x;
                 const bool ok = newton(x_try_, dt, tc + dt, /*dc=*/false, 1.0,
-                                       0.0, opt_.max_nr);
+                                       0.0, kDvLimit);
                 if (ok) {
                     x = x_try_;
                     update_cap_history(x, dt);
@@ -1020,7 +1023,7 @@ Waveforms Simulator::tran(const netlist::TranSpec& spec,
                 opt_.method = user_method;
                 ++cuts;
                 ++stats_.step_cuts;
-                require(cuts <= opt_.max_step_cuts,
+                require(cuts <= kMaxStepCuts,
                         "transient failed to converge at t=" +
                             std::to_string(tc + dt));
                 dt *= 0.5;
@@ -1065,10 +1068,7 @@ Waveforms Simulator::tran(const netlist::TranSpec& spec,
     double h_prev = 0.0;
     bool have_prev = false;
     std::size_t stride = 1;
-    const std::size_t max_stride =
-        (opt_.adaptive && opt_.max_stride > 1)
-            ? static_cast<std::size_t>(opt_.max_stride)
-            : 1;
+    const std::size_t max_stride = opt_.adaptive ? kMaxStride : 1;
 
     std::size_t k = 0;          // completed grid intervals
     double t_k = spec.tstart;   // time of the last recorded grid sample
@@ -1097,7 +1097,7 @@ Waveforms Simulator::tran(const netlist::TranSpec& spec,
             for (std::size_t i = 0; i < n; ++i)
                 x_try_[i] += (x[i] - x_prev[i]) * slope;
             if (newton(x_try_, dt, t_target, /*dc=*/false, 1.0, 0.0,
-                       opt_.max_nr)) {
+                       kDvLimit)) {
                 ratio = lte_ratio(x_prev, h_prev, x, x_try_, dt);
                 if (ratio <= 1.0) {
                     // Accepted: the LTE bound certifies the solution is

@@ -28,7 +28,7 @@
 //    the predictor error is a divided-difference curvature estimate, the
 //    standard LTE proxy).  Steps whose LTE ratio exceeds 1 are rejected
 //    and halved; well-predicted steps let the stride grow geometrically up
-//    to `max_stride` grid intervals, so quiescent tails integrate in a
+//    to 64 grid intervals, so quiescent tails integrate in a
 //    handful of solves.  A stride is only attempted when every independent
 //    source is linear across it (sources are sampled at the stride
 //    endpoint, so a pulse edge inside a stride would otherwise be
@@ -107,12 +107,7 @@ enum class Method { BackwardEuler, Trapezoidal };
 struct SimOptions {
     double gmin = 1e-12;    ///< conductance to ground on every node [S]
     double cmin = 1e-15;    ///< transient-only cap to ground per node [F]
-    double abstol = 1e-9;   ///< current convergence floor [A]
-    double vntol = 1e-6;    ///< voltage convergence floor [V]
     double reltol = 1e-3;   ///< relative convergence tolerance
-    double dv_limit = 1.0;  ///< max voltage change per NR iteration [V]
-    int max_nr = 150;       ///< NR iteration cap per solve
-    int max_step_cuts = 10; ///< transient: halvings of the step on failure
     Method method = Method::Trapezoidal;
     bool uic = false;       ///< transient: skip DC OP, start from 0 / .ic
 
@@ -124,8 +119,6 @@ struct SimOptions {
     /// the predictor error on every node stays below
     /// lte_tol * max(1 V, |v|); growth is attempted below a quarter of it.
     double lte_tol = 5e-3;
-    /// Largest number of grid intervals one adaptive step may span.
-    int max_stride = 64;
 
     // -- kernel selection ---------------------------------------------------
     /// Unknown count at or above which the sparse kernel replaces dense
@@ -174,8 +167,8 @@ struct SimOptions {
 
     // -- per-analysis execution budgets (0 = unlimited) ---------------------
     // A pathological faulty circuit must not grind a campaign worker
-    // forever: max_nr bounds one Newton solve, but nothing above it bounds
-    // the DC strategy ladder, the gmin/source stepping loops or a
+    // forever: an iteration cap bounds one Newton solve, but nothing above
+    // it bounds the DC strategy ladder, the gmin/source stepping loops or a
     // transient that limps through millions of tiny steps.  Each budget
     // covers one analysis (a tran, an AC sweep, or one dc_op with its
     // whole strategy ladder); exhaustion throws the typed BudgetExceeded
@@ -481,10 +474,11 @@ private:
     /// Solve the factored system for rhs_ into x_new_.
     void solve_work();
 
-    /// Newton loop at fixed (h, t).  Returns true on convergence; x is
+    /// Newton loop at fixed (h, t), each node's update clamped to
+    /// `dv_limit` volts per iteration.  Returns true on convergence; x is
     /// updated in place.
     bool newton(std::vector<double>& x, double h, double t, bool dc,
-                double src_scale, double extra_gmin, int max_iter);
+                double src_scale, double extra_gmin, double dv_limit);
 
     /// Shared DC solve: warm NR first when `warm` is non-null, then the
     /// cold strategy ladder.

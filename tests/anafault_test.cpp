@@ -358,11 +358,13 @@ TEST(Campaign, CoverageCurveMonotonic) {
         f.kind = lift::FaultKind::LocalShort;
         f.mechanism = "m";
         f.probability = 1e-8;
-        f.net_a = i == 0 ? "out" : "in";
-        f.net_b = "0";
+        // Constructed, not assigned from a char pointer: GCC 12 -Wrestrict
+        // noise.
+        f.net_a = std::string(i == 0 ? "out" : "in");
+        f.net_b = std::string("0");
         if (i == 2) {
-            f.net_a = "in";
-            f.net_b = "out";
+            f.net_a = std::string("in");
+            f.net_b = std::string("out");
         }
         fl.faults.push_back(f);
     }

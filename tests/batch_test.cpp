@@ -152,16 +152,6 @@ TEST(Scheduler, SerialRunsHighestPriorityFirst) {
     EXPECT_EQ(order, (std::vector<std::size_t>{1, 3, 2, 0}));
 }
 
-TEST(Scheduler, PropagatesWorkerException) {
-    std::vector<batch::Job> jobs = {{0, 1.0}, {1, 0.5}};
-    const batch::Scheduler sched(2);
-    EXPECT_THROW(sched.run(jobs,
-                           [&](std::size_t i) {
-                               if (i == 1) throw Error("boom");
-                           }),
-                 Error);
-}
-
 TEST(Scheduler, RecordAndContinueDrainsQueueOnError) {
     const std::size_t n = 50;
     std::vector<batch::Job> jobs;
@@ -176,8 +166,7 @@ TEST(Scheduler, RecordAndContinueDrainsQueueOnError) {
             [&](std::size_t i) {
                 ++hits[i];
                 if (i % 10 == 3) throw Error("boom " + std::to_string(i));
-            },
-            batch::ErrorPolicy::RecordAndContinue);
+            });
         // Every job ran exactly once -- the five throwers were recorded,
         // not allowed to cancel the rest of the queue.
         EXPECT_EQ(stats.executed, n);

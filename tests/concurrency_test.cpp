@@ -256,9 +256,9 @@ TEST(ConcurrencyTest, FailpointHitDuringArmDisarm) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler error bookkeeping: concurrent failing jobs under
-// ContinueCampaign must publish exactly one first_error and count every
-// failure (the err_mu-guarded state the annotations cover).
+// Scheduler error bookkeeping: concurrent failing jobs must publish
+// exactly one first_error and count every failure (the err_mu-guarded
+// state the annotations cover).
 
 TEST(ConcurrencyTest, SchedulerFirstErrorPublication) {
     constexpr std::size_t kJobs = 200;
@@ -273,8 +273,7 @@ TEST(ConcurrencyTest, SchedulerFirstErrorPublication) {
             ran.fetch_add(1, std::memory_order_relaxed);
             if (idx % 3 == 0)
                 throw std::runtime_error("job " + std::to_string(idx));
-        },
-        batch::ErrorPolicy::RecordAndContinue);
+        });
     EXPECT_EQ(ran.load(), kJobs);
     EXPECT_EQ(stats.executed, kJobs);
     EXPECT_EQ(stats.failed_jobs, (kJobs + 2) / 3);

@@ -32,6 +32,8 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 using namespace catlift;
@@ -409,9 +411,16 @@ TYPED_TEST_SUITE(DriverContract, Analyses);
 TYPED_TEST(DriverContract, LadderWalksToQuarantineWithOneBasedRetries) {
     using Case = TypeParam;
     typename Case::Options opt = Case::options();
-    opt.max_retries = 2;
+    opt.max_retries = 3;
     lift::FaultList fl = divider_faults();
     fl.faults.resize(1);
+    // The fixed-grid rung changes only the transient's stepping: DC and AC
+    // skip it, and the dense rung becomes their third attempt.
+    using Retries = std::vector<std::pair<std::int64_t, std::string>>;
+    const bool tran = std::is_same_v<Case, TranCase>;
+    const Retries want =
+        tran ? Retries{{2, "no-bypass"}, {3, "fixed-grid"}, {4, "dense"}}
+             : Retries{{2, "no-bypass"}, {3, "dense"}};
 
     const std::uint64_t h = this->nominal_hits(opt).first;
     ASSERT_GT(h, 0u);
@@ -427,19 +436,23 @@ TYPED_TEST(DriverContract, LadderWalksToQuarantineWithOneBasedRetries) {
     const batch::FaultSimResult r = Case::record(res.results[0]);
     EXPECT_FALSE(r.simulated);
     EXPECT_TRUE(r.quarantined);
-    EXPECT_EQ(r.attempts, 3u);  // base + 2 retries
-    ASSERT_NE(r.retry_log.find("[fixed-grid]"), std::string::npos);
+    EXPECT_EQ(r.attempts, 1 + want.size());  // base + the retries
+    EXPECT_EQ(r.retry_log.find("[fixed-grid]") != std::string::npos, tran)
+        << r.retry_log;
     EXPECT_LT(r.retry_log.find("[base]"), r.retry_log.find("[no-bypass]"));
-    EXPECT_LT(r.retry_log.find("[no-bypass]"),
-              r.retry_log.find("[fixed-grid]"));
+    EXPECT_LT(r.retry_log.find("[no-bypass]"), r.retry_log.find("[dense]"));
+    EXPECT_NE(r.retry_log.find("attempt " + std::to_string(r.attempts) +
+                               " [dense]"),
+              std::string::npos)
+        << r.retry_log;
     EXPECT_EQ(res.quarantined(), 1u);
     EXPECT_EQ(res.failed(), 0u);
-    EXPECT_EQ(res.batch.retries, 2u);
+    EXPECT_EQ(res.batch.retries, want.size());
     EXPECT_EQ(res.batch.quarantined, 1u);
     EXPECT_EQ(res.batch.job_errors, 0u);
 
     // fault_retry numbers attempts 1-based: the second attempt is 2.
-    std::vector<std::pair<std::int64_t, std::string>> retries;
+    Retries retries;
     std::size_t quarantined_events = 0, scheduled_events = 0;
     for (const obs::CaptureSink::Captured& ev : sink->take()) {
         if (ev.name == "fault_quarantined") ++quarantined_events;
@@ -453,8 +466,6 @@ TYPED_TEST(DriverContract, LadderWalksToQuarantineWithOneBasedRetries) {
         }
         retries.emplace_back(attempt, config);
     }
-    const std::vector<std::pair<std::int64_t, std::string>> want = {
-        {2, "no-bypass"}, {3, "fixed-grid"}};
     EXPECT_EQ(retries, want);
     EXPECT_EQ(quarantined_events, 1u);
     EXPECT_EQ(scheduled_events, 1u);

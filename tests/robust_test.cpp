@@ -3,7 +3,9 @@
 // quarantined verdict's persistence and cross-revision carry, torn-write
 // resume, and the offline store repair command.
 
+#include "anafault/ac_campaign.h"
 #include "anafault/campaign.h"
+#include "anafault/dc_campaign.h"
 #include "anafault/incremental.h"
 #include "anafault/retry.h"
 #include "batch/result_store.h"
@@ -288,6 +290,73 @@ TEST_F(Failpoints, LadderExhaustionQuarantinesTheFault) {
     EXPECT_EQ(res.batch.retries, 2u);
     EXPECT_EQ(res.batch.quarantined, 1u);
     EXPECT_EQ(res.batch.job_errors, 0u);  // contained per fault, not per job
+}
+
+namespace {
+
+/// Run `run` over the one-fault list with every Newton solve after the
+/// nominal analysis throwing at entry (the nominal's hits are counted on
+/// an empty list with a never-firing window first).
+template <class Run>
+auto run_with_failing_fault(const Run& run) {
+    robust::disarm_all();
+    robust::arm("kernel.newton=error@1000000000");
+    run(lift::FaultList{/*circuit=*/"divider", /*faults=*/{}});
+    const std::uint64_t h = hits_of("kernel.newton");
+    robust::disarm_all();
+    robust::arm("kernel.newton=error@" + std::to_string(h + 1));
+    return run(one_fault_list());
+}
+
+/// The whole DC/AC ladder at max_retries 4: base, no-bypass, dense,
+/// gmin-x10.  The fixed-grid rung changes only the transient's stepping,
+/// so it would repeat the no-bypass solve; it is skipped.
+void expect_ladder_without_fixed_grid(const batch::FaultSimResult& r,
+                                      const batch::BatchStats& b) {
+    EXPECT_FALSE(r.simulated);
+    EXPECT_TRUE(r.quarantined);
+    EXPECT_EQ(r.attempts, 4u);
+    EXPECT_EQ(r.retry_log.find("[fixed-grid]"), std::string::npos)
+        << r.retry_log;
+    EXPECT_NE(r.retry_log.find("attempt 3 [dense]"), std::string::npos)
+        << r.retry_log;
+    EXPECT_NE(r.retry_log.find("attempt 4 [gmin-x10]"), std::string::npos)
+        << r.retry_log;
+    EXPECT_EQ(b.retries, 3u);
+    EXPECT_EQ(b.quarantined, 1u);
+}
+
+} // namespace
+
+TEST_F(Failpoints, DcLadderSkipsTheFixedGridRung) {
+    const Circuit c = divider_fixture();
+    DcScreenOptions opt;
+    opt.observed = {"out"};
+    opt.max_retries = 4;
+    const DcScreenResult res = run_with_failing_fault(
+        [&](const lift::FaultList& fl) { return run_dc_screen(c, fl, opt); });
+    ASSERT_EQ(res.results.size(), 1u);
+    expect_ladder_without_fixed_grid(dc_to_record(res.results[0]),
+                                     res.batch);
+}
+
+TEST_F(Failpoints, AcLadderSkipsTheFixedGridRung) {
+    Circuit c = divider_fixture();
+    SourceSpec v1 = SourceSpec::make_dc(5.0);
+    v1.ac_mag = 1.0;
+    c.devices.front().source = v1;  // V1, AC-driven
+    AcCampaignOptions opt;
+    opt.observed = {"out"};
+    opt.sweep.fstart = 1e3;
+    opt.sweep.fstop = 1e8;
+    opt.max_retries = 4;
+    const AcCampaignResult res = run_with_failing_fault(
+        [&](const lift::FaultList& fl) {
+            return run_ac_campaign(c, fl, opt);
+        });
+    ASSERT_EQ(res.results.size(), 1u);
+    expect_ladder_without_fixed_grid(ac_to_record(res.results[0]),
+                                     res.batch);
 }
 
 TEST_F(Failpoints, InjectedOutOfRangeIsContainedAsFailed) {

@@ -253,8 +253,9 @@ const Flag kFlags[] = {
      "per-fault transient-step budget (0 = unlimited)",
      [](Cli& c, Arg a) { c.opt.sim.max_tran_steps = a.count(0, LLONG_MAX); }},
     {"--max-retries", "n", kCampaign,
-     "degraded re-attempts before quarantine (default 4; 0 = first failure "
-     "retires the fault as failed)",
+     "last retry-ladder rung before quarantine (default 4; DC and AC skip "
+     "the transient-only rung 2; 0 = first failure retires the fault as "
+     "failed)",
      [](Cli& c, Arg a) { c.opt.max_retries = a.count(0, INT_MAX); }},
     {"--store-durability", "d", kCampaign,
      "flush (default: survives process death) | fsync (survives power "
