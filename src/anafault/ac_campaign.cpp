@@ -24,7 +24,7 @@ std::uint64_t ac_campaign_manifest(const Circuit& ckt,
     field(std::to_string(opt.sweep.points_per_decade));
     field(manifest_double(opt.db_tol));
     for (const std::string& n : opt.observed) field(n);
-    o += run_signature(opt, opt.early_abort ? "abort" : "noabort");
+    o += run_signature(opt, "abort");
     return batch::fnv1a(o, h);
 }
 
@@ -117,11 +117,9 @@ Attempt AcPolicy::attempt(const Circuit& faulty,
                           AcFaultResult& r) const {
     AcStreamingDetector detector(*nominal_ac, opt.observed, opt.db_tol);
     spice::Simulator sim(faulty, sim_opt);
-    const spice::AcPointObserver observer =
-        [&](double, const spice::AcResult& partial) {
-            return !(detector.feed(partial) && opt.early_abort);
-        };
-    sim.ac(opt.sweep, observer);
+    sim.ac(opt.sweep, [&](double, const spice::AcResult& partial) {
+        return !detector.feed(partial);
+    });
     r.simulated = true;
     r.detected = detector.detected();
     r.detect_freq = detector.detect_freq();

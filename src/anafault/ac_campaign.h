@@ -8,11 +8,11 @@
 // dB tolerance anywhere in the sweep.
 //
 // The sweep is streamed through an AcStreamingDetector wired into the
-// kernel's per-frequency-point observer: with early abort on (default) a
-// faulty sweep stops at its first dB violation instead of computing the
-// rest of the axis, as the transient campaign does in the time domain.
-// Verdict and first-violation frequency are identical either way; only
-// max_deviation_db is then reported up to the abort point.
+// kernel's per-frequency-point observer: a faulty sweep always stops at
+// its first dB violation instead of computing the rest of the axis, as the
+// transient campaign does in the time domain.  Verdict and first-violation
+// frequency equal those of the full sweep; max_deviation_db is reported
+// up to the abort point.
 //
 // The AC campaign is a policy of the one campaign driver
 // (anafault/driver.h): the nominal sweep, one faulty sweep per attempt and
@@ -20,9 +20,9 @@
 // the retry ladder, events and the incremental engine come from the
 // driver.  Its options, per-fault result and campaign result derive from
 // the shared RunOptions, FaultOutcome and CampaignOutput (campaign.h) and
-// declare only the sweep, the dB detection and early abort.  The store
-// binds to ac_campaign_manifest(); in a record detect_time carries the
-// detection *frequency* [Hz] and metric the worst dB deviation.
+// declare only the sweep and the dB detection.  The store binds to
+// ac_campaign_manifest(); in a record detect_time carries the detection
+// *frequency* [Hz] and metric the worst dB deviation.
 
 #pragma once
 
@@ -39,9 +39,6 @@ struct AcCampaignOptions : RunOptions {
     spice::AcSpec sweep;
     std::vector<std::string> observed = {"out"};
     double db_tol = 3.0;  ///< magnitude deviation tolerance [dB]
-    /// Stop each faulty sweep at its first dB-tolerance violation instead
-    /// of computing every frequency point (verdicts are unchanged).
-    bool early_abort = true;
 };
 
 struct AcFaultResult : FaultOutcome {

@@ -35,12 +35,13 @@ std::string sim_knob_signature(const spice::SimOptions& sim) {
     o += sim.uic ? "|uic" : "|op";
     // Every solver knob alters waveforms (and hence verdicts) -- a store
     // written under different numerics must never be resumed.
-    // The literals are the kernel's fixed constants (abstol, vntol, the
-    // 1 V NR step limit, 150 NR iterations, 10 step cuts, stride cap 64)
-    // as they printed when they were options: every store keeps its hash.
-    o += "|" + hexd(sim.gmin) + "|" + hexd(sim.cmin);
+    // The literals are the kernel's fixed constants (cmin 1 fF, abstol,
+    // vntol, reltol 1e-3, the 1 V NR step limit, 150 NR iterations, 10
+    // step cuts, stride cap 64) as they printed when they were options:
+    // every store keeps its hash.
+    o += "|" + hexd(sim.gmin) + "|0x1.203af9ee75616p-50";
     o += "|0x1.12e0be826d695p-30|0x1.0c6f7a0b5ed8dp-20";
-    o += "|" + hexd(sim.reltol) + "|0x1p+0";
+    o += "|0x1.0624dd2f1a9fcp-10|0x1p+0";
     o += "|150|10";
     // Adaptive stepping changes the waveforms (within LTE tolerance, but
     // changed is changed): a store written under the other stepping mode
@@ -72,19 +73,18 @@ std::string sim_knob_signature(const spice::SimOptions& sim) {
 }
 
 std::string injection_signature(const RunOptions& opt) {
-    return std::string(to_string(opt.injection.model)) + "|" +
-           hexd(opt.injection.short_resistance) + "|" +
-           hexd(opt.injection.open_resistance);
+    // The paper's fixed element values, 0.01 Ohm shorts and 100 MOhm
+    // opens, as they printed when they were options.
+    return std::string(to_string(opt.injection.model)) +
+           "|0x1.47ae147ae147bp-7|0x1.7d784p+26";
 }
 
 std::string run_signature(const RunOptions& opt, const char* mode) {
     std::string o = sim_knob_signature(opt.sim);
     o += opt.share_symbolic ? "|sharesym" : "|nosharesym";
-    // Engine shortcuts do not change verdicts, but a user toggling them
-    // (e.g. --no-collapse to rule out a collapse bug) wants faults
-    // actually re-simulated -- treat the store as foreign.
-    o += opt.collapse ? "|collapse" : "|nocollapse";
-    o += "|";
+    // The engine shortcuts (collapsing, the analysis' own `mode`) have no
+    // off switch; their tokens keep every manifest's hash.
+    o += "|collapse|";
     o += mode;
     // The retry ladder can converge a fault the base config fails, so a
     // store written under a different retry depth is foreign.
@@ -104,12 +104,12 @@ std::uint64_t manifest_hash(const Circuit& ckt,
         batch::fnv1a(netlist::write_spice(ckt)), metas);
     std::string o = injection_signature(opt);
     o += "|" + hexd(opt.detection.v_tol) + "|" + hexd(opt.detection.t_tol);
-    o += "|" + hexd(opt.detection.i_tol);
+    o += "|0x1.47ae147ae147bp-7";  // the fixed 10 mA supply tolerance
     for (const std::string& n : opt.detection.observed) o += "|" + n;
     for (const std::string& s : opt.detection.observed_supplies)
         o += "|i:" + s;
     o += "|" + hexd(ts.tstep) + "|" + hexd(ts.tstop) + "|" + hexd(ts.tstart);
-    o += run_signature(opt, opt.early_abort ? "abort" : "noabort");
+    o += run_signature(opt, "abort");
     return batch::fnv1a(o, h);
 }
 
@@ -220,47 +220,32 @@ void TranPolicy::from_nominal(const batch::NominalRecord& rec,
 }
 
 /// Run one mutated circuit against the shared nominal baseline, streaming
-/// every accepted step into the detector so the run can stop at the first
-/// confirmed detection.
+/// every accepted step into the detector so the run stops at the first
+/// confirmed detection.  A solver failure propagates to the driver, which
+/// retires the attempt as a retryable failure; it cannot follow a
+/// detection, because the run ends at the detecting sample.
 Attempt TranPolicy::attempt(const Circuit& faulty,
                             const spice::SimOptions& sim_opt,
                             FaultSimResult& r) const {
-    std::optional<StreamingDetector> detector;
-    try {
-        detector.emplace(*nominal_wf, opt.detection);
-        Simulator sim(faulty, sim_opt);
-        r.matrix_size = sim.unknowns();
-        const spice::StepObserver observer =
-            [&](double, const Waveforms& wf) {
-                return !(detector->feed(wf) && opt.early_abort);
-            };
-        sim.tran(ts, observer);
-        r.nr_iterations = sim.stats().nr_iterations;
-        r.steps_saved = sim.stats().steps_saved;
-        r.steps_integrated = sim.stats().tran_steps;
-        r.steps_interpolated = sim.stats().grid_points_interpolated;
-        r.bypass_solves = sim.stats().bypass_solves;
-        r.sparse_refactors = sim.stats().sparse_refactors;
-        r.device_stamp_skips = sim.stats().device_stamp_skips;
-        r.symbolic_cache_hits = sim.stats().symbolic_cache_hits;
-        r.ordering_seconds = sim.stats().ordering_seconds;
-        r.numeric_seconds = sim.stats().numeric_seconds;
-        r.simulated = true;
-        r.detect_time = detector->detect_time();
-    } catch (const std::exception& e) {
-        r.error = e.what();
-        // Detection is confirmed the instant the cumulative mismatch
-        // crosses t_tol; a solver failure later in the run cannot
-        // un-detect it.  Keeping the verdict makes early-abort on/off
-        // agree even when the faulty circuit stops converging after the
-        // detection instant (with early abort the failure is never
-        // reached at all).
-        if (detector && detector->detected()) {
-            r.detect_time = detector->detect_time();
-            r.simulated = true;
-        }
-    }
-    return {r.simulated, true};
+    StreamingDetector detector(*nominal_wf, opt.detection);
+    Simulator sim(faulty, sim_opt);
+    r.matrix_size = sim.unknowns();
+    sim.tran(ts, [&](double, const Waveforms& wf) {
+        return !detector.feed(wf);
+    });
+    r.nr_iterations = sim.stats().nr_iterations;
+    r.steps_saved = sim.stats().steps_saved;
+    r.steps_integrated = sim.stats().tran_steps;
+    r.steps_interpolated = sim.stats().grid_points_interpolated;
+    r.bypass_solves = sim.stats().bypass_solves;
+    r.sparse_refactors = sim.stats().sparse_refactors;
+    r.device_stamp_skips = sim.stats().device_stamp_skips;
+    r.symbolic_cache_hits = sim.stats().symbolic_cache_hits;
+    r.ordering_seconds = sim.stats().ordering_seconds;
+    r.numeric_seconds = sim.stats().numeric_seconds;
+    r.simulated = true;
+    r.detect_time = detector.detect_time();
+    return {true, true};
 }
 
 void TranPolicy::publish(const FaultSimResult& r, const FaultObs& o) {

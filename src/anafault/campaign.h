@@ -13,6 +13,10 @@
 // The transient campaign below is one of its three policies; the AC sweep
 // (ac_campaign.h) and the DC screen (dc_campaign.h) are the other two and
 // share its store, resume, collapsing, retry ladder and events.
+// Two ERASER-style trims always run, verdict-identical to the untrimmed
+// cycle: one simulation per class of faults with one electrical effect
+// (batch/collapse.h), and every faulty run stops at its first confirmed
+// detection (StreamingDetector).
 //
 // This header also declares the vocabulary the three analyses share, once:
 // RunOptions (the execution options every option struct derives from),
@@ -53,9 +57,6 @@ struct RunOptions {
     // work-stealing scheduler retires identical verdicts at any
     // worker count (pinned by batch_test.cpp determinism cases).
     unsigned threads = 1;
-    /// Collapse faults with identical electrical effect and simulate each
-    /// equivalence class once (batch/collapse.h).
-    bool collapse = true;
     /// Campaign-shared symbolic kernel: harvest the nominal analysis'
     /// sparse elimination order (spice::SymbolicCache) and hand it to
     /// every faulty variant, so the one-time fill-reducing analysis runs
@@ -101,10 +102,6 @@ struct CampaignOptions : RunOptions {
     DetectionSpec detection;
     /// Analysis grid; falls back to the circuit's own .tran card.
     std::optional<netlist::TranSpec> tran;
-    /// Stop each faulty run at the first confirmed detection instead of
-    /// integrating to tstop (verdicts are unchanged; see
-    /// StreamingDetector).
-    bool early_abort = true;
 
     CampaignOptions() {
         sim.uic = true;       // paper: start at supply activation
@@ -275,8 +272,8 @@ std::string injection_signature(const RunOptions& opt);
 
 /// Manifest text of the shared kernel and engine knobs, the last block of
 /// every analysis' option text.  `mode` is the analysis' own engine
-/// shortcut token ("abort"/"noabort", "warm"/"cold"), hashed between the
-/// collapse and retry tokens.
+/// shortcut token ("abort" for tran and AC, "warm" for DC), hashed between
+/// the collapse and retry tokens.
 std::string run_signature(const RunOptions& opt, const char* mode);
 
 /// Chain every fault's identity (id | description | probability |

@@ -7,6 +7,9 @@ namespace catlift::anafault {
 
 using spice::Waveforms;
 
+/// Amplitude tolerance of an observed supply current [A].
+constexpr double kSupplyTol = 10e-3;
+
 // Detection criterion (Fig. 5 caption: "a tolerance of 2V for the
 // amplitude and 0.2 us for the time"):
 //
@@ -64,7 +67,7 @@ StreamingDetector::StreamingDetector(const Waveforms& nominal,
         // detect_time() silently skips supply traces absent from either
         // run; mirror that here.
         if (!nominal.has(trace)) continue;
-        channels_.push_back(Channel{trace, spec.i_tol, /*required=*/false,
+        channels_.push_back(Channel{trace, kSupplyTol, /*required=*/false,
                                     true, false, 0.0});
     }
 }
@@ -145,7 +148,7 @@ std::optional<double> detect_time(const Waveforms& nominal,
     // the current tolerance.
     for (const std::string& src : spec.observed_supplies) {
         DetectionSpec ispec = spec;
-        ispec.v_tol = spec.i_tol;
+        ispec.v_tol = kSupplyTol;
         const std::string trace = "i(" + src + ")";
         if (!nominal.has(trace) || !faulty.has(trace)) continue;
         const auto t = detect_time_on(nominal, faulty, trace, ispec);

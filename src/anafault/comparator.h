@@ -30,11 +30,11 @@ struct DetectionSpec {
     std::vector<std::string> observed = {"11"};  ///< monitored nodes
 
     /// Optional supply-current observation (IDDQ style): names of voltage
-    /// sources whose branch current is monitored with `i_tol`.  Catches
-    /// shorts that ideal supplies would otherwise mask (e.g. a VDD-GND
-    /// bridge holds every node voltage nominal while drawing amperes).
+    /// sources whose branch current is monitored with a fixed 10 mA
+    /// tolerance (comparator.cpp).  Catches shorts that ideal supplies
+    /// would otherwise mask (e.g. a VDD-GND bridge holds every node voltage
+    /// nominal while drawing amperes).
     std::vector<std::string> observed_supplies;
-    double i_tol = 10e-3;    ///< current tolerance [A]
 };
 
 /// Earliest detection time over all observed nodes, or nullopt if the

@@ -29,7 +29,7 @@ std::uint64_t dc_screen_manifest(const Circuit& ckt,
     };
     field(manifest_double(opt.v_tol));
     for (const std::string& n : opt.observed) field(n);
-    o += run_signature(opt, opt.warm_start ? "warm" : "cold");
+    o += run_signature(opt, "warm");
     return batch::fnv1a(o, h);
 }
 
@@ -113,8 +113,14 @@ Attempt DcPolicy::attempt(const Circuit& faulty,
                           const spice::SimOptions& sim_opt,
                           DcFaultResult& r) {
     spice::Simulator sim(faulty, sim_opt);
-    const spice::DcResult op =
-        opt.warm_start ? sim.dc_op(nominal_res->nominal_op) : sim.dc_op();
+    // Warm-started from the nominal operating point: most faults perturb
+    // the circuit locally, so plain NR from there converges in a few
+    // iterations, and dc_op falls back to the cold ladder when it does
+    // not.  On a faulty circuit that stays multistable the warm solve
+    // settles in the nominal basin where a cold one may pick another
+    // operating point; for a screen that measures deviation *from
+    // nominal* that is the conservative answer.
+    const spice::DcResult op = sim.dc_op(nominal_res->nominal_op);
     r.converged = op.converged;
     r.nr_iterations = static_cast<std::size_t>(op.iterations);
     r.strategy = op.strategy;

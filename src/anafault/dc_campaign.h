@@ -10,17 +10,18 @@
 // fault simulation on the VCO.
 //
 // The screen is a policy of the one campaign driver (anafault/driver.h):
-// the nominal operating point, one faulty solve per attempt (warm-started
-// from the nominal one) and the record round trip below are all it adds.
-// Store, resume, collapsing, the retry ladder, events and the incremental
-// engine come from the driver.  Its options, per-fault result and screen
-// result derive from the shared RunOptions, FaultOutcome and
-// CampaignOutput (campaign.h) and declare only the observed nodes, the
-// voltage tolerance, warm start and the solve strategy.  The store binds
-// to dc_screen_manifest(); in a record detect_time is 0 when the fault was
-// detected (a DC screen has no sweep coordinate) and metric carries the
-// worst |dV|; the solve strategy of a resumed record is not persisted (it
-// reports as "stored").
+// the nominal operating point, one faulty solve per attempt and the record
+// round trip below are all it adds.  Every faulty solve warm-starts from
+// the nominal operating point, with the kernel's cold strategy ladder as
+// its fallback.  Store, resume, collapsing, the retry ladder, events and
+// the incremental engine come from the driver.  Its options, per-fault
+// result and screen result derive from the shared RunOptions,
+// FaultOutcome and CampaignOutput (campaign.h) and declare only the
+// observed nodes, the voltage tolerance and the solve strategy.  The store
+// binds to dc_screen_manifest(); in a record detect_time is 0 when the
+// fault was detected (a DC screen has no sweep coordinate) and metric
+// carries the worst |dV|; the solve strategy of a resumed record is not
+// persisted (it reports as "stored").
 
 #pragma once
 
@@ -37,16 +38,6 @@ struct DcScreenOptions : RunOptions {
     /// Observed nodes; DC deviation beyond v_tol on any of them detects.
     std::vector<std::string> observed = {"11"};
     double v_tol = 2.0;
-    /// Warm-start each faulty operating point from the nominal one (most
-    /// faults perturb the circuit locally, so plain NR from the nominal
-    /// solution converges in a few iterations; the cold strategy ladder
-    /// stays as the fallback).  Caveat: on a faulty circuit that remains
-    /// multistable, the warm solve settles in the nominal basin while a
-    /// cold solve may pick another operating point -- for a screen that
-    /// measures deviation *from nominal* the warm answer is the
-    /// conservative one, but set this to false to reproduce cold-start
-    /// verdicts exactly.
-    bool warm_start = true;
 };
 
 struct DcFaultResult : FaultOutcome {

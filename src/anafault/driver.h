@@ -333,15 +333,11 @@ typename P::Output drive(P& p, const std::vector<JobMeta>& metas, Make make,
 
     // Equivalence classes over the *whole* list (so a resumed member can
     // still donate its verdict to unfinished members of its class).
-    std::vector<batch::CollapsedClass> classes;
-    if (opt.collapse) {
-        std::vector<std::string> sigs;
-        sigs.reserve(n);
-        for (const JobMeta& m : metas) sigs.push_back(m.signature);
-        classes = batch::collapse_by_signature(sigs);
-    } else {
-        classes = batch::singleton_classes(n);
-    }
+    std::vector<std::string> sigs;
+    sigs.reserve(n);
+    for (const JobMeta& m : metas) sigs.push_back(m.signature);
+    const std::vector<batch::CollapsedClass> classes =
+        batch::collapse_by_signature(sigs);
     res.batch.classes = classes.size();
 
     // One job per class that still has unfinished members; the scheduler

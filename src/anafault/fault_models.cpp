@@ -19,6 +19,10 @@ const char* to_string(HardFaultModel m) {
 
 namespace {
 
+/// The resistor model's element values (paper, ch. VI).
+constexpr double kShortResistance = 0.01;  ///< [Ohm]
+constexpr double kOpenResistance = 100e6;  ///< [Ohm]
+
 /// True if nodes `a` and `b` are already tied by a chain of the circuit's
 /// ideal voltage sources (ground is a node like any other): a union-find
 /// over the sources' nodes.
@@ -49,7 +53,7 @@ void inject_short(Circuit& ckt, const std::string& net_a,
     require(a != b, "inject_short: nets are identical: " + net_a);
     const std::string name = ckt.fresh_device(kInjectPrefix);
     if (opt.model == HardFaultModel::Resistor) {
-        ckt.add_resistor(name, net_a, net_b, opt.short_resistance);
+        ckt.add_resistor(name, net_a, net_b, kShortResistance);
     } else {
         // Ideal short: 0 V source (adds one MNA branch).  Across nets that
         // ideal sources already tie, it would close a loop of voltage
@@ -70,7 +74,7 @@ void add_open_element(Circuit& ckt, const std::string& node_old,
                       const InjectionOptions& opt) {
     const std::string name = ckt.fresh_device(kInjectPrefix);
     if (opt.model == HardFaultModel::Resistor) {
-        ckt.add_resistor(name, node_old, node_new, opt.open_resistance);
+        ckt.add_resistor(name, node_old, node_new, kOpenResistance);
     } else {
         // Ideal open: 0 A source (keeps the node in the matrix without a
         // conductance path; gmin holds the floating side).

@@ -8,7 +8,7 @@
 //
 //  * resistor model -- a short becomes a 0.01 Ohm resistor between the
 //    nets, an open a 100 MOhm resistor in the broken path.  Matrix size is
-//    unchanged; the resistor values are the knob Fig. 6 studies.
+//    unchanged.
 //  * source model -- a short becomes an ideal 0 V voltage source (one
 //    extra MNA branch unknown, hence the 43% runtime premium measured in
 //    ch. VI), an open an ideal 0 A current source (a true disconnection).
@@ -30,10 +30,10 @@ enum class HardFaultModel { Resistor, Source };
 
 const char* to_string(HardFaultModel m);
 
+/// The resistor model's element values are the paper's, fixed: 0.01 Ohm
+/// shorts and 100 MOhm opens (fault_models.cpp).
 struct InjectionOptions {
     HardFaultModel model = HardFaultModel::Resistor;
-    double short_resistance = 0.01;  ///< paper: 0.01 Ohm
-    double open_resistance = 100e6;  ///< paper: 100 MOhm
 };
 
 /// Name prefix of every injected element ("FLT..."), so reports and tests

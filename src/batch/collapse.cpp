@@ -69,14 +69,6 @@ std::vector<CollapsedClass> collapse_by_signature(
     return classes;
 }
 
-std::vector<CollapsedClass> singleton_classes(std::size_t n) {
-    std::vector<CollapsedClass> classes;
-    classes.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        classes.push_back(CollapsedClass{i, {i}});
-    return classes;
-}
-
 std::vector<Job> class_jobs(
     const std::vector<CollapsedClass>& classes,
     const std::function<double(std::size_t)>& probability) {

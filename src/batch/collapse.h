@@ -54,9 +54,6 @@ std::vector<CollapsedClass> collapse(const std::vector<lift::Fault>& faults);
 std::vector<CollapsedClass> collapse_by_signature(
     const std::vector<std::string>& signatures);
 
-/// One class per index -- the shape of a campaign with collapsing off.
-std::vector<CollapsedClass> singleton_classes(std::size_t n);
-
 /// Scheduler jobs for a class list: one job per class, priority = the
 /// best probability among its members (most likely fault first).
 /// Every campaign runner (tran, AC, DC) drives these jobs through its own

@@ -14,6 +14,9 @@ namespace catlift::spice {
 using netlist::Device;
 using netlist::DeviceKind;
 
+/// Transient-only capacitance from every node to ground [F].
+constexpr double kCmin = 1e-15;
+
 Simulator::Simulator(netlist::Circuit ckt, SimOptions opt)
     : ckt_(std::move(ckt)), opt_(opt) {
     ckt_.validate();
@@ -101,11 +104,8 @@ Simulator::Simulator(netlist::Circuit ckt, SimOptions opt)
         caps_.push_back(CapInstance{m.g, m.s, mc.cgs, 0.0, 0.0});
         caps_.push_back(CapInstance{m.g, m.d, mc.cgd, 0.0, 0.0});
     }
-    if (opt_.cmin > 0.0) {
-        for (std::size_t n = 0; n < n_nodes_; ++n)
-            caps_.push_back(
-                CapInstance{static_cast<int>(n), -1, opt_.cmin, 0.0, 0.0});
-    }
+    for (std::size_t n = 0; n < n_nodes_; ++n)
+        caps_.push_back(CapInstance{static_cast<int>(n), -1, kCmin, 0.0, 0.0});
 
     build_kernel();
 }
@@ -285,8 +285,9 @@ SimStats stats_delta(const SimStats& now, const SimStats& base) {
 // ---------------------------------------------------------------------------
 // Kernel: static / dynamic stamp split
 
-void Simulator::ensure_static(bool dc, double h, double extra_gmin) {
-    if (static_key_.matches(dc, h, extra_gmin, opt_.method)) return;
+void Simulator::ensure_static(bool dc, double h, double extra_gmin,
+                              Method method) {
+    if (static_key_.matches(dc, h, extra_gmin, method)) return;
 
     double* vs = sparse_ ? svals_static_.data() : a_static_.data();
     std::fill(vs, vs + vals_size_, 0.0);
@@ -319,9 +320,8 @@ void Simulator::ensure_static(bool dc, double h, double extra_gmin) {
     // historical single-pass assembly.)
     if (!dc) {
         for (const CapInstance& c : caps_) {
-            const double geq = (opt_.method == Method::Trapezoidal)
-                                   ? 2.0 * c.c / h
-                                   : c.c / h;
+            const double geq =
+                (method == Method::Trapezoidal) ? 2.0 * c.c / h : c.c / h;
             add(c.s_11, geq);
             add(c.s_22, geq);
             add(c.s_12, -geq);
@@ -333,12 +333,12 @@ void Simulator::ensure_static(bool dc, double h, double extra_gmin) {
     static_key_.dc = dc;
     static_key_.h = h;
     static_key_.extra_gmin = extra_gmin;
-    static_key_.method = opt_.method;
+    static_key_.method = method;
     jac_valid_ = false;  // the old factorization sat on the old static part
 }
 
 void Simulator::build_rhs_base(bool dc, double h, double t,
-                               double src_scale) {
+                               double src_scale, Method method) {
     std::fill(rhs_base_.begin(), rhs_base_.end(), 0.0);
     for (const ISrcInstance& s : isrc_) {
         const Device& d = ckt_.devices[s.dev];
@@ -357,7 +357,7 @@ void Simulator::build_rhs_base(bool dc, double h, double t,
     if (!dc) {
         for (const CapInstance& c : caps_) {
             double geq, ihist;
-            if (opt_.method == Method::Trapezoidal) {
+            if (method == Method::Trapezoidal) {
                 geq = 2.0 * c.c / h;
                 ihist = geq * c.v_prev + c.i_prev;
             } else {
@@ -566,18 +566,20 @@ void Simulator::solve_work() {
 
 constexpr double kAbstol = 1e-9;  ///< current convergence floor [A]
 constexpr double kVntol = 1e-6;   ///< voltage convergence floor [V]
+constexpr double kReltol = 1e-3;  ///< relative convergence tolerance
 constexpr int kMaxNr = 150;       ///< NR iteration cap per solve
 /// Largest voltage change per NR iteration [V]: the transient's limit and
 /// the first rung of the DC damping ladder.
 constexpr double kDvLimit = 1.0;
 
 bool Simulator::newton(std::vector<double>& x, double h, double t, bool dc,
-                       double src_scale, double extra_gmin, double dv_limit) {
+                       double src_scale, double extra_gmin, double dv_limit,
+                       Method method) {
     obs::Span sp(obs::Phase::Newton);
     robust::hit("kernel.newton");  // hang/exception injection site
     const std::size_t n = n_nodes_ + n_branches_;
-    ensure_static(dc, h, extra_gmin);
-    build_rhs_base(dc, h, t, src_scale);
+    ensure_static(dc, h, extra_gmin, method);
+    build_rhs_base(dc, h, t, src_scale, method);
 
     for (int it = 0; it < kMaxNr; ++it) {
         if (can_bypass(x)) {
@@ -606,8 +608,8 @@ bool Simulator::newton(std::vector<double>& x, double h, double t, bool dc,
             }
             x[i] += dv;
             const double tol = (i < n_nodes_)
-                                   ? kVntol + opt_.reltol * std::fabs(x[i])
-                                   : kAbstol + opt_.reltol * std::fabs(x[i]);
+                                   ? kVntol + kReltol * std::fabs(x[i])
+                                   : kAbstol + kReltol * std::fabs(x[i]);
             max_rel = std::max(max_rel, std::fabs(dv) / tol);
             if (!std::isfinite(x[i]) || std::fabs(x[i]) > 1e9) return false;
         }
@@ -647,7 +649,8 @@ DcResult Simulator::dc_op_impl(const std::vector<double>* warm) {
     // ladder below stays as the fallback.
     if (warm) {
         x = *warm;
-        if (newton(x, 0.0, 0.0, /*dc=*/true, 1.0, 0.0, kDvLimit)) {
+        if (newton(x, 0.0, 0.0, /*dc=*/true, 1.0, 0.0, kDvLimit,
+                   opt_.method)) {
             res.converged = true;
             res.strategy = "warm";
             const std::size_t spent = stats_.nr_iterations - it_entry;
@@ -666,7 +669,7 @@ DcResult Simulator::dc_op_impl(const std::vector<double>* warm) {
         for (const double dv : {kDvLimit, 0.5, 0.2}) {
             // Strategy 1: plain Newton.
             x.assign(n, 0.0);
-            if (newton(x, 0.0, 0.0, /*dc=*/true, 1.0, 0.0, dv)) {
+            if (newton(x, 0.0, 0.0, /*dc=*/true, 1.0, 0.0, dv, opt_.method)) {
                 res.converged = true;
                 res.strategy = "nr";
                 break;
@@ -676,12 +679,12 @@ DcResult Simulator::dc_op_impl(const std::vector<double>* warm) {
             x.assign(n, 0.0);
             bool ok = true;
             for (double g = 1e-2; g >= 1e-13; g *= 0.1) {
-                if (!newton(x, 0.0, 0.0, true, 1.0, g, dv)) {
+                if (!newton(x, 0.0, 0.0, true, 1.0, g, dv, opt_.method)) {
                     ok = false;
                     break;
                 }
             }
-            if (ok && newton(x, 0.0, 0.0, true, 1.0, 0.0, dv)) {
+            if (ok && newton(x, 0.0, 0.0, true, 1.0, 0.0, dv, opt_.method)) {
                 res.converged = true;
                 res.strategy = "gmin";
                 break;
@@ -691,7 +694,8 @@ DcResult Simulator::dc_op_impl(const std::vector<double>* warm) {
             x.assign(n, 0.0);
             ok = true;
             for (double s = 0.05; s <= 1.0 + 1e-12; s += 0.05) {
-                if (!newton(x, 0.0, 0.0, true, std::min(s, 1.0), 0.0, dv)) {
+                if (!newton(x, 0.0, 0.0, true, std::min(s, 1.0), 0.0, dv,
+                            opt_.method)) {
                     ok = false;
                     break;
                 }
@@ -715,11 +719,12 @@ DcResult Simulator::dc_op_impl(const std::vector<double>* warm) {
     return res;
 }
 
-void Simulator::update_cap_history(const std::vector<double>& x, double h) {
+void Simulator::update_cap_history(const std::vector<double>& x, double h,
+                                   Method method) {
     for (CapInstance& c : caps_) {
         const double v = volt(x, c.n1) - volt(x, c.n2);
         double i;
-        if (opt_.method == Method::Trapezoidal)
+        if (method == Method::Trapezoidal)
             i = (2.0 * c.c / h) * (v - c.v_prev) - c.i_prev;
         else
             i = (c.c / h) * (v - c.v_prev);
@@ -810,7 +815,7 @@ AcResult Simulator::ac(const AcSpec& spec, const AcPointObserver& observer) {
     // device is evaluated fresh at x0: a cached linearization from the
     // operating-point solve sits within bypass_tol of x0 but is not the
     // Jacobian *at* x0.
-    ensure_static(/*dc=*/true, 0.0, 0.0);
+    ensure_static(/*dc=*/true, 0.0, 0.0, opt_.method);
     stamp_dynamic(x0, /*fresh=*/true);
     const double* gv = sparse_ ? svals_work_.data() : a_work_.data();
 
@@ -994,8 +999,8 @@ Waveforms Simulator::tran(const netlist::TranSpec& spec,
         return wf;
     }
 
-    // Save method so the first sub-step can use BE bootstrap under TRAP.
-    const Method user_method = opt_.method;
+    // The first sub-step bootstraps with backward Euler: there is no
+    // capacitor current history for the trapezoidal rule yet.
     bool first_substep = true;
 
     // Integrate exactly one grid interval ending at t_target with the
@@ -1006,21 +1011,19 @@ Waveforms Simulator::tran(const netlist::TranSpec& spec,
             double dt = t_target - tc;
             int cuts = 0;
             for (;;) {
-                if (first_substep && user_method == Method::Trapezoidal)
-                    opt_.method = Method::BackwardEuler;
+                const Method method =
+                    first_substep ? Method::BackwardEuler : opt_.method;
                 x_try_ = x;
                 const bool ok = newton(x_try_, dt, tc + dt, /*dc=*/false, 1.0,
-                                       0.0, kDvLimit);
+                                       0.0, kDvLimit, method);
                 if (ok) {
                     x = x_try_;
-                    update_cap_history(x, dt);
-                    opt_.method = user_method;
+                    update_cap_history(x, dt, method);
                     first_substep = false;
                     tc += dt;
                     ++stats_.tran_steps;
                     break;
                 }
-                opt_.method = user_method;
                 ++cuts;
                 ++stats_.step_cuts;
                 require(cuts <= kMaxStepCuts,
@@ -1097,7 +1100,7 @@ Waveforms Simulator::tran(const netlist::TranSpec& spec,
             for (std::size_t i = 0; i < n; ++i)
                 x_try_[i] += (x[i] - x_prev[i]) * slope;
             if (newton(x_try_, dt, t_target, /*dc=*/false, 1.0, 0.0,
-                       kDvLimit)) {
+                       kDvLimit, opt_.method)) {
                 ratio = lte_ratio(x_prev, h_prev, x, x_try_, dt);
                 if (ratio <= 1.0) {
                     // Accepted: the LTE bound certifies the solution is
@@ -1120,7 +1123,7 @@ Waveforms Simulator::tran(const netlist::TranSpec& spec,
                         }
                     }
                     x = x_try_;
-                    update_cap_history(x, dt);
+                    update_cap_history(x, dt, opt_.method);
                     ++stats_.tran_steps;
                     macro_done = true;
                     break;

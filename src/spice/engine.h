@@ -106,8 +106,6 @@ enum class Method { BackwardEuler, Trapezoidal };
 
 struct SimOptions {
     double gmin = 1e-12;    ///< conductance to ground on every node [S]
-    double cmin = 1e-15;    ///< transient-only cap to ground per node [F]
-    double reltol = 1e-3;   ///< relative convergence tolerance
     Method method = Method::Trapezoidal;
     bool uic = false;       ///< transient: skip DC OP, start from 0 / .ic
 
@@ -430,12 +428,13 @@ private:
     void build_kernel();
 
     /// Rebuild the static value array (resistors, source incidence, gmin,
-    /// capacitor geq at stepsize h) if the key changed since the last
-    /// build.  Invalidates the bypass linearization on rebuild.
-    void ensure_static(bool dc, double h, double extra_gmin);
+    /// capacitor geq at stepsize h under `method`) if the key changed
+    /// since the last build.  Invalidates the bypass linearization.
+    void ensure_static(bool dc, double h, double extra_gmin, Method method);
     /// Per-solve right-hand side base: independent sources at (t,
     /// src_scale) and capacitor companion history currents.
-    void build_rhs_base(bool dc, double h, double t, double src_scale);
+    void build_rhs_base(bool dc, double h, double t, double src_scale,
+                        Method method);
     /// Per-iteration dynamic stamp: memcpy static -> work values, then the
     /// MOS companions at candidate x (matrix part into the work array, the
     /// companion currents into rhs_mos_).  Devices whose terminals stayed
@@ -475,10 +474,11 @@ private:
     void solve_work();
 
     /// Newton loop at fixed (h, t), each node's update clamped to
-    /// `dv_limit` volts per iteration.  Returns true on convergence; x is
-    /// updated in place.
+    /// `dv_limit` volts per iteration, capacitors integrated with
+    /// `method`.  Returns true on convergence; x is updated in place.
     bool newton(std::vector<double>& x, double h, double t, bool dc,
-                double src_scale, double extra_gmin, double dv_limit);
+                double src_scale, double extra_gmin, double dv_limit,
+                Method method);
 
     /// Shared DC solve: warm NR first when `warm` is non-null, then the
     /// cold strategy ladder.
@@ -491,11 +491,12 @@ private:
                      const std::vector<double>& x_old,
                      const std::vector<double>& x_new, double dt) const;
 
-    /// Commit capacitor history after an accepted transient step.
-    void update_cap_history(const std::vector<double>& x, double h);
+    /// Commit capacitor history after an accepted `method` step.
+    void update_cap_history(const std::vector<double>& x, double h,
+                            Method method);
 
     netlist::Circuit ckt_;  ///< owned copy (see constructor note)
-    SimOptions opt_;
+    const SimOptions opt_;  ///< read-only: no analysis writes an option
     SimStats stats_;
     /// NR iterations of the most recent cold DC solve; the baseline that
     /// values warm-started solves (SimStats::nr_saved_warm).

@@ -1,7 +1,8 @@
 // Adaptive LTE-controlled transient kernel and the per-analysis observer
 // protocol: golden-waveform regression against the fixed grid (VCO and
-// OTA decks), campaign verdict determinism with and without adaptive
-// stepping, AC mid-sweep early abort, and warm-started DC solves.
+// OTA decks), campaign verdicts with adaptive stepping on and off and
+// against the untrimmed (no early abort) cycle, AC mid-sweep early abort,
+// and warm-started DC solves against cold ones.
 
 #include "anafault/ac_campaign.h"
 #include "anafault/campaign.h"
@@ -74,7 +75,6 @@ TEST(AdaptiveTran, RcMatchesClosedFormWithFarFewerSolves) {
     Circuit ckt = rc_step(1e3, 1e-9);
     SimOptions opt;
     opt.uic = true;
-    opt.cmin = 0.0;
     opt.adaptive = true;
     Simulator sim(ckt, opt);
     const TranSpec ts{1e-8, 5e-6, 0.0};  // 500 grid steps, tau = 1 us
@@ -100,7 +100,6 @@ TEST(AdaptiveTran, AgreesWithFixedGridOnRc) {
     auto run = [&](bool adaptive) {
         SimOptions opt;
         opt.uic = true;
-        opt.cmin = 0.0;
         opt.adaptive = adaptive;
         Simulator sim(rc_step(1e3, 1e-9), opt);
         return sim.tran(ts);
@@ -144,7 +143,6 @@ TEST(AdaptiveTran, PulseAfterQuiescenceIsNotSteppedOver) {
         ckt.add_capacitor("C1", "out", "0", 1e-11);  // tau = 10 ns
         SimOptions opt;
         opt.uic = true;
-        opt.cmin = 0.0;
         opt.adaptive = adaptive;
         Simulator sim(ckt, opt);
         return sim.tran(TranSpec{1e-8, 4e-6, 0.0});
@@ -209,8 +207,8 @@ TEST(AdaptiveTran, OtaGoldenAgainstFixedGrid) {
 }
 
 // ---------------------------------------------------------------------------
-// Campaign determinism: adaptive on/off and early abort on/off must not
-// change verdicts
+// Campaign determinism: adaptive stepping and early abort must not change
+// verdicts
 
 TEST(AdaptiveCampaign, VcoVerdictsIdenticalWithAndWithoutAdaptive) {
     const core::VcoExperiment e = core::make_vco_experiment();
@@ -220,17 +218,20 @@ TEST(AdaptiveCampaign, VcoVerdictsIdenticalWithAndWithoutAdaptive) {
     anafault::CampaignOptions adaptive = e.config.campaign;
     adaptive.threads = 2;
     ASSERT_TRUE(adaptive.sim.adaptive);  // campaign default
-    ASSERT_TRUE(adaptive.early_abort);   // campaign default
     anafault::CampaignOptions fixed = adaptive;
     fixed.sim.adaptive = false;
-    anafault::CampaignOptions no_abort = adaptive;
-    no_abort.early_abort = false;
 
     const auto ra = run_campaign(e.sim_circuit, lift_res.faults, adaptive);
     const auto rf = run_campaign(e.sim_circuit, lift_res.faults, fixed);
-    const auto rn = run_campaign(e.sim_circuit, lift_res.faults, no_abort);
+
+    // Early abort's reference is the untrimmed cycle: every fault
+    // integrated to tstop by the kernel, its verdict taken post hoc.
+    const TranSpec ts = *e.sim_circuit.tran;
+    const Waveforms nominal =
+        Simulator(e.sim_circuit, adaptive.sim).tran(ts);
 
     ASSERT_EQ(ra.results.size(), rf.results.size());
+    ASSERT_EQ(ra.results.size(), lift_res.faults.size());
     EXPECT_GT(ra.detected(), 0u);
     for (std::size_t i = 0; i < ra.results.size(); ++i) {
         SCOPED_TRACE("fault index " + std::to_string(i));
@@ -245,8 +246,15 @@ TEST(AdaptiveCampaign, VcoVerdictsIdenticalWithAndWithoutAdaptive) {
                         *rf.results[i].detect_time, 0.2e-6);
         }
         // Early abort only trims the run after its detection instant.
-        EXPECT_EQ(ra.results[i].simulated, rn.results[i].simulated);
-        EXPECT_EQ(ra.results[i].detect_time, rn.results[i].detect_time);
+        Simulator sim(anafault::inject(e.sim_circuit,
+                                       lift_res.faults.faults[i],
+                                       adaptive.injection),
+                      adaptive.sim);
+        const Waveforms full = sim.tran(ts);
+        EXPECT_EQ(sim.stats().steps_saved, 0u);
+        EXPECT_TRUE(ra.results[i].simulated);
+        EXPECT_EQ(ra.results[i].detect_time,
+                  anafault::detect_time(nominal, full, adaptive.detection));
     }
     EXPECT_EQ(ra.detected(), rf.detected());
     EXPECT_EQ(ra.final_coverage(), rf.final_coverage());
@@ -256,8 +264,6 @@ TEST(AdaptiveCampaign, VcoVerdictsIdenticalWithAndWithoutAdaptive) {
     EXPECT_EQ(rf.batch.steps_interpolated, 0u);
     EXPECT_EQ(ra.batch.early_aborts, ra.detected());
     EXPECT_GT(ra.batch.steps_saved, 0u);
-    EXPECT_EQ(rn.batch.early_aborts, 0u);
-    EXPECT_EQ(rn.batch.steps_saved, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -297,26 +303,29 @@ TEST(AcCampaign, EarlyAbortKeepsVerdictsAndSkipsPoints) {
     opt.observed = {"out"};
     opt.sweep.fstart = 1e3;
     opt.sweep.fstop = 1e8;
-    anafault::AcCampaignOptions full = opt;
-    full.early_abort = false;
+    const auto r = anafault::run_ac_campaign(rc_lowpass(), fl, opt);
+    ASSERT_EQ(r.results.size(), 1u);
 
-    const auto r_abort = anafault::run_ac_campaign(rc_lowpass(), fl, opt);
-    const auto r_full = anafault::run_ac_campaign(rc_lowpass(), fl, full);
+    // Reference: the faulty circuit's full sweep, scanned after the fact.
+    const AcResult nominal = Simulator(rc_lowpass(), opt.sim).ac(opt.sweep);
+    Simulator sim(anafault::inject(rc_lowpass(), fl.faults[0], opt.injection),
+                  opt.sim);
+    const AcResult full = sim.ac(opt.sweep);
+    EXPECT_EQ(sim.stats().ac_points_saved, 0u);
+    anafault::AcStreamingDetector reference(nominal, opt.observed,
+                                            opt.db_tol);
+    reference.feed(full);
 
-    ASSERT_EQ(r_abort.results.size(), 1u);
-    ASSERT_EQ(r_full.results.size(), 1u);
-    EXPECT_TRUE(r_abort.results[0].detected);
-    EXPECT_TRUE(r_full.results[0].detected);
-    ASSERT_TRUE(r_abort.results[0].detect_freq.has_value());
-    ASSERT_TRUE(r_full.results[0].detect_freq.has_value());
+    EXPECT_TRUE(reference.detected());
+    EXPECT_TRUE(r.results[0].detected);
+    ASSERT_TRUE(r.results[0].detect_freq.has_value());
+    ASSERT_TRUE(reference.detect_freq().has_value());
     // First-violation frequency is identical; only the tail is skipped.
-    EXPECT_DOUBLE_EQ(*r_abort.results[0].detect_freq,
-                     *r_full.results[0].detect_freq);
-    EXPECT_GT(r_abort.results[0].points_saved, 0u);
-    EXPECT_GT(r_abort.batch.freq_points_saved, 0u);
-    EXPECT_EQ(r_abort.batch.early_aborts, 1u);
-    EXPECT_EQ(r_full.batch.freq_points_saved, 0u);
-    EXPECT_EQ(r_full.batch.early_aborts, 0u);
+    EXPECT_EQ(*r.results[0].detect_freq, *reference.detect_freq());
+    EXPECT_LE(r.results[0].max_deviation_db, reference.max_deviation_db());
+    EXPECT_GT(r.results[0].points_saved, 0u);
+    EXPECT_GT(r.batch.freq_points_saved, 0u);
+    EXPECT_EQ(r.batch.early_aborts, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -383,22 +392,27 @@ TEST(DcScreen, WarmStartKeepsVerdicts) {
         fl.faults.push_back(f);  // R2 open: out rises toward in
     }
 
-    anafault::DcScreenOptions warm;
-    warm.observed = {"out"};
-    warm.v_tol = 1.0;
-    anafault::DcScreenOptions cold = warm;
-    cold.warm_start = false;
+    anafault::DcScreenOptions opt;
+    opt.observed = {"out"};
+    opt.v_tol = 1.0;
+    const auto rw = anafault::run_dc_screen(c, fl, opt);
+    ASSERT_EQ(rw.results.size(), fl.size());
 
-    const auto rw = anafault::run_dc_screen(c, fl, warm);
-    const auto rc = anafault::run_dc_screen(c, fl, cold);
-    ASSERT_EQ(rw.results.size(), rc.results.size());
-    for (std::size_t i = 0; i < rw.results.size(); ++i) {
-        EXPECT_EQ(rw.results[i].detected, rc.results[i].detected) << i;
-        EXPECT_EQ(rw.results[i].converged, rc.results[i].converged) << i;
-        EXPECT_NEAR(rw.results[i].max_deviation, rc.results[i].max_deviation,
-                    1e-6)
-            << i;
+    // Reference: a cold operating point per circuit, nominal included.
+    const DcResult nominal = Simulator(c, opt.sim).dc_op();
+    ASSERT_TRUE(nominal.converged);
+    for (std::size_t i = 0; i < fl.size(); ++i) {
+        SCOPED_TRACE("fault index " + std::to_string(i));
+        Simulator sim(anafault::inject(c, fl.faults[i], opt.injection),
+                      opt.sim);
+        const DcResult cold = sim.dc_op();
+        EXPECT_NE(cold.strategy, "warm");
+        EXPECT_EQ(rw.results[i].converged, cold.converged);
+        if (!cold.converged) continue;
+        const double dev =
+            std::fabs(cold.voltages.at("out") - nominal.voltages.at("out"));
+        EXPECT_EQ(rw.results[i].detected, dev > opt.v_tol);
+        EXPECT_NEAR(rw.results[i].max_deviation, dev, 1e-6);
     }
     EXPECT_GT(rw.batch.warm_start_solves, 0u);
-    EXPECT_EQ(rc.batch.warm_start_solves, 0u);
 }

@@ -379,37 +379,6 @@ TEST(Campaign, CoverageCurveMonotonic) {
     EXPECT_NEAR(curve.back().first, 4e-6, 1e-12);
 }
 
-TEST(Campaign, ParallelMatchesSerial) {
-    Circuit c = rc_fixture();
-    lift::FaultList fl;
-    for (int i = 0; i < 6; ++i) {
-        lift::Fault f;
-        f.id = i + 1;
-        f.kind = lift::FaultKind::LocalShort;
-        f.mechanism = "m";
-        f.probability = 1e-8;
-        f.net_a = (i % 2) ? "in" : "out";
-        f.net_b = (i % 3) ? "0" : ((i % 2) ? "out" : "in");
-        if (f.net_a == f.net_b) f.net_b = "0";
-        fl.faults.push_back(f);
-    }
-    CampaignOptions serial;
-    serial.detection.observed = {"out"};
-    CampaignOptions parallel = serial;
-    parallel.threads = 4;
-    auto rs = run_campaign(c, fl, serial);
-    auto rp = run_campaign(c, fl, parallel);
-    ASSERT_EQ(rs.results.size(), rp.results.size());
-    for (std::size_t i = 0; i < rs.results.size(); ++i) {
-        EXPECT_EQ(rs.results[i].detect_time.has_value(),
-                  rp.results[i].detect_time.has_value());
-        if (rs.results[i].detect_time) {
-            EXPECT_NEAR(*rs.results[i].detect_time,
-                        *rp.results[i].detect_time, 1e-12);
-        }
-    }
-}
-
 TEST(Campaign, ParametricCampaignRuns) {
     Circuit c = rc_fixture();
     std::vector<ParametricFault> faults = {

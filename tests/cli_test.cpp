@@ -161,6 +161,8 @@ TEST_F(CliTest, MalformedOrOutOfRangeValuesExit2) {
         {"--t-tol", "nan"},
         {"--workers", "0"},
         {"--ordering", "amd"},  // removed: AMD is the only ordering
+        {"--no-early-abort"},   // removed: early abort always runs
+        {"--no-collapse"},      // removed: collapsing always runs
         {"--worker", "--store", path("w.store"), "--fault-range", "a:b"},
         {"--worker", "--store", path("w.store"), "--fault-range", "5"},
     };
@@ -183,16 +185,20 @@ TEST_F(CliTest, BadValueNamesTheFlag) {
 TEST_F(CliTest, FabricWorkersGetTheCampaignFlags) {
     const std::string store = path("fabric.store");
     const CliRun r = anafaultc({"--v-tol", "0.4", "--workers", "2",
-                                "--store", store, "--no-collapse",
+                                "--store", store, "--no-share-symbolic",
                                 "--max-retries", "1"});
     ASSERT_EQ(r.status, 0) << r.err;
     anafault::CampaignOptions opt = options();
-    opt.collapse = false;
+    opt.share_symbolic = false;
     opt.max_retries = 1;
     const auto snap = batch::load_store(store);
     ASSERT_TRUE(snap.has_value());
     EXPECT_EQ(snap->manifest,
               anafault::campaign_manifest(circuit(), faults(), opt));
+    // Not vacuous: the forwarded flags moved the manifest off the default
+    // campaign's.
+    EXPECT_NE(snap->manifest,
+              anafault::campaign_manifest(circuit(), faults(), options()));
     EXPECT_EQ(snap->records.size(), faults().size());
 }
 

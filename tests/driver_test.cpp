@@ -149,11 +149,9 @@ void expect_manifest_sensitivity(const char* analysis, const Options& base,
     EXPECT_TRUE(moved([](Options& o) {
         o.injection.model = HardFaultModel::Source;
     })) << "injection.model";
-    EXPECT_TRUE(moved([](Options& o) { o.injection.short_resistance *= 2; }))
-        << "injection.short_resistance";
     EXPECT_TRUE(moved([](Options& o) { o.sim.gmin *= 10; })) << "sim.gmin";
-    EXPECT_TRUE(moved([](Options& o) { o.collapse = !o.collapse; }))
-        << "collapse";
+    EXPECT_TRUE(moved([](Options& o) { o.sim.lte_tol *= 2; }))
+        << "sim.lte_tol";
     EXPECT_TRUE(moved([](Options& o) {
         o.share_symbolic = !o.share_symbolic;
     })) << "share_symbolic";

@@ -313,7 +313,7 @@ TEST(Incremental, KnobChangeBlocksCarrying) {
     // nominal included: the merged store gets a freshly simulated one.
     IncrementalOptions iopt;
     iopt.campaign = divider_options();
-    iopt.campaign.sim.reltol = 1e-4;
+    iopt.campaign.sim.lte_tol = 1e-3;
     iopt.campaign.result_store = temp_path("div_knob_merged");
     iopt.baseline_store = bpath;
     const auto inc = run_incremental_campaign(c, base, rev, iopt);
@@ -326,7 +326,7 @@ TEST(Incremental, KnobChangeBlocksCarrying) {
 
     // Verdicts still equal a cold run under the *new* knobs.
     CampaignOptions cold_opt = divider_options();
-    cold_opt.sim.reltol = 1e-4;
+    cold_opt.sim.lte_tol = 1e-3;
     const auto cold = run_campaign(c, rev, cold_opt);
     expect_same_verdicts(cold, inc.campaign);
     std::filesystem::remove(bpath);

@@ -1,7 +1,10 @@
 // Transient analysis tests: RC charging against the closed form, method
-// comparison, ring oscillator, charge conservation.
+// comparison, a simulator reused after a failed run, ring oscillator,
+// charge conservation.
 
+#include "circuits/vco.h"
 #include "netlist/parser.h"
+#include "robust/failpoint.h"
 #include "spice/engine.h"
 #include "spice/measure.h"
 
@@ -55,7 +58,6 @@ TEST(Tran, RcChargingMatchesClosedForm) {
     Circuit ckt = rc_step(1e3, 1e-9);
     SimOptions opt;
     opt.uic = true;
-    opt.cmin = 0.0;
     Simulator sim(ckt, opt);
     TranSpec ts{1e-8, 5e-6, 0.0};
     auto wf = sim.tran(ts);
@@ -85,7 +87,6 @@ TEST(Tran, TrapezoidalBeatsBackwardEulerOnAccuracy) {
         Circuit ckt = rc_step(1e3, 1e-9);
         SimOptions opt;
         opt.uic = true;
-        opt.cmin = 0.0;
         opt.method = m;
         Simulator sim(ckt, opt);
         auto wf = sim.tran(TranSpec{1e-7, 2e-6, 0.0});  // 10 pts per tau
@@ -94,13 +95,34 @@ TEST(Tran, TrapezoidalBeatsBackwardEulerOnAccuracy) {
     EXPECT_LT(run(Method::Trapezoidal), run(Method::BackwardEuler));
 }
 
+TEST(Tran, FailedBootstrapLeavesTheMethodAlone) {
+    // A trapezoidal run integrates its first sub-step with backward Euler.
+    // An exception out of that sub-step must not leave the simulator
+    // integrating with the bootstrap method: the next run of the same
+    // simulator is bit-identical to a fresh trapezoidal one.
+    const Circuit chain = circuits::build_inverter_chain(4);
+    SimOptions opt;
+    opt.uic = true;  // the first Newton solve is the bootstrap sub-step
+    ASSERT_EQ(opt.method, Method::Trapezoidal);
+    Simulator reused(chain, opt);
+    robust::arm("kernel.newton=error@1+1");
+    EXPECT_THROW(reused.tran(), catlift::Error);
+    robust::disarm_all();
+
+    const Waveforms again = reused.tran();
+    const Waveforms fresh = Simulator(chain, opt).tran();
+    ASSERT_EQ(again.points(), fresh.points());
+    EXPECT_EQ(again.time(), fresh.time());
+    for (const std::string& node : fresh.trace_names())
+        EXPECT_EQ(again.trace(node), fresh.trace(node)) << node;
+}
+
 TEST(Tran, CapacitorInitialCondition) {
     Circuit ckt;
     ckt.add_resistor("R1", "out", "0", 1e3);
     ckt.add_capacitor("C1", "out", "0", 1e-9, /*ic=*/3.0);
     SimOptions opt;
     opt.uic = true;
-    opt.cmin = 0.0;
     Simulator sim(ckt, opt);
     auto wf = sim.tran(TranSpec{1e-8, 2e-6, 0.0});
     // Discharge from 3V with tau=1us.

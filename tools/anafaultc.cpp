@@ -8,6 +8,7 @@
 //
 // Every option is declared once, in kFlags below: its value, help text,
 // parser, and whether fabric workers inherit it.  usage() prints the table.
+// Fault collapsing and early abort always run; they have no flag.
 
 #include "anafault/campaign.h"
 #include "anafault/incremental.h"
@@ -213,11 +214,6 @@ const Flag kFlags[] = {
     {"--diff-tol", "frac", kLocal,
      "probability tolerance of the revision diff (default 0.05)",
      [](Cli& c, Arg a) { c.diff_tol = a.real(true); }},
-    {"--no-early-abort", nullptr, kCampaign,
-     "integrate every faulty run to tstop",
-     [](Cli& c, Arg) { c.opt.early_abort = false; }},
-    {"--no-collapse", nullptr, kCampaign, "skip the fault-collapsing pre-pass",
-     [](Cli& c, Arg) { c.opt.collapse = false; }},
     {"--no-adaptive", nullptr, kCampaign,
      "fixed-grid integration (no LTE stride control)",
      [](Cli& c, Arg) { c.opt.sim.adaptive = false; }},
@@ -309,6 +305,9 @@ const Flag kFlags[] = {
 [[noreturn]] void usage() {
     std::fprintf(stderr, "usage: anafaultc <deck.sp> <faults.flt> [options]\n"
                          "       anafaultc --repair-store <file>\n"
+                         "faults with one electrical effect simulate once; "
+                         "every faulty run\n"
+                         "stops at its first confirmed detection.\n"
                          "options:\n");
     for (const Flag& f : kFlags) {
         // Flag and value, then the help text word-wrapped in a column.

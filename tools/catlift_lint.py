@@ -7,13 +7,15 @@ campaigns with:
 
   CL001 manifest-coverage
       Every field of SimOptions / RunOptions / CampaignOptions /
-      AcCampaignOptions / DcScreenOptions is either referenced inside its
-      campaign-manifest hash region or carries a `manifest-exempt:
-      <reason>` marker in the doc comment above it.  RunOptions is the
-      base the three campaign option structs share; its region is the
-      shared manifest encoding (injection_signature / run_signature).  A
-      new verdict-affecting knob that skips the manifest would let a
-      foreign result store be resumed as if it were the same campaign.
+      AcCampaignOptions / DcScreenOptions, and of the structs they nest
+      (DetectionSpec, InjectionOptions, AcSpec, TranSpec), is either
+      referenced inside its campaign-manifest hash region or carries a
+      `manifest-exempt: <reason>` marker in the doc comment above it.
+      RunOptions is the base the three campaign option structs share; its
+      region is the shared manifest encoding (injection_signature /
+      run_signature).  A new verdict-affecting knob that skips the
+      manifest would let a foreign result store be resumed as if it were
+      the same campaign.
 
   CL002 store-format-version
       The serialized record surface (the FaultSimResult and NominalRecord
@@ -97,6 +99,18 @@ OPTION_STRUCTS = {
         ["src/anafault/dc_campaign.cpp"],
         ["dc_screen_manifest"],
     ),
+    # Nested option structs: struct_fields() sees only the member that
+    # holds one (`detection`, `injection`, `sweep`, `tran`), so each is
+    # checked against the region that hashes its own fields.
+    "DetectionSpec": ("src/anafault/comparator.h",
+                      ["src/anafault/campaign.cpp"], ["manifest_hash"]),
+    "InjectionOptions": ("src/anafault/fault_models.h",
+                         ["src/anafault/campaign.cpp"],
+                         ["injection_signature"]),
+    "AcSpec": ("src/spice/ac.h", ["src/anafault/ac_campaign.cpp"],
+               ["ac_campaign_manifest"]),
+    "TranSpec": ("src/netlist/netlist.h", ["src/anafault/campaign.cpp"],
+                 ["manifest_hash"]),
 }
 
 STORE_HEADER = "src/batch/result_store.h"
@@ -500,6 +514,12 @@ def _seed_unhashed_shared_field(fx):
            "struct RunOptions {\n    bool sneaky_shared_knob = false;\n")
 
 
+def _seed_unhashed_detection_field(fx):
+    mutate(fx / "src/anafault/comparator.h",
+           "struct DetectionSpec {",
+           "struct DetectionSpec {\n    double sneaky_slope_tol = 0.0;\n")
+
+
 def _seed_exempt_without_reason(fx):
     mutate(fx / "src/spice/engine.h",
            "struct SimOptions {",
@@ -571,6 +591,8 @@ SCENARIOS = [
     ("CL001", "unhashed CampaignOptions field",
      _seed_unhashed_campaign_field),
     ("CL001", "unhashed RunOptions field", _seed_unhashed_shared_field),
+    ("CL001", "unhashed DetectionSpec field",
+     _seed_unhashed_detection_field),
     ("CL001", "manifest-exempt without reason", _seed_exempt_without_reason),
     ("CL002", "store record change without version bump",
      _seed_unbumped_store_change),
@@ -592,6 +614,9 @@ EXPECTED_FINDINGS = {
     "unhashed RunOptions field":
         "RunOptions::sneaky_shared_knob is neither hashed in "
         "injection_signature/run_signature",
+    "unhashed DetectionSpec field":
+        "DetectionSpec::sneaky_slope_tol is neither hashed in "
+        "manifest_hash",
 }
 
 
