@@ -150,8 +150,7 @@ void AcPolicy::fold(AcCampaignResult& res, const AcFaultResult& r) {
 AcCampaignResult run_ac_campaign(const Circuit& ckt,
                                  const lift::FaultList& faults,
                                  const AcCampaignOptions& opt) {
-    detail::AcPolicy p{ckt, opt};
-    return detail::drive(p, faults);
+    return detail::run<detail::AcPolicy>(ckt, faults, opt);
 }
 
 } // namespace catlift::anafault

@@ -282,8 +282,7 @@ void TranPolicy::fold(CampaignResult& res, const FaultSimResult& r) {
 
 CampaignResult run_campaign(const Circuit& ckt, const lift::FaultList& faults,
                             const CampaignOptions& opt) {
-    detail::TranPolicy p{ckt, opt, detail::resolve_tran(ckt, opt)};
-    return detail::drive(p, faults);
+    return detail::run<detail::TranPolicy>(ckt, faults, opt);
 }
 
 std::uint64_t campaign_manifest(const Circuit& ckt,
@@ -307,7 +306,7 @@ CampaignResult run_parametric_campaign(
                       ":" + hexd(faults[i].factor);
         metas.push_back(std::move(m));
     }
-    detail::TranPolicy p{ckt, opt, detail::resolve_tran(ckt, opt)};
+    detail::TranPolicy p{ckt, opt};
     return detail::drive(
         p, metas,
         [&](std::size_t i) { return inject_parametric(ckt, faults[i]); },

@@ -87,15 +87,6 @@ struct RunOptions {
     // manifest-exempt: resume replays *already-verified* records of
     // the same manifest; it cannot change what a fault retires as.
     bool resume = false;
-    /// Bind the result store to this manifest instead of the campaign's
-    /// own hash.  Set only by the incremental cross-revision engine (a
-    /// *subset* campaign against the full revision's store: the carried
-    /// records must survive the subset run and the merged store must
-    /// identify as the full revision campaign) and by fabric workers.
-    // manifest-exempt: IS the manifest binding (hashing the override
-    // into the hash it overrides would be circular); only the
-    // incremental engine and the fabric set it, to a hash they computed.
-    std::optional<std::uint64_t> manifest_override;
 };
 
 struct CampaignOptions : RunOptions {
@@ -256,8 +247,8 @@ CampaignResult run_campaign(const netlist::Circuit& ckt,
 /// numeric/kernel knob.  A result store is resumable against a campaign
 /// iff the manifests match; the incremental engine likewise only carries
 /// baseline verdicts whose store manifest reproduces this hash for the
-/// baseline fault list.  Threads, store path/resume and manifest_override
-/// itself are deliberately excluded (they do not change verdicts).
+/// baseline fault list.  Threads and the store path, durability and
+/// resume are deliberately excluded (they do not change verdicts).
 std::uint64_t campaign_manifest(const netlist::Circuit& ckt,
                                 const lift::FaultList& faults,
                                 const CampaignOptions& opt = {});

@@ -167,11 +167,7 @@ void DcPolicy::publish(const DcFaultResult& r, const FaultObs& o) {
 DcScreenResult run_dc_screen(const Circuit& ckt,
                              const lift::FaultList& faults,
                              const DcScreenOptions& opt) {
-    detail::DcPolicy p{ckt, opt};
-    DcScreenResult res = detail::drive(p, faults);
-    res.batch.warm_start_solves = p.warm_hits.load();
-    res.batch.nr_saved_warm = p.nr_saved.load();
-    return res;
+    return detail::run<detail::DcPolicy>(ckt, faults, opt);
 }
 
 } // namespace catlift::anafault

@@ -6,11 +6,14 @@
 // post-process (compare, statistics).  That cycle does not depend on the
 // analysis, so it is written once here:
 //
-//   open the result store and load finished records -> the nominal,
-//   loaded from the store or simulated and persisted -> collapse into
-//   equivalence classes -> one scheduler job per unfinished class:
-//   inject the representative, run the retry ladder, publish, fan the
-//   verdict out -> fold the counters of this run.
+//   open the result store and load finished records, then what the
+//   caller already knows (Known: the incremental engine's carried
+//   verdicts and baseline nominal) -> the nominal, loaded from the store
+//   or the caller, else simulated, and persisted -> the known records the
+//   store lacks, persisted -> collapse into equivalence classes -> one
+//   scheduler job per unfinished class: inject the representative, run
+//   the retry ladder, publish, fan the verdict out -> fold the counters
+//   of this run.
 //
 // Each analysis is a policy P:
 //
@@ -19,8 +22,9 @@
 //   kAnalysis                   "tran" | "ac" | "dc" (campaign_start)
 //   kIntegratesInTime           whether the retry ladder's fixed-grid
 //                               rung changes the analysis
-//   manifest / run              the public manifest function and runner
-//                               (the incremental engine is written over P)
+//   manifest                    the public manifest function (run<P>
+//                               and the incremental engine are written
+//                               over P)
 //   nominal(Output&, Span&)     run the nominal analysis, fill the result,
 //                               return the fault SimOptions (carrying the
 //                               campaign-shared symbolic cache)
@@ -58,6 +62,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace catlift::anafault::detail {
@@ -137,6 +142,16 @@ void put_rank(batch::NominalRecord& rec, const spice::SymbolicCache* cache);
 std::shared_ptr<const spice::SymbolicCache> get_rank(
     const batch::NominalRecord& rec);
 
+/// What a caller already knows about a campaign before it starts: verdicts
+/// and a nominal record obtained elsewhere (the incremental engine's
+/// carried baseline records and the baseline's nominal).  The driver's
+/// loader treats them exactly like records of the open store, which it
+/// reads first.
+struct Known {
+    std::vector<batch::FaultSimResult> records;
+    std::optional<batch::NominalRecord> nominal;
+};
+
 /// Fill `res` with the nominal of `rec` when it is a usable record of P's
 /// analysis; returns the fault SimOptions then, std::nullopt otherwise
 /// (no record, another analysis, or one from_nominal rejects -- the
@@ -157,17 +172,20 @@ std::optional<spice::SimOptions> load_nominal(
     return fault_sim;
 }
 
-/// Store-to-slots loader: fill the slot of every fault with a record (the
-/// first record per fault id wins) and split the provenance -- a record
-/// the incremental engine carried across a layout revision is not
-/// prior-run work of *this* campaign.  Returns the filled-slot mask.
+/// Records-to-slots loader: fill every slot `done` does not mark yet with
+/// its fault's record (the first record per fault id wins), mark it, and
+/// split the provenance -- a record the incremental engine carried across
+/// a layout revision is not prior-run work of *this* campaign.  Returns,
+/// per slot, the record this call filled it from (null elsewhere).
 template <class P>
-std::vector<char> load_slots(const std::vector<batch::FaultSimResult>& records,
-                             const std::vector<JobMeta>& metas,
-                             typename P::Output& res) {
+std::vector<const batch::FaultSimResult*> load_slots(
+    const std::vector<batch::FaultSimResult>& records,
+    const std::vector<JobMeta>& metas, typename P::Output& res,
+    std::vector<char>& done) {
     const std::size_t n = metas.size();
     res.results.resize(n);
-    std::vector<char> done(n, 0);
+    done.resize(n, 0);
+    std::vector<const batch::FaultSimResult*> filled(n, nullptr);
     std::map<int, std::size_t> by_id;
     for (std::size_t i = 0; i < n; ++i) by_id[metas[i].fault_id] = i;
     for (const batch::FaultSimResult& rec : records) {
@@ -175,6 +193,7 @@ std::vector<char> load_slots(const std::vector<batch::FaultSimResult>& records,
         if (it == by_id.end() || done[it->second]) continue;
         res.results[it->second] = P::from_record(rec);
         done[it->second] = 1;
+        filled[it->second] = &rec;
         if (rec.carried)
             ++res.batch.carried_from_store;
         else
@@ -186,7 +205,7 @@ std::vector<char> load_slots(const std::vector<batch::FaultSimResult>& records,
                              obs::arg("verdict",
                                       std::string(verdict_of(rec)))});
     }
-    return done;
+    return filled;
 }
 
 /// Close a representative's fault span and publish its observability
@@ -229,12 +248,14 @@ void publish(obs::Span& sp, const typename P::Result& r,
 /// Copy a class representative's verdict to another member of its class:
 /// identity from the member; kernel and retry cost stay attributed to the
 /// representative alone, the verdict (quarantined included) fans out.
+/// The copy is this campaign's collapse, never a carried record.
 template <class P>
 typename P::Result fan_out(const typename P::Result& rep, const JobMeta& m) {
     typename P::Result c = rep;
     c.fault_id = m.fault_id;
     c.description = m.description;
     c.probability = m.probability;
+    c.carried = false;
     c.attempts = 1;
     c.retry_log.clear();
     c.sim_seconds = 0.0;
@@ -247,11 +268,11 @@ typename P::Result fan_out(const typename P::Result& rep, const JobMeta& m) {
 }
 
 /// Run the campaign of policy `p` over `metas`.  `make(i)` injects fault
-/// i into the circuit; `manifest()` is the campaign's store binding
-/// (unless p.opt.manifest_override replaces it).
+/// i into the circuit; `manifest()` is the campaign's store binding;
+/// `known` fills what the store does not.
 template <class P, class Make, class Manifest>
 typename P::Output drive(P& p, const std::vector<JobMeta>& metas, Make make,
-                         Manifest manifest) {
+                         Manifest manifest, const Known& known = {}) {
     using Result = typename P::Result;
     const typename P::Options& opt = p.opt;
     typename P::Output res;
@@ -264,21 +285,21 @@ typename P::Output drive(P& p, const std::vector<JobMeta>& metas, Make make,
                          obs::arg("threads", i64(res.batch.threads))});
 
     // Result store first: load whatever a previous run of this exact
-    // campaign already finished, its nominal included.
-    res.results.resize(n);
+    // campaign already finished, its nominal included; then what the
+    // caller knows fills the slots the store left empty.
     std::vector<char> done(n, 0);
     std::unique_ptr<batch::ResultStore> store;
     if (!opt.result_store.empty()) {
-        const std::uint64_t m =
-            opt.manifest_override ? *opt.manifest_override : manifest();
         if (!opt.resume) {
             std::error_code ec;
             std::filesystem::remove(opt.result_store, ec);
         }
-        store = std::make_unique<batch::ResultStore>(opt.result_store, m,
-                                                     opt.store_durability);
-        done = load_slots<P>(store->loaded(), metas, res);
+        store = std::make_unique<batch::ResultStore>(
+            opt.result_store, manifest(), opt.store_durability);
+        load_slots<P>(store->loaded(), metas, res, done);
     }
+    const std::vector<const batch::FaultSimResult*> from_known =
+        load_slots<P>(known.records, metas, res, done);
 
     std::atomic<std::size_t> store_errors{0};
     // Contained store append: an I/O failure (disk full, injected torn
@@ -305,30 +326,42 @@ typename P::Output drive(P& p, const std::vector<JobMeta>& metas, Make make,
     };
 
     // The nominal analysis (paper, ch. V), simulated once per store: an
-    // earlier run's record is loaded, otherwise it is simulated and
-    // persisted before any fault record.  Its result is shared read-only
-    // by every worker, and its kernel's elimination order is the
-    // campaign-shared symbolic analysis every faulty variant adopts.
+    // earlier run's record is loaded, else the caller's, otherwise it is
+    // simulated.  A nominal the store lacks is persisted before any fault
+    // record.  Its result is shared read-only by every worker, and its
+    // kernel's elimination order is the campaign-shared symbolic analysis
+    // every faulty variant adopts.
     spice::SimOptions fault_sim;
     std::optional<spice::SimOptions> loaded;
+    bool in_store = false;
     {
         obs::Span nsp(obs::Phase::Nominal);
         const auto t0 = std::chrono::steady_clock::now();
         if (store) loaded = load_nominal(p, store->loaded_nominal(), res);
+        in_store = loaded.has_value();
+        if (!loaded) loaded = load_nominal(p, known.nominal, res);
         fault_sim = loaded ? std::move(*loaded) : p.nominal(res, nsp);
         nsp.arg("source", std::string(loaded ? "store" : "kernel"));
         res.nominal_seconds = seconds_since(t0);
     }
-    if (!loaded)
+    if (!in_store)
         contained(-1, [&] {
+            if (loaded) {
+                store->append_nominal(*known.nominal);
+                return;
+            }
             batch::NominalRecord rec = P::to_nominal(res);
             rec.analysis = P::kAnalysis;
             put_rank(rec, fault_sim.symbolic_cache.get());
             store->append_nominal(rec);
         });
+    for (std::size_t i = 0; i < n; ++i)
+        if (from_known[i])
+            contained(metas[i].fault_id,
+                      [&] { store->append(*from_known[i]); });
 
-    // Snapshot of which slots were filled from the store, before workers
-    // start marking their own slots done.
+    // Snapshot of which slots were filled from the store or the caller,
+    // before workers start marking their own slots done.
     const std::vector<char> resumed_here = done;
 
     // Equivalence classes over the *whole* list (so a resumed member can
@@ -465,9 +498,10 @@ typename P::Output drive(P& p, const std::vector<JobMeta>& metas, Make make,
     res.batch.scheduled = kernel_runs.load();
     res.batch.collapsed = n - classes.size();
 
-    // Aggregate kernel cost over *this run's* work only: records loaded
-    // from the store carry their original cost in the per-fault results,
-    // but a warm resume must not re-report it as kernel time spent now.
+    // Aggregate kernel cost over *this run's* work only: loaded records
+    // carry their original cost in the per-fault results, but a warm
+    // resume or a carried verdict must not re-report it as kernel time
+    // spent now.
     for (std::size_t i = 0; i < n; ++i) {
         if (resumed_here[i]) continue;
         const Result& r = res.results[i];
@@ -489,16 +523,16 @@ typename P::Output drive(P& p, const std::vector<JobMeta>& metas, Make make,
     return res;
 }
 
-/// The campaign of policy `p` over a LIFT fault list, bound to the
-/// analysis' public manifest.
-template <class P>
-typename P::Output drive(P& p, const lift::FaultList& faults) {
+/// The campaign of policy `p` over a LIFT fault list.
+template <class P, class Manifest>
+typename P::Output drive(P& p, const lift::FaultList& faults,
+                         Manifest manifest, const Known& known = {}) {
     return drive(
         p, fault_metas(faults),
         [&](std::size_t i) {
             return inject(p.ckt, faults.faults[i], p.opt.injection);
         },
-        [&] { return P::manifest(p.ckt, faults, p.opt); });
+        manifest, known);
 }
 
 // ---------------------------------------------------------------------------
@@ -511,12 +545,14 @@ struct TranPolicy {
     static constexpr const char* kAnalysis = "tran";
     static constexpr bool kIntegratesInTime = true;
     static constexpr auto manifest = &campaign_manifest;
-    static constexpr auto run = &run_campaign;
 
     const netlist::Circuit& ckt;
     const Options& opt;
     netlist::TranSpec ts;
     const spice::Waveforms* nominal_wf = nullptr;
+
+    TranPolicy(const netlist::Circuit& c, const Options& o)
+        : ckt(c), opt(o), ts(resolve_tran(c, o)) {}
 
     spice::SimOptions nominal(Output& res, obs::Span& sp);
     static batch::NominalRecord to_nominal(const Output& res);
@@ -539,7 +575,6 @@ struct AcPolicy {
     static constexpr const char* kAnalysis = "ac";
     static constexpr bool kIntegratesInTime = false;
     static constexpr auto manifest = &ac_campaign_manifest;
-    static constexpr auto run = &run_ac_campaign;
 
     const netlist::Circuit& ckt;
     const Options& opt;
@@ -570,7 +605,6 @@ struct DcPolicy {
     static constexpr const char* kAnalysis = "dc";
     static constexpr bool kIntegratesInTime = false;
     static constexpr auto manifest = &dc_screen_manifest;
-    static constexpr auto run = &run_dc_screen;
 
     const netlist::Circuit& ckt;
     const Options& opt;
@@ -597,5 +631,25 @@ struct DcPolicy {
     /// Check the observed nodes against the nominal and bind it.
     void observe(Output& res);
 };
+
+// ---------------------------------------------------------------------------
+
+/// The campaign of analysis P over a LIFT fault list, bound to P's public
+/// manifest: the body of run_campaign, run_ac_campaign and run_dc_screen,
+/// and of the incremental engine with its carried verdicts as `known`.
+template <class P>
+typename P::Output run(const netlist::Circuit& ckt,
+                       const lift::FaultList& faults,
+                       const typename P::Options& opt,
+                       const Known& known = {}) {
+    P p{ckt, opt};
+    typename P::Output res = drive(
+        p, faults, [&] { return P::manifest(ckt, faults, opt); }, known);
+    if constexpr (std::is_same_v<P, DcPolicy>) {
+        res.batch.warm_start_solves = p.warm_hits.load();
+        res.batch.nr_saved_warm = p.nr_saved.load();
+    }
+    return res;
+}
 
 } // namespace catlift::anafault::detail

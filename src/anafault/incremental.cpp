@@ -2,7 +2,6 @@
 
 #include "anafault/driver.h"
 
-#include <filesystem>
 #include <map>
 #include <set>
 #include <sstream>
@@ -45,14 +44,12 @@ batch::FaultSimResult carry(const batch::FaultSimResult& baseline_record,
 
 /// The analysis-independent core: classify the revision against the
 /// baseline, validate the baseline store against `baseline_manifest`, and
-/// split the revision into carried records and the subset to simulate.
+/// collect what the store proves about the revision for the driver's
+/// loader: the carried records, in revision order, and the baseline's
+/// nominal.
 struct CarrySplit {
-    std::map<int, batch::FaultSimResult> carried_by_id;
-    lift::FaultList subset;
+    detail::Known known;
     IncrementalStats inc;
-    /// The baseline's nominal record when its manifest matched: same
-    /// circuit, analysis spec and knobs, hence the revision's nominal.
-    std::optional<batch::NominalRecord> nominal;
 };
 
 CarrySplit split_for_carry(const lift::FaultList& baseline,
@@ -75,7 +72,9 @@ CarrySplit split_for_carry(const lift::FaultList& baseline,
         carried_sigs.insert(lift::electrical_signature(b));
 
     // The baseline store is only trusted when its manifest proves it was
-    // written by this circuit + baseline fault list + knob set.
+    // written by this circuit + baseline fault list + knob set.  Its
+    // nominal is then the revision's too: same circuit, analysis spec and
+    // knobs.
     std::map<std::string, const batch::FaultSimResult*> by_sig;
     const std::optional<batch::StoreSnapshot> snap =
         batch::load_store(baseline_store);
@@ -91,35 +90,24 @@ CarrySplit split_for_carry(const lift::FaultList& baseline,
     } else {
         out.inc.baseline_manifest_matched = true;
         by_sig = baseline_by_signature(baseline, *snap);
-        out.nominal = snap->nominal;
+        out.known.nominal = snap->nominal;
     }
 
-    // Split the revision: carried verdicts vs the subset to simulate.
-    out.subset.circuit = revision.circuit;
+    // Carry the verdict of every revision fault the diff and the store
+    // both vouch for; the rest is resimulated.
     for (const lift::Fault& f : revision.faults) {
         const std::string sig = lift::electrical_signature(f);
-        const batch::FaultSimResult* rec = nullptr;
-        if (carried_sigs.count(sig)) {
-            const auto it = by_sig.find(sig);
-            if (it != by_sig.end()) rec = it->second;
-        }
-        if (rec)
-            out.carried_by_id.emplace(f.id, carry(*rec, f));
-        else
-            out.subset.faults.push_back(f);
+        const auto it = by_sig.find(sig);
+        if (carried_sigs.count(sig) && it != by_sig.end())
+            out.known.records.push_back(carry(*it->second, f));
     }
-    out.inc.carried = out.carried_by_id.size();
-    out.inc.resimulated = out.subset.faults.size();
+    out.inc.carried = out.known.records.size();
+    out.inc.resimulated = revision.size() - out.inc.carried;
     if (obs::metrics_enabled())
         obs::Registry::global()
             .counter("campaign.carried_from_baseline")
             .add(out.inc.carried);
-    if (obs::events_enabled()) {
-        for (const auto& [id, r] : out.carried_by_id)
-            obs::emit_event(
-                "fault_carried",
-                {obs::arg("fault_id", static_cast<std::int64_t>(id)),
-                 obs::arg("verdict", std::string(detail::verdict_of(r)))});
+    if (obs::events_enabled())
         obs::emit_event(
             "incremental_carry",
             {obs::arg("carried",
@@ -133,92 +121,30 @@ CarrySplit split_for_carry(const lift::FaultList& baseline,
                       static_cast<std::int64_t>(
                           out.inc.probability_changed)),
              obs::arg("carry_block_reason", out.inc.carry_block_reason)});
-    }
     return out;
 }
 
-/// Seed the merged store with the baseline's nominal record and the
-/// carried records, bound to the revision manifest, so the subset
-/// campaign loads the nominal instead of simulating it, a crash
-/// mid-subset never costs a carried verdict, and the merged store resumes
-/// -- and serves as the next revision's baseline -- as if a cold full
-/// campaign had written it.
-void seed_merged_store(const std::string& path, std::uint64_t manifest,
-                       bool resume, const CarrySplit& split,
-                       batch::Durability durability) {
-    if (!resume) {
-        std::error_code ec;
-        std::filesystem::remove(path, ec);
-    }
-    batch::ResultStore store(path, manifest, durability);
-    if (split.nominal && !store.loaded_nominal())
-        store.append_nominal(*split.nominal);
-    std::set<int> present;
-    for (const batch::FaultSimResult& r : store.loaded())
-        present.insert(r.fault_id);
-    for (const auto& [id, r] : split.carried_by_id)
-        if (!present.count(id)) store.append(r);
-}
-
 /// The incremental engine over one analysis policy: carry what the
-/// baseline store proves (its nominal included), run the remainder as a
-/// subset campaign into the merged store, and merge in revision order.
-/// Kernel-cost aggregates and batch counters describe the work this run
-/// performed.
+/// baseline store proves (its nominal included) and run the whole
+/// revision through the plain campaign driver with those verdicts known,
+/// under the revision's own manifest.  The driver's loader reports the
+/// carried records under carried_from_store, keeps their cost out of this
+/// run's counters and writes them into the merged store after the
+/// nominal, so the merged store resumes -- and serves as the next
+/// revision's baseline -- as if a cold full campaign had written it.
 template <class P>
 IncrementalRunResult<typename P::Output> run_incremental(
     const Circuit& ckt, const lift::FaultList& baseline,
     const lift::FaultList& revision,
     const IncrementalRunOptions<typename P::Options>& opt) {
-    const std::string what =
-        std::string("incremental ") + P::kAnalysis + " campaign";
-    IncrementalRunResult<typename P::Output> res;
     require(!(opt.campaign.resume && opt.campaign.result_store.empty()),
-            what + ": resume needs a merged result store path");
-
-    CarrySplit split =
+            std::string("incremental ") + P::kAnalysis +
+                " campaign: resume needs a merged result store path");
+    const CarrySplit split =
         split_for_carry(baseline, revision, opt.rel_tol, opt.baseline_store,
                         P::manifest(ckt, baseline, opt.campaign));
-    res.inc = split.inc;
-
-    typename P::Options copt = opt.campaign;
-    if (!copt.result_store.empty()) {
-        const std::uint64_t manifest =
-            P::manifest(ckt, revision, opt.campaign);
-        seed_merged_store(copt.result_store, manifest, opt.campaign.resume,
-                          split, copt.store_durability);
-        // The subset campaign reopens the merged store under the revision
-        // manifest: its own finished records resume, carried ids (not in
-        // the subset) pass through untouched.
-        copt.resume = true;
-        copt.manifest_override = manifest;
-    }
-
-    typename P::Output sub = P::run(ckt, split.subset, copt);
-
-    std::map<int, const typename P::Result*> sub_by_id;
-    for (const typename P::Result& r : sub.results)
-        sub_by_id.emplace(r.fault_id, &r);
-    std::vector<typename P::Result> merged;
-    merged.reserve(revision.size());
-    for (const lift::Fault& f : revision.faults) {
-        const auto carried_it = split.carried_by_id.find(f.id);
-        if (carried_it != split.carried_by_id.end()) {
-            merged.push_back(P::from_record(carried_it->second));
-            continue;
-        }
-        const auto it = sub_by_id.find(f.id);
-        require(it != sub_by_id.end(),
-                what + ": missing result for fault " + std::to_string(f.id));
-        merged.push_back(*it->second);
-    }
-    res.campaign = std::move(sub);
-    res.campaign.results = std::move(merged);
-    // The merged result carries the baseline's verdicts for untouched
-    // faults; report them under the cross-revision figure, never as
-    // current-process work (see BatchStats' counter-reset contract).
-    res.campaign.batch.carried_from_store += split.inc.carried;
-    return res;
+    return {detail::run<P>(ckt, revision, opt.campaign, split.known),
+            split.inc};
 }
 
 } // namespace

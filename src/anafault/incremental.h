@@ -6,10 +6,13 @@
 // the electrical signature they had before, so their verdicts are already
 // known.  This layer diffs the two fault lists (lift::diff_faultlists),
 // carries verdicts for signature-identical faults straight out of the
-// baseline result store, and simulates only the added / probability-changed
-// remainder, emitting a merged store that is byte-equivalent (in verdicts)
-// to a cold full campaign on the revision -- and that serves as the
-// baseline store of the *next* revision.
+// baseline result store, together with the baseline's nominal, and runs
+// the whole revision through the plain campaign driver with them known:
+// its loader takes them like records of its own store, so only the added
+// / probability-changed remainder reaches the kernel.  The merged store
+// it emits is byte-equivalent (in verdicts) to a cold full campaign on
+// the revision -- and serves as the baseline store of the *next*
+// revision.
 //
 // One engine, written over the campaign driver's analysis policies
 // (anafault/driver.h): run_incremental_campaign drives the transient
@@ -61,9 +64,9 @@ using IncrementalDcOptions = IncrementalRunOptions<DcScreenOptions>;
 /// Per-class provenance counters of one incremental run.
 struct IncrementalStats {
     std::size_t carried = 0;      ///< verdicts reused from the baseline
-    /// Revision faults the carry pass could not cover -- run as the
-    /// subset campaign (a resume against an already-complete merged
-    /// store may satisfy them without kernel work: campaign.batch's
+    /// Revision faults the carry pass could not cover -- left to the
+    /// campaign (a resume against an already-complete merged store may
+    /// satisfy them without kernel work: campaign.batch's
     /// scheduled/resumed counters report that split).
     std::size_t resimulated = 0;
     std::size_t added = 0;        ///< signatures new in the revision
@@ -95,9 +98,9 @@ using IncrementalDcResult = IncrementalRunResult<DcScreenResult>;
 /// `baseline` must be the fault list the baseline store was written for.
 /// The merged result keeps the full contract (nominal waveforms / sweep /
 /// operating point, coverage) of a cold run.  When the baseline store's
-/// manifest matches and a merged store path is set, the baseline's
-/// nominal record is copied into the merged store and loaded, not
-/// simulated; otherwise the nominal runs.  Throws catlift::Error on
+/// manifest matches, the baseline's nominal record is loaded, not
+/// simulated (and copied into the merged store when one is set);
+/// otherwise the nominal runs.  Throws catlift::Error on
 /// inconsistent configuration (e.g. resume requested without a merged
 /// store path).
 IncrementalResult run_incremental_campaign(const netlist::Circuit& ckt,

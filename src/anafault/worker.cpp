@@ -14,10 +14,6 @@ CampaignResult run_worker_campaign(const netlist::Circuit& ckt,
     require(!w.shard.empty(), "worker campaign: needs a shard store path");
     require(w.id_lo <= w.id_hi, "worker campaign: empty fault-id range");
 
-    // The shard identifies as the *full* campaign: manifest over the whole
-    // fault list, exactly like the incremental engine's subset runs.
-    const std::uint64_t manifest = campaign_manifest(ckt, full, opt);
-
     lift::FaultList sub;
     sub.circuit = full.circuit;
     for (const lift::Fault& f : full.faults)
@@ -28,14 +24,17 @@ CampaignResult run_worker_campaign(const netlist::Circuit& ckt,
     CampaignOptions wopt = opt;
     wopt.result_store = w.shard;
     wopt.resume = true;  // a respawn must skip its predecessor's records
-    wopt.manifest_override = manifest;
 
     std::unique_ptr<batch::HeartbeatEmitter> hb;
     if (w.heartbeat_fd >= 0) {
         hb = std::make_unique<batch::HeartbeatEmitter>(w.heartbeat_fd);
         obs::attach_event_sink(std::make_shared<batch::HeartbeatSink>(*hb));
     }
-    CampaignResult res = run_campaign(ckt, sub, wopt);
+    // The shard identifies as the *full* campaign: manifest over the whole
+    // fault list, so the shards merge into the full campaign's store.
+    detail::TranPolicy p{ckt, wopt};
+    CampaignResult res = detail::drive(
+        p, sub, [&] { return campaign_manifest(ckt, full, opt); });
     if (hb) {
         // The sink holds a reference into `hb`; it must never outlive it.
         // Worker processes attach no other sinks, so a full detach is the
@@ -50,9 +49,7 @@ CampaignResult load_campaign_result(const netlist::Circuit& ckt,
                                     const lift::FaultList& faults,
                                     const CampaignOptions& opt,
                                     const std::string& store_path) {
-    const std::uint64_t manifest =
-        opt.manifest_override ? *opt.manifest_override
-                              : campaign_manifest(ckt, faults, opt);
+    const std::uint64_t manifest = campaign_manifest(ckt, faults, opt);
     auto snap = batch::load_store(store_path);
     require(snap.has_value(),
             "fabric: merged store unreadable or not a store: " + store_path);
@@ -61,12 +58,12 @@ CampaignResult load_campaign_result(const netlist::Circuit& ckt,
                 " identifies as a different campaign");
 
     CampaignResult res;
-    detail::TranPolicy p{ckt, opt, detail::resolve_tran(ckt, opt)};
+    detail::TranPolicy p{ckt, opt};
     res.tstop = p.ts.tstop;
     detail::load_nominal(p, snap->nominal, res);
     const std::vector<detail::JobMeta> metas = detail::fault_metas(faults);
-    const std::vector<char> done =
-        detail::load_slots<detail::TranPolicy>(snap->records, metas, res);
+    std::vector<char> done;
+    detail::load_slots<detail::TranPolicy>(snap->records, metas, res, done);
     for (std::size_t i = 0; i < metas.size(); ++i) {
         FaultSimResult& r = res.results[i];
         if (done[i]) {

@@ -1,12 +1,11 @@
 // catlift/anafault/worker.h
 //
 // Campaign-layer entry points of the multi-process fabric
-// (batch/fabric.h).  A worker process is the ordinary campaign runner
-// pointed at a fault-id *subrange* and a store *shard* bound -- via
-// CampaignOptions::manifest_override -- to the full campaign's manifest,
-// exactly the mechanism the incremental engine already uses to run a
-// subset campaign against a full store.  The supervisor then folds the
-// shards back together (batch::merge_shards) and reassembles the final
+// (batch/fabric.h).  A worker process is the ordinary campaign driver
+// (anafault/driver.h) pointed at a fault-id *subrange* and a store
+// *shard*, the shard bound -- through the driver's manifest argument --
+// to the full campaign's manifest.  The supervisor then folds the shards
+// back together (batch::merge_shards) and reassembles the final
 // CampaignResult straight from the canonical store -- the nominal
 // included -- so the parent never re-runs the nominal simulation.
 

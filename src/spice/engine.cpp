@@ -258,30 +258,6 @@ std::shared_ptr<const SymbolicCache> Simulator::symbolic_cache() const {
     return cache;
 }
 
-SimStats stats_delta(const SimStats& now, const SimStats& base) {
-    SimStats d = now;
-    d.nr_iterations -= base.nr_iterations;
-    d.lu_factorizations -= base.lu_factorizations;
-    d.tran_steps -= base.tran_steps;
-    d.step_cuts -= base.step_cuts;
-    d.steps_saved -= base.steps_saved;
-    d.grid_points_interpolated -= base.grid_points_interpolated;
-    d.lte_rejections -= base.lte_rejections;
-    d.ac_points -= base.ac_points;
-    d.ac_points_saved -= base.ac_points_saved;
-    d.warm_start_solves -= base.warm_start_solves;
-    d.nr_saved_warm -= base.nr_saved_warm;
-    d.bypass_solves -= base.bypass_solves;
-    d.sparse_full_factors -= base.sparse_full_factors;
-    d.sparse_refactors -= base.sparse_refactors;
-    d.device_stamps -= base.device_stamps;
-    d.device_stamp_skips -= base.device_stamp_skips;
-    d.symbolic_cache_hits -= base.symbolic_cache_hits;
-    d.ordering_seconds -= base.ordering_seconds;
-    d.numeric_seconds -= base.numeric_seconds;
-    return d;
-}
-
 // ---------------------------------------------------------------------------
 // Kernel: static / dynamic stamp split
 

@@ -238,13 +238,6 @@ struct SimStats {
     double numeric_seconds = 0.0;
 };
 
-/// Per-analysis counter window: every counter of `now` minus its value in
-/// `base` (sizes and other non-monotonic fields are taken from `now`).
-/// Simulator snapshots its cumulative stats at the top of each tran/AC
-/// analysis so Simulator::analysis_stats() can report that analysis alone
-/// even when one simulator runs a transient and then an AC sweep.
-SimStats stats_delta(const SimStats& now, const SimStats& base);
-
 struct DcResult {
     bool converged = false;
     /// NR iterations spent on this solve (all strategies attempted).
@@ -330,14 +323,6 @@ public:
     AcResult ac();
 
     const SimStats& stats() const { return stats_; }
-
-    /// Counters of the most recent tran/AC analysis alone.  stats() keeps
-    /// accumulating across analyses (campaign aggregation relies on it);
-    /// this is the per-analysis window so a tran-then-AC run on one
-    /// simulator reports each analysis' own sparse/bypass numbers.  An AC
-    /// analysis' window includes the operating-point solve it performs
-    /// internally.
-    SimStats analysis_stats() const { return stats_delta(stats_, analysis_base_); }
 
     /// Number of MNA unknowns (nodes + voltage-source branches).  The source
     /// fault model grows this; the resistor model does not.

@@ -621,7 +621,7 @@ TEST(ResultStore, TranAcDcNominalsRoundTripThroughTheirPolicies) {
     // Transient: 1000+ traces on one time axis, plus a rank map.
     {
         CampaignOptions opt = divider_options();
-        detail::TranPolicy p{c, opt, *c.tran};
+        detail::TranPolicy p{c, opt};
         CampaignResult res;
         for (std::size_t j = 0; j < 1100; ++j)
             res.nominal.add_trace(numbered("n", static_cast<std::size_t>(j)));

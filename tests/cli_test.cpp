@@ -23,6 +23,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
@@ -176,10 +177,20 @@ TEST_F(CliTest, MalformedOrOutOfRangeValuesExit2) {
 }
 
 TEST_F(CliTest, BadValueNamesTheFlag) {
-    const CliRun r = anafaultc({"--v-tol", "abc"});
-    EXPECT_EQ(r.status, 2);
-    EXPECT_NE(r.err.find("anafaultc: --v-tol needs"), std::string::npos)
-        << r.err;
+    // Whatever the command line cannot take, the first line of stderr
+    // names it.
+    const std::vector<std::pair<std::vector<std::string>, std::string>>
+        bad = {
+            {{"--v-tol", "abc"}, "anafaultc: --v-tol needs"},
+            {{"--no-collapse"}, "anafaultc: unknown option --no-collapse\n"},
+            {{"--v-tol"}, "anafaultc: --v-tol needs a value\n"},
+            {{"x"}, "anafaultc: unexpected argument x\n"},
+        };
+    for (const auto& [args, first_line] : bad) {
+        const CliRun r = anafaultc(args);
+        EXPECT_EQ(r.status, 2) << first_line;
+        EXPECT_EQ(r.err.rfind(first_line, 0), 0u) << r.err;
+    }
 }
 
 TEST_F(CliTest, FabricWorkersGetTheCampaignFlags) {
@@ -224,4 +235,32 @@ TEST_F(CliTest, ResumeOfAFinishedStoreLoadsTheNominal) {
         << warm.out;
     EXPECT_EQ(cold.out.find("nominal loaded from store"), std::string::npos)
         << cold.out;
+}
+
+TEST_F(CliTest, IncrementalRunCarriesTheBaselineAndItsNominal) {
+    const std::string base = path("incr_base.store");
+    ASSERT_EQ(anafaultc({"--v-tol", "0.4", "--store", base}).status, 0);
+
+    // The same list against its own store: every verdict carries and the
+    // nominal is the baseline's, merged store or not.
+    const CliRun r = anafaultc({"--v-tol", "0.4", "--baseline-store", base,
+                                "--baseline-faults", faults_file()});
+    ASSERT_EQ(r.status, 0) << r.err;
+    const std::string all = std::to_string(faults().size());
+    EXPECT_NE(r.out.find("carried " + all + "/" + all), std::string::npos)
+        << r.out;
+    EXPECT_NE(r.out.find("nominal loaded from store"), std::string::npos)
+        << r.out;
+
+    // The merged store identifies as the revision's own campaign.
+    const std::string merged = path("incr_merged.store");
+    const CliRun m = anafaultc({"--v-tol", "0.4", "--baseline-store", base,
+                                "--baseline-faults", faults_file(),
+                                "--store", merged});
+    ASSERT_EQ(m.status, 0) << m.err;
+    const auto snap = batch::load_store(merged);
+    ASSERT_TRUE(snap.has_value());
+    EXPECT_EQ(snap->manifest,
+              anafault::campaign_manifest(circuit(), faults(), options()));
+    EXPECT_EQ(snap->records.size(), faults().size());
 }

@@ -403,6 +403,42 @@ TEST(Incremental, MatchedBaselineReachesTheKernelOnlyForResimulatedFaults) {
         std::filesystem::remove(p);
 }
 
+TEST(Incremental, MatchedBaselineWithoutMergedStoreLoadsTheNominal) {
+    const Circuit c = divider_fixture();
+    const auto base = divider_baseline();
+    const auto rev = divider_revision();
+    const std::string bpath = temp_path("div_nominal_nostore");
+    std::filesystem::remove(bpath);
+    CampaignOptions copt = divider_options();
+    copt.result_store = bpath;
+    run_campaign(c, base, copt);
+
+    lift::FaultList resim{rev.circuit, {rev.faults[1], rev.faults[5]}};
+    const std::uint64_t nominal = newton_hits(
+        [&] { run_campaign(c, {rev.circuit, {}}, divider_options()); });
+    const std::uint64_t faults = newton_hits(
+        [&] { run_campaign(c, resim, divider_options()); }) - nominal;
+    ASSERT_GT(faults, 0u);
+
+    // No merged store path: the baseline's nominal is still loaded, not
+    // simulated, and only the two resimulated faults reach the kernel.
+    IncrementalOptions iopt;
+    iopt.campaign = divider_options();
+    iopt.baseline_store = bpath;
+    IncrementalResult inc;
+    EXPECT_EQ(newton_hits([&] {
+                  inc = run_incremental_campaign(c, base, rev, iopt);
+              }),
+              faults);
+    EXPECT_EQ(inc.inc.carried, 4u);
+    EXPECT_EQ(inc.campaign.batch.nominal_resumed, 1u);
+    EXPECT_EQ(inc.campaign.batch.carried_from_store, 4u);
+    EXPECT_EQ(inc.campaign.batch.scheduled, 2u);
+    expect_same_verdicts(run_campaign(c, rev, divider_options()),
+                         inc.campaign);
+    std::filesystem::remove(bpath);
+}
+
 TEST(Incremental, MissingBaselineStoreResimulatesEverything) {
     const Circuit c = divider_fixture();
     const auto base = divider_baseline();

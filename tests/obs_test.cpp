@@ -7,7 +7,6 @@
 
 #include "anafault/campaign.h"
 #include "batch/result_store.h"
-#include "circuits/ota.h"
 #include "core/cat.h"
 #include "lift/extract_faults.h"
 #include "obs/obs.h"
@@ -217,43 +216,6 @@ TEST(ObsEvents, JsonlSinkWritesOneObjectPerLine) {
     EXPECT_NE(l1.find("\"x\":1.5"), std::string::npos);
     EXPECT_NE(l2.find("\"s\":\"q\\\"q\""), std::string::npos);
     std::filesystem::remove(path);
-}
-
-// ---------------------------------------------------------------------------
-// Per-analysis stats windows on a single simulator (tran -> AC -> tran)
-
-TEST(ObsWindows, AnalysisStatsTranAcTranOnOneSimulator) {
-    circuits::OtaOptions o;
-    netlist::Circuit ckt = circuits::build_ota(o);
-    ckt.device("VDD").source = netlist::SourceSpec::make_dc(5.0);
-    netlist::SourceSpec vin = netlist::SourceSpec::make_dc(2.5);
-    vin.ac_mag = 1.0;
-    ckt.device("VIN").source = vin;
-
-    spice::Simulator sim(ckt);
-    sim.tran();
-    const spice::SimStats w1 = sim.analysis_stats();
-    EXPECT_GT(w1.tran_steps, 0u);
-    EXPECT_EQ(w1.ac_points, 0u);
-
-    spice::AcSpec spec;
-    spec.fstart = 1e3;
-    spec.fstop = 1e9;
-    sim.ac(spec);
-    const spice::SimStats w2 = sim.analysis_stats();
-    EXPECT_GT(w2.ac_points, 0u);
-    EXPECT_EQ(w2.tran_steps, 0u);
-
-    // The third window must again be tran-only: the AC window closed.
-    sim.tran();
-    const spice::SimStats w3 = sim.analysis_stats();
-    EXPECT_GT(w3.tran_steps, 0u);
-    EXPECT_EQ(w3.ac_points, 0u);
-    EXPECT_EQ(w3.tran_steps, w1.tran_steps);  // same analysis, same work
-
-    // Cumulative counters hold the union of all three windows.
-    EXPECT_EQ(sim.stats().tran_steps, w1.tran_steps + w3.tran_steps);
-    EXPECT_EQ(sim.stats().ac_points, w2.ac_points);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@
 // >= 90% cache hit-rate acceptance bar, the per-device bypass (verdict
 // identity on OTA, bitwise-neutral replay at the campaign default
 // device_bypass_tol = 0), ordering patching for injected unknowns,
-// per-analysis SimStats windows, and the AC/DC campaign result stores +
-// incremental cross-revision runners.
+// and the AC/DC campaign result stores + incremental cross-revision
+// runners.
 
 #include "anafault/campaign.h"
 #include "anafault/incremental.h"
@@ -325,40 +325,6 @@ TEST(Symbolic, DeviceReplayAtZeroToleranceMatchesLegacyBypassContract) {
     for (std::size_t i = 0; i < a.size(); ++i)
         worst = std::max(worst, std::fabs(a[i] - b[i]));
     EXPECT_LT(worst, 1e-3);
-}
-
-// ---------------------------------------------------------------------------
-// Per-analysis stats windows
-
-TEST(Symbolic, AnalysisStatsIsolateTranThenAc) {
-    OtaOptions o;
-    netlist::Circuit ckt = build_ota(o);
-    ckt.device("VDD").source = netlist::SourceSpec::make_dc(5.0);
-    netlist::SourceSpec vin = netlist::SourceSpec::make_dc(2.5);
-    vin.ac_mag = 1.0;
-    ckt.device("VIN").source = vin;
-
-    SimOptions so;
-    so.sparse_threshold = kForceSparse;
-    Simulator sim(ckt, so);
-
-    sim.tran();
-    const spice::SimStats tran_window = sim.analysis_stats();
-    EXPECT_GT(tran_window.tran_steps, 0u);
-    EXPECT_EQ(tran_window.ac_points, 0u);
-    EXPECT_GT(tran_window.sparse_refactors, 0u);
-
-    spice::AcSpec spec;
-    spec.fstart = 1e3;
-    spec.fstop = 1e9;
-    sim.ac(spec);
-    const spice::SimStats ac_window = sim.analysis_stats();
-    EXPECT_GT(ac_window.ac_points, 0u);
-    EXPECT_EQ(ac_window.tran_steps, 0u);
-    EXPECT_LT(ac_window.sparse_refactors, sim.stats().sparse_refactors);
-    // The cumulative counters keep accumulating across both analyses.
-    EXPECT_GT(sim.stats().tran_steps, 0u);
-    EXPECT_GT(sim.stats().ac_points, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -332,6 +332,12 @@ const Flag kFlags[] = {
     std::exit(2);
 }
 
+/// Name the argument the command line cannot take, then the usage table.
+[[noreturn]] void reject(const std::string& why) {
+    std::fprintf(stderr, "anafaultc: %s\n", why.c_str());
+    usage();
+}
+
 Cli parse_args(int argc, char** argv) {
     Cli c;
     c.opt.detection.observed.clear();
@@ -341,15 +347,15 @@ Cli parse_args(int argc, char** argv) {
             std::find_if(std::begin(kFlags), std::end(kFlags),
                          [&](const Flag& row) { return a == row.name; });
         if (f == std::end(kFlags)) {
-            if (!a.empty() && a[0] == '-') usage();
+            if (!a.empty() && a[0] == '-') reject("unknown option " + a);
             if (c.deck_path.empty()) c.deck_path = a;
             else if (c.flt_path.empty()) c.flt_path = a;
-            else usage();
+            else reject("unexpected argument " + a);
             continue;
         }
         const char* value = nullptr;
         if (f->value) {
-            if (++i >= argc) usage();
+            if (++i >= argc) reject(a + " needs a value");
             value = argv[i];
         }
         f->set(c, Arg{f->name, value});

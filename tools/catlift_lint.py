@@ -47,7 +47,10 @@ campaigns with:
       Every failpoint site name (robust::hit("...")), span phase name
       and event name used in the sources appears in the docs catalogs
       (docs/robustness.md / docs/trace-schema.md), so the operational
-      surface never drifts ahead of its documentation.
+      surface never drifts ahead of its documentation.  The reverse
+      holds for events: every row of the trace schema's event table
+      names a string literal of the sources, so a row never outlives
+      its emitter.
 
 Usage:
   catlift_lint.py [--root DIR]      lint the repo (default: script's repo)
@@ -420,16 +423,25 @@ def rule_fault_containment(root):
     return findings
 
 
+# The trace schema's event table: its header row, the rule under it,
+# and every row up to the first line that is not one.
+EVENT_TABLE = re.compile(
+    r"^\| event\s*\|[^\n]*\n\|[-|]+\|\n((?:\|[^\n]*\n)*)", re.M)
+STRING_LITERAL = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
+
+
 def rule_site_docs(root):
     findings = []
     robustness = (root / ROBUSTNESS_DOC).read_text()
     schema = (root / TRACE_SCHEMA_DOC).read_text()
+    literals = set()
 
     for path in sorted((root / "src").rglob("*")):
         if path.suffix not in (".h", ".cpp", ".hpp", ".cc"):
             continue
         rel = path.relative_to(root).as_posix()
         text = path.read_text()
+        literals.update(STRING_LITERAL.findall(text))
         for m in re.finditer(r'robust::hit\(\s*"([^"]+)"', text):
             if f"`{m.group(1)}`" not in robustness:
                 findings.append(Finding(
@@ -442,6 +454,20 @@ def rule_site_docs(root):
                     "CL005", rel, text[:m.start()].count("\n") + 1,
                     f"event '{m.group(1)}' is not in the "
                     f"{TRACE_SCHEMA_DOC} event table"))
+
+    table = EVENT_TABLE.search(schema)
+    if not table:
+        findings.append(Finding("CL005", TRACE_SCHEMA_DOC, 1,
+                                "no event table found"))
+    else:
+        line = schema[:table.start(1)].count("\n") + 1
+        for k, row in enumerate(table.group(1).splitlines()):
+            m = re.match(r"\|\s*`([^`]+)`", row)
+            if m and m.group(1) not in literals:
+                findings.append(Finding(
+                    "CL005", TRACE_SCHEMA_DOC, line + k,
+                    f"event '{m.group(1)}' of the event table is emitted "
+                    f"nowhere in src/"))
 
     trace = (root / TRACE_IMPL).read_text()
     fn = find_function_body(trace, "phase_name")
@@ -586,6 +612,13 @@ def _seed_undocumented_event(fx):
            'obs::emit_event("job_exploded"')
 
 
+def _seed_documented_unemitted_event(fx):
+    mutate(fx / TRACE_SCHEMA_DOC,
+           "| `job_error`",
+           "| `job_vanished`       | `job` — emitted nowhere |\n"
+           "| `job_error`")
+
+
 SCENARIOS = [
     ("CL001", "unhashed SimOptions field", _seed_unhashed_sim_field),
     ("CL001", "unhashed CampaignOptions field",
@@ -606,6 +639,8 @@ SCENARIOS = [
     ("CL004", "per-fault catch narrowed", _seed_missing_catch),
     ("CL005", "undocumented failpoint site", _seed_undocumented_failpoint),
     ("CL005", "undocumented event name", _seed_undocumented_event),
+    ("CL005", "documented event nothing emits",
+     _seed_documented_unemitted_event),
 ]
 
 
@@ -617,6 +652,8 @@ EXPECTED_FINDINGS = {
     "unhashed DetectionSpec field":
         "DetectionSpec::sneaky_slope_tol is neither hashed in "
         "manifest_hash",
+    "documented event nothing emits":
+        "event 'job_vanished' of the event table is emitted nowhere",
 }
 
 
